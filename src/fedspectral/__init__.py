@@ -25,7 +25,6 @@ from .experiment import (
 from .fedplus import (
     FedPlusConfig,
     aggregate_round,
-    client_power_iteration,
     run_fedspectral_plus,
 )
 from .graph import (
@@ -64,7 +63,6 @@ __all__ = [
     "build_similarity_graph",
     "fedspectral_server",
     "FedPlusConfig",
-    "client_power_iteration",
     "aggregate_round",
     "run_fedspectral_plus",
     "cluster_similarity",

@@ -122,14 +122,18 @@ def _parse_axis_values(axis: str, raw: str):
     parts = [p.strip() for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigError("empty --values list")
-    if axis == "overlap":
-        return [float(p) for p in parts]
     if axis == "algo":
         for p in parts:
             if p not in ALGORITHMS:
                 raise ConfigError(f"unknown algo {p!r} in --values")
         return parts
-    return [int(p) for p in parts]
+    convert = float if axis == "overlap" else int
+    try:
+        return [convert(p) for p in parts]
+    except ValueError:
+        raise ConfigError(
+            f"--values for axis {axis!r} must be {convert.__name__}s, got {raw!r}"
+        ) from None
 
 
 def _cmd_sweep(args) -> int:

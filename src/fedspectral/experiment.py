@@ -25,7 +25,7 @@ from .baseline import fedspectral_server
 from .diagnostics import Diagnostics
 from .errors import ConfigError
 from .fedplus import FedPlusConfig, run_fedspectral_plus
-from .graph import Graph, load_edge_list, parse_edge_list, scan_edge_records
+from .graph import EdgeScan, Graph, load_edge_list, parse_arcs
 from .linalg import global_spectral_clustering
 from .metrics import cluster_similarity, write_labels_csv
 from .partition import distribute_edges
@@ -367,9 +367,9 @@ def verify_dataset(
     """
     resolved = resolve_dataset_path(str(path))
     with open(resolved, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    scan = scan_edge_records(text)
-    g = parse_edge_list(text, directed=directed)
+        arcs = parse_arcs(fh)
+    scan = EdgeScan.from_arcs(arcs)
+    g = Graph.from_arcs(arcs)
     return VerifyReport(
         path=str(resolved),
         directed=directed,

@@ -6,6 +6,10 @@ applies ``iters`` local multiplications by its shard multiplier M = I - L
 ascending client-id order and re-orthonormalizes with a reduced QR. The
 only payloads crossing the client boundary are embeddings.
 
+M is a sparse EdgeOperator built once per client from the shard's edge
+arrays: O(N + shard edges) memory, and O(shard edges * K) work per local
+step, where a dense N x N multiplier would cost O(N^2) of both.
+
 Wire format (for substituting a network transport for the in-process one):
 a frame is three little-endian int64 header words followed by the payload,
 
@@ -26,6 +30,7 @@ import numpy as np
 
 from .diagnostics import Diagnostics
 from .errors import ConfigError, ContractError, ConvergenceError, RankError
+from .graph import EdgeOperator, laplacian_multiplier
 from .linalg import cluster_embedding_rows, reduced_qr
 from .partition import ClientShard
 from .seeding import embedding_seed, kmeans_seed
@@ -37,7 +42,6 @@ __all__ = [
     "encode_frame",
     "decode_frame",
     "shard_multiplier",
-    "client_power_iteration",
     "PowerIterationClient",
     "aggregate_round",
     "server_round_loop",
@@ -105,44 +109,22 @@ def decode_frame(data: bytes) -> tuple[int, np.ndarray]:
     return tag, payload.reshape(rows, cols).astype(np.float64)
 
 
-def shard_multiplier(shard: ClientShard, damping: bool = False) -> np.ndarray:
-    """Dense client multiplier M = I - L (or I - L/2 with damping).
+def shard_multiplier(shard: ClientShard, damping: bool = False) -> EdgeOperator:
+    """Sparse client multiplier M = I - L (or I - L/2 with damping).
 
     The zero Laplacian rows of shard-isolated nodes make M act as the
     identity there, passing the server's aggregated value through.
     """
-    lap = shard.normalized_laplacian()
     scale = 0.5 if damping else 1.0
-    mult = np.eye(shard.num_nodes) - scale * lap
-    return mult
-
-
-def client_power_iteration(
-    shard: ClientShard, iters: int, embedding: np.ndarray, *, damping: bool = False
-) -> np.ndarray:
-    """Apply ``iters`` local power-iteration steps to a broadcast embedding.
-
-    Returns M^iters @ embedding with M = I - L of the shard; no internal
-    normalization (safe: the spectral radius of M is at most 1).
-    """
-    if iters < 1:
-        raise ContractError(f"iters must be >= 1, got {iters}")
-    v = np.asarray(embedding, dtype=np.float64)
-    if v.ndim != 2 or v.shape[0] != shard.num_nodes:
-        raise ContractError(
-            f"embedding must be {shard.num_nodes} x K, got {v.shape}"
-        )
-    mult = shard_multiplier(shard, damping)
-    for _ in range(iters):
-        v = mult @ v
-    return v
+    return laplacian_multiplier(shard.num_nodes, shard.edges, shard.weights, scale)
 
 
 class PowerIterationClient:
     """In-process client endpoint.
 
     Holds the private shard data internally and exposes only the round API:
-    receive a broadcast embedding, return the locally iterated embedding.
+    receive a broadcast embedding, return M^iters @ embedding with no
+    internal normalization (safe: the spectral radius of M is at most 1).
     The multiplier is built once at construction.
     """
 
@@ -150,7 +132,6 @@ class PowerIterationClient:
         if iters < 1:
             raise ContractError(f"iters must be >= 1, got {iters}")
         self._client_id = shard.client_id
-        self._num_nodes = shard.num_nodes
         self._iters = iters
         self._multiplier = shard_multiplier(shard, damping)
 
@@ -159,13 +140,7 @@ class PowerIterationClient:
         return self._client_id
 
     def run_round(self, message: BroadcastMessage) -> ClientReply:
-        v = np.asarray(message.embedding, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != self._num_nodes:
-            raise ContractError(
-                f"embedding must be {self._num_nodes} x K, got {v.shape}"
-            )
-        for _ in range(self._iters):
-            v = self._multiplier @ v
+        v = self._multiplier.power(message.embedding, self._iters)
         return ClientReply(self._client_id, v)
 
 

@@ -1,7 +1,8 @@
 """Undirected graphs over a fixed node universe.
 
 Covers SNAP-style edge-list ingestion, canonical in-memory representation,
-and symmetric normalized Laplacians. All matrices are dense float64; node
+and symmetric normalized Laplacians, both as dense float64 N x N matrices
+and as the sparse multiplier I - s*L (EdgeOperator, O(edges) memory). Node
 ids are contiguous 0..num_nodes-1 after remapping, with the original ids
 retained so results can be written back in source-file terms.
 """
@@ -18,6 +19,9 @@ from .errors import ContractError, ParseError
 __all__ = [
     "Graph",
     "EdgeScan",
+    "EdgeOperator",
+    "check_canonical_edges",
+    "parse_arcs",
     "parse_edge_list",
     "load_edge_list",
     "serialize_edge_list",
@@ -25,9 +29,41 @@ __all__ = [
     "adjacency_from_edges",
     "normalized_laplacian",
     "normalized_laplacian_from_adjacency",
+    "laplacian_multiplier",
 ]
 
 TextSource = Union[str, bytes, Iterable[str]]
+
+
+def check_canonical_edges(obj) -> None:
+    """Coerce and validate the canonical edge form of a frozen dataclass.
+
+    ``obj`` has ``num_nodes``, ``edges`` and ``weights``; shared by Graph and
+    ClientShard. Edges become an int64 (E, 2) array and weights float64 (E,);
+    every edge must be stored once as (u, v) with u < v, rows sorted
+    lexicographically, endpoints in 0..num_nodes-1 and weights positive.
+    """
+    edges = np.asarray(obj.edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(obj.weights, dtype=np.float64).reshape(-1)
+    object.__setattr__(obj, "edges", edges)
+    object.__setattr__(obj, "weights", weights)
+    if obj.num_nodes <= 0:
+        raise ContractError("node universe must have at least one node")
+    if len(edges) != len(weights):
+        raise ContractError("edges and weights length mismatch")
+    if len(edges) == 0:
+        return
+    if edges.min() < 0 or edges.max() >= obj.num_nodes:
+        raise ContractError("edge endpoint outside 0..num_nodes-1")
+    if not (edges[:, 0] < edges[:, 1]).all():
+        raise ContractError("edges must be stored as (u, v) with u < v")
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    if not np.array_equal(order, np.arange(len(edges))):
+        raise ContractError("edges must be lexicographically sorted")
+    if len(edges) > 1 and (np.diff(edges, axis=0) == 0).all(axis=1).any():
+        raise ContractError("duplicate edge")
+    if (weights <= 0).any():
+        raise ContractError("edge weights must be positive")
 
 
 @dataclass(frozen=True)
@@ -45,27 +81,7 @@ class Graph:
     node_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "weights", weights)
-        if self.num_nodes <= 0:
-            raise ContractError("graph must have at least one node")
-        if len(edges) != len(weights):
-            raise ContractError("edges and weights length mismatch")
-        if len(edges) == 0:
-            return
-        if edges.min() < 0 or edges.max() >= self.num_nodes:
-            raise ContractError("edge endpoint outside 0..num_nodes-1")
-        if not (edges[:, 0] < edges[:, 1]).all():
-            raise ContractError("edges must be stored as (u, v) with u < v")
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        if not np.array_equal(order, np.arange(len(edges))):
-            raise ContractError("edges must be lexicographically sorted")
-        if len(edges) > 1 and (np.diff(edges, axis=0) == 0).all(axis=1).any():
-            raise ContractError("duplicate edge")
-        if (weights <= 0).any():
-            raise ContractError("edge weights must be positive")
+        check_canonical_edges(self)
 
     @classmethod
     def from_edges(cls, num_nodes, pairs, weights=None, node_ids=None) -> "Graph":
@@ -92,6 +108,22 @@ class Graph:
             w = w[order]
         return cls(num_nodes=num_nodes, edges=arr, weights=w, node_ids=node_ids)
 
+    @classmethod
+    def from_arcs(cls, arcs: np.ndarray) -> "Graph":
+        """Undirected graph of raw (u, v) id arcs, as parse_edge_list builds it."""
+        ids = np.unique(arcs)
+        remapped = np.searchsorted(ids, arcs)
+        lo = np.minimum(remapped[:, 0], remapped[:, 1])
+        hi = np.maximum(remapped[:, 0], remapped[:, 1])
+        keep = lo < hi
+        pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
+        return cls(
+            num_nodes=len(ids),
+            edges=pairs,
+            weights=np.ones(len(pairs), dtype=np.float64),
+            node_ids=ids,
+        )
+
     @property
     def num_edges(self) -> int:
         return len(self.edges)
@@ -113,6 +145,15 @@ class EdgeScan:
     num_arcs: int
     num_data_lines: int
 
+    @classmethod
+    def from_arcs(cls, arcs: np.ndarray) -> "EdgeScan":
+        """Counts of raw (u, v) id arcs, as scan_edge_records reports them."""
+        return cls(
+            num_ids=len(np.unique(arcs)),
+            num_arcs=len(np.unique(arcs, axis=0)),
+            num_data_lines=len(arcs),
+        )
+
 
 def _iter_lines(text: TextSource) -> Iterable[str]:
     if isinstance(text, bytes):
@@ -122,7 +163,13 @@ def _iter_lines(text: TextSource) -> Iterable[str]:
     return text
 
 
-def _parse_arcs(text: TextSource) -> np.ndarray:
+def parse_arcs(text: TextSource) -> np.ndarray:
+    """Raw (u, v) id pairs of SNAP edge-list text as an int64 (E, 2) array.
+
+    '#' lines and blank lines are skipped; nothing is deduplicated or
+    remapped. Raises ParseError, with the line number, on a malformed line
+    and on input without data lines.
+    """
     arcs = []
     for lineno, raw in enumerate(_iter_lines(text), start=1):
         line = raw.strip()
@@ -160,19 +207,7 @@ def parse_edge_list(text: TextSource, directed: bool = False) -> Graph:
         dedup either way, so this only affects how callers (e.g. dataset
         verification) interpret raw counts.
     """
-    arr = _parse_arcs(text)
-    ids = np.unique(arr)
-    remapped = np.searchsorted(ids, arr)
-    lo = np.minimum(remapped[:, 0], remapped[:, 1])
-    hi = np.maximum(remapped[:, 0], remapped[:, 1])
-    keep = lo < hi
-    pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-    return Graph(
-        num_nodes=len(ids),
-        edges=pairs,
-        weights=np.ones(len(pairs), dtype=np.float64),
-        node_ids=ids,
-    )
+    return Graph.from_arcs(parse_arcs(text))
 
 
 def load_edge_list(path, directed: bool = False) -> Graph:
@@ -187,12 +222,7 @@ def scan_edge_records(text: TextSource) -> EdgeScan:
     Self-loops count as arcs here; this is the view dataset verification
     compares against published counts for directed sources.
     """
-    arr = _parse_arcs(text)
-    return EdgeScan(
-        num_ids=len(np.unique(arr)),
-        num_arcs=len(np.unique(arr, axis=0)),
-        num_data_lines=len(arr),
-    )
+    return EdgeScan.from_arcs(parse_arcs(text))
 
 
 def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
@@ -257,3 +287,75 @@ def normalized_laplacian_from_adjacency(a: np.ndarray) -> np.ndarray:
 def normalized_laplacian(g: Graph) -> np.ndarray:
     """Symmetric normalized Laplacian of a graph (dense N x N)."""
     return normalized_laplacian_from_adjacency(g.adjacency())
+
+
+@dataclass(frozen=True)
+class EdgeOperator:
+    """Sparse symmetric N x N matrix: a diagonal plus off-diagonal entries.
+
+    Entry (rows[i], cols[i]) holds vals[i]; both orientations of every edge
+    are stored, sorted by (row, col). Memory is O(N + edges).
+    """
+
+    diag: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.diag)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.power(v, 1)
+
+    def power(self, v: np.ndarray, times: int) -> np.ndarray:
+        """self^times @ v for an N x K block, one bincount per column and step.
+
+        Each output entry is its diagonal term plus its row's off-diagonal
+        terms summed in stored order, so the result is bitwise deterministic
+        and power(v, a + b) equals power(power(v, a), b). The steps run on the
+        transposed K x N block, so each column of v is contiguous in memory.
+        """
+        v = np.asarray(v, dtype=np.float64)
+        if v.ndim != 2 or v.shape[0] != self.num_nodes:
+            raise ContractError(
+                f"operand must be {self.num_nodes} x K, got {v.shape}"
+            )
+        vt = np.ascontiguousarray(v.T)
+        for _ in range(times):
+            out = self.diag * vt
+            for j, col in enumerate(vt):
+                out[j] += np.bincount(
+                    self.rows,
+                    weights=self.vals * col.take(self.cols),
+                    minlength=self.num_nodes,
+                )
+            vt = out
+        return np.ascontiguousarray(vt.T)
+
+
+def laplacian_multiplier(
+    num_nodes: int, edges: np.ndarray, weights: np.ndarray, scale: float = 1.0
+) -> EdgeOperator:
+    """I - scale * L of a canonical edge list, as a sparse EdgeOperator.
+
+    Off-diagonal entries are scale * w(u,v) / sqrt(d_u d_v). The diagonal is
+    1 - scale on nodes with positive degree and 1 on isolated nodes, whose
+    Laplacian rows are zero, so the operator passes them through unchanged.
+    """
+    d = degrees_from_edges(num_nodes, edges, weights)
+    inv_sqrt = np.zeros(num_nodes, dtype=np.float64)
+    positive = d > 0
+    inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
+    u, v = edges[:, 0], edges[:, 1]
+    vals = scale * (weights * (inv_sqrt[u] * inv_sqrt[v]))
+    rows = np.concatenate([u, v])
+    cols = np.concatenate([v, u])
+    order = np.lexsort((cols, rows))
+    return EdgeOperator(
+        diag=np.where(positive, 1.0 - scale, 1.0),
+        rows=rows[order],
+        cols=cols[order],
+        vals=np.concatenate([vals, vals])[order],
+    )

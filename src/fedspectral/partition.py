@@ -16,7 +16,7 @@ from .errors import ConfigError, ContractError, ParseError
 from .graph import (
     Graph,
     adjacency_from_edges,
-    degrees_from_edges,
+    check_canonical_edges,
     normalized_laplacian_from_adjacency,
 )
 
@@ -31,7 +31,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ClientShard:
-    """One client's private edge subset over the full node universe."""
+    """One client's private edge subset over the full node universe.
+
+    Edges are canonical as in Graph: stored once as (u, v) with u < v,
+    sorted lexicographically, with positive weights.
+    """
 
     client_id: int
     num_nodes: int
@@ -39,29 +43,15 @@ class ClientShard:
     weights: np.ndarray
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "weights", weights)
-        if self.num_nodes <= 0:
-            raise ContractError("shard must span a non-empty node universe")
-        if len(edges) != len(weights):
-            raise ContractError("edges and weights length mismatch")
-        if len(edges) and (edges.min() < 0 or edges.max() >= self.num_nodes):
-            raise ContractError("shard edge endpoint outside node universe")
+        check_canonical_edges(self)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degrees(self) -> np.ndarray:
-        return degrees_from_edges(self.num_nodes, self.edges, self.weights)
-
-    def adjacency(self) -> np.ndarray:
-        return adjacency_from_edges(self.num_nodes, self.edges, self.weights)
-
     def normalized_laplacian(self) -> np.ndarray:
-        return normalized_laplacian_from_adjacency(self.adjacency())
+        adjacency = adjacency_from_edges(self.num_nodes, self.edges, self.weights)
+        return normalized_laplacian_from_adjacency(adjacency)
 
 
 def replication_count(overlap: float, num_clients: int) -> int:
@@ -136,7 +126,12 @@ def write_shard(shard: ClientShard, path, seed: int | None = None) -> None:
 
 
 def read_shard(path) -> ClientShard:
-    """Read a shard file written by write_shard."""
+    """Read a shard file written by write_shard.
+
+    Edge orientation and order are made canonical; self-loops, duplicate
+    edges (in either orientation) and endpoints outside the '# nodes:'
+    universe raise ParseError.
+    """
     client_id = None
     num_nodes = None
     pairs = []
@@ -156,15 +151,16 @@ def read_shard(path) -> ClientShard:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected two integer tokens")
             try:
-                pairs.append((int(parts[0]), int(parts[1])))
+                u, v = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer token") from None
+            if u == v:
+                raise ParseError(f"line {lineno}: self-loop {u} {v}")
+            pairs.append((u, v))
     if client_id is None or num_nodes is None:
         raise ParseError("shard file is missing its client_id/nodes header")
-    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    return ClientShard(
-        client_id=client_id,
-        num_nodes=num_nodes,
-        edges=edges,
-        weights=np.ones(len(edges), dtype=np.float64),
-    )
+    try:
+        g = Graph.from_edges(num_nodes, pairs)
+    except ContractError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    return ClientShard(client_id, g.num_nodes, g.edges, g.weights)

@@ -95,6 +95,22 @@ def test_sweep_bad_axis(dataset_file, capsys):
     assert "unknown sweep axis" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("axis, values", [("iters", "abc"), ("overlap", "0.4,x")])
+def test_sweep_bad_values(dataset_file, capsys, axis, values):
+    code = main(
+        [
+            "sweep",
+            "--dataset", str(dataset_file),
+            "--axis", axis,
+            "--values", values,
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert axis in err
+
+
 def test_metric_subcommand(tmp_path, capsys):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -12,7 +12,6 @@ from fedspectral.fedplus import (
     FedPlusConfig,
     PowerIterationClient,
     aggregate_round,
-    client_power_iteration,
     decode_frame,
     encode_frame,
     run_fedspectral_plus,
@@ -34,9 +33,63 @@ def path_shard(client_id=0):
     return shard_from_graph(Graph.from_edges(2, [(0, 1)]), client_id)
 
 
+def dense_multiplier(shard, damping=False):
+    """Dense oracle for shard_multiplier: I - L, or I - L/2 with damping."""
+    scale = 0.5 if damping else 1.0
+    return np.eye(shard.num_nodes) - scale * shard.normalized_laplacian()
+
+
+def client_step(shard, iters, embedding, *, damping=False):
+    client = PowerIterationClient(shard, iters, damping)
+    return client.run_round(BroadcastMessage(0, embedding)).embedding
+
+
+def random_weighted_shard(n, num_edges, isolated, seed):
+    """Random weighted shard whose nodes 0..isolated-1 have no edges."""
+    rng = np.random.default_rng(seed)
+    pairs = set()
+    while len(pairs) < num_edges:
+        u, v = rng.integers(isolated, n, size=2)
+        if u != v:
+            pairs.add((min(u, v), max(u, v)))
+    g = Graph.from_edges(n, sorted(pairs), rng.uniform(0.1, 3.0, len(pairs)))
+    return shard_from_graph(g)
+
+
+class TestShardMultiplier:
+    @pytest.mark.parametrize("damping", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_dense_oracle(self, damping, seed):
+        shard = random_weighted_shard(40, 120, isolated=5, seed=seed)
+        v = np.random.default_rng(seed + 100).standard_normal((40, 4))
+        mult = shard_multiplier(shard, damping)
+        expected = dense_multiplier(shard, damping)
+        assert np.abs(mult @ np.eye(40) - expected).max() <= 1e-14
+        assert np.abs(mult @ v - expected @ v).max() <= 1e-14
+
+    @pytest.mark.parametrize("damping", [False, True])
+    def test_isolated_nodes_pass_through(self, damping):
+        shard = random_weighted_shard(30, 60, isolated=4, seed=3)
+        v = np.random.default_rng(4).standard_normal((30, 3))
+        out = shard_multiplier(shard, damping) @ v
+        assert np.array_equal(out[:4], v[:4])
+
+    def test_edgeless_shard_is_identity(self):
+        shard = ClientShard(0, 5, np.empty((0, 2), dtype=np.int64), np.empty(0))
+        v = np.random.default_rng(5).standard_normal((5, 2))
+        for damping in (False, True):
+            assert np.array_equal(shard_multiplier(shard, damping) @ v, v)
+
+    def test_shape_contract(self):
+        with pytest.raises(ContractError):
+            shard_multiplier(path_shard()) @ np.ones((3, 1))
+        with pytest.raises(ContractError):
+            shard_multiplier(path_shard()) @ np.ones(2)
+
+
 class TestClientPowerIteration:
     def test_path_graph_swap(self):
-        out = client_power_iteration(path_shard(), 1, np.array([[1.0], [0.0]]))
+        out = client_step(path_shard(), 1, np.array([[1.0], [0.0]]))
         assert np.array_equal(out, [[0.0], [1.0]])
 
     def test_isolated_node_passthrough(self):
@@ -44,7 +97,7 @@ class TestClientPowerIteration:
         rng = np.random.default_rng(0)
         v = rng.standard_normal((3, 2))
         for iters in (1, 3, 7):
-            out = client_power_iteration(shard_from_graph(g), iters, v)
+            out = client_step(shard_from_graph(g), iters, v)
             assert np.array_equal(out[2], v[2])
 
     def test_triangle_constant_column_fixed(self):
@@ -52,30 +105,26 @@ class TestClientPowerIteration:
         g = Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)])
         v = np.ones((3, 1))
         mult = shard_multiplier(shard_from_graph(g))
-        assert np.abs(mult - g.adjacency() / 2.0).max() < 1e-12
-        out = client_power_iteration(shard_from_graph(g), 5, v)
+        assert np.abs(mult @ np.eye(3) - g.adjacency() / 2.0).max() < 1e-12
+        out = client_step(shard_from_graph(g), 5, v)
         assert np.abs(out - v).max() < 1e-12
 
     def test_iters_compose(self):
         g = planted_graph([8, 8], 0.8, 0.1, seed=1)
         v = np.random.default_rng(1).standard_normal((16, 2))
-        once = client_power_iteration(shard_from_graph(g), 1, v)
-        twice = client_power_iteration(shard_from_graph(g), 1, once)
-        assert np.allclose(
-            client_power_iteration(shard_from_graph(g), 2, v), twice
-        )
+        once = client_step(shard_from_graph(g), 1, v)
+        twice = client_step(shard_from_graph(g), 1, once)
+        assert np.array_equal(client_step(shard_from_graph(g), 2, v), twice)
 
     def test_damping_variant(self):
-        out = client_power_iteration(
-            path_shard(), 1, np.array([[1.0], [0.0]]), damping=True
-        )
+        out = client_step(path_shard(), 1, np.array([[1.0], [0.0]]), damping=True)
         assert np.allclose(out, [[0.5], [0.5]])
 
     def test_contracts(self):
         with pytest.raises(ContractError):
-            client_power_iteration(path_shard(), 0, np.ones((2, 1)))
+            PowerIterationClient(path_shard(), 0)
         with pytest.raises(ContractError):
-            client_power_iteration(path_shard(), 1, np.ones((3, 1)))
+            client_step(path_shard(), 1, np.ones((3, 1)))
 
 
 class TestAggregateRound:
@@ -284,13 +333,17 @@ class TestProtocol:
         cfg = FedPlusConfig(2, iters=1, global_rounds=30, seed=29)
         _, basis = run_fedspectral_plus(shards, cfg)
         mult = shard_multiplier(shards[0])
+        dense = dense_multiplier(shards[0])
         from fedspectral.seeding import embedding_seed
 
         rng = np.random.default_rng(embedding_seed(cfg.seed))
         manual, _ = reduced_qr(rng.standard_normal((20, 2)))
+        oracle = manual
         for _ in range(30):
             manual, _ = reduced_qr(mult @ manual)
+            oracle, _ = reduced_qr(dense @ oracle)
         assert np.array_equal(basis, manual)
+        assert np.allclose(basis, oracle, rtol=0.0, atol=1e-10)
 
     def test_universe_mismatch(self):
         a = ClientShard(0, 4, np.empty((0, 2), dtype=np.int64), np.empty(0))

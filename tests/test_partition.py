@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from fedspectral.errors import ConfigError
+from fedspectral.errors import ConfigError, ContractError, ParseError
 from fedspectral.partition import (
+    ClientShard,
     distribute_edges,
     read_shard,
     replication_count,
@@ -129,3 +130,43 @@ class TestShardIO:
         assert head[0] == "# client_id: 0"
         assert head[1] == "# seed: 11"
         assert head[2] == f"# nodes: {g.num_nodes}"
+
+    def test_canonicalizes_orientation_and_order(self, tmp_path):
+        path = tmp_path / "shard.txt"
+        path.write_text("# client_id: 2\n# nodes: 4\n3 1\n0 2\n1 0\n")
+        shard = read_shard(path)
+        assert shard.client_id == 2
+        assert shard.edges.tolist() == [[0, 1], [0, 2], [1, 3]]
+        assert shard.weights.tolist() == [1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize(
+        "body, match",
+        [
+            ("0 1\n2 2\n", "line 4: self-loop"),
+            ("0 1\n1 0\n0 1\n", "duplicate edge"),
+            ("0 1\n1 2\n", "outside"),
+        ],
+    )
+    def test_rejects_bad_edges(self, tmp_path, body, match):
+        path = tmp_path / "shard.txt"
+        path.write_text("# client_id: 0\n# nodes: 2\n" + body)
+        with pytest.raises(ParseError, match=match):
+            read_shard(path)
+
+
+class TestClientShardInvariants:
+    @pytest.mark.parametrize(
+        "edges, weights",
+        [
+            ([(1, 0)], [1.0]),
+            ([(1, 2), (0, 1)], [1.0, 1.0]),
+            ([(0, 1), (0, 1)], [1.0, 1.0]),
+            ([(0, 1)], [0.0]),
+            ([(0, 1)], [-1.0]),
+            ([(0, 3)], [1.0]),
+            ([(1, 1)], [1.0]),
+        ],
+    )
+    def test_rejects_non_canonical_edges(self, edges, weights):
+        with pytest.raises(ContractError):
+            ClientShard(0, 3, np.array(edges), np.array(weights))
