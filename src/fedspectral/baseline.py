@@ -27,16 +27,17 @@ def get_client_labels(
     num_clusters: int,
     seed: int,
     *,
-    eig_method: str = "auto",
     normalize_rows: bool = False,
     diag: Diagnostics | None = None,
 ) -> np.ndarray:
     """Spectral clustering of one client's local shard.
 
     Normalized Laplacian of the shard, bottom-K embedding, k-means on the
-    node rows; deterministic for the client's derived seed. A shard with no
-    edges yields an all-zero Laplacian and a degenerate (identical-rows)
-    embedding; the labeling is still deterministic and the event is flagged.
+    node rows (linalg.spectral_cluster, whose node count picks the dense
+    or the iterative eigensolver); deterministic for the client's derived
+    seed. A shard with no edges yields an all-zero Laplacian and a
+    degenerate (identical-rows) embedding; the labeling is still
+    deterministic and the event is flagged.
     """
     if not 1 <= num_clusters <= shard.num_nodes:
         raise ContractError(
@@ -46,12 +47,7 @@ def get_client_labels(
         diag.flag(f"degenerate shard {shard.client_id}: no edges")
     lap = shard.normalized_laplacian()
     return spectral_cluster(
-        lap,
-        num_clusters,
-        seed,
-        method=eig_method,
-        normalize_rows=normalize_rows,
-        diag=diag,
+        lap, num_clusters, seed, normalize_rows=normalize_rows, diag=diag
     )
 
 
@@ -89,7 +85,6 @@ def fedspectral_server(
     num_clusters: int,
     seed: int,
     *,
-    eig_method: str = "auto",
     normalize_rows: bool = False,
     diag: Diagnostics | None = None,
     dump_dir=None,
@@ -98,7 +93,8 @@ def fedspectral_server(
 
     Collects every client's labels (each client seeded by
     hash(master_seed, client_id)), builds the similarity graph, zeroes its
-    diagonal, and spectrally clusters it as a weighted graph. The result is
+    diagonal, and spectrally clusters it as a weighted graph (with the same
+    size rule for the eigensolver as the clients). The result is
     independent of shard ordering and deterministic for fixed shards and
     seed. ``dump_dir`` optionally writes each client labeling as CSV.
     """
@@ -114,7 +110,6 @@ def fedspectral_server(
             sh,
             num_clusters,
             client_seed(seed, sh.client_id),
-            eig_method=eig_method,
             normalize_rows=normalize_rows,
             diag=diag,
         )
@@ -134,7 +129,6 @@ def fedspectral_server(
         lap,
         num_clusters,
         derive_seed(seed, "server"),
-        method=eig_method,
         normalize_rows=normalize_rows,
         diag=diag,
     )

@@ -181,7 +181,7 @@ def _cmd_verify(args) -> int:
 def _cmd_partition_dump(args) -> int:
     import os
 
-    graph = load_edge_list(resolve_dataset_path(args.dataset), directed=args.directed)
+    graph = load_edge_list(resolve_dataset_path(args.dataset))
     shards = distribute_edges(
         graph,
         args.clients,
@@ -233,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     dump_p = sub.add_parser("partition-dump", help="write per-client shard files")
     dump_p.add_argument("--dataset", required=True)
-    dump_p.add_argument("--directed", action="store_true")
     dump_p.add_argument("--clients", type=int, required=True)
     dump_p.add_argument("--overlap", type=float, default=0.4)
     dump_p.add_argument("--replication", type=int)

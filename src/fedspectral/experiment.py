@@ -131,7 +131,7 @@ def reference_seed(dataset_path) -> int:
 
 
 def load_dataset(cfg: ExperimentConfig) -> Graph:
-    return load_edge_list(resolve_dataset_path(cfg.dataset_path), directed=cfg.directed)
+    return load_edge_list(resolve_dataset_path(cfg.dataset_path))
 
 
 def compute_reference(graph: Graph, cfg: ExperimentConfig) -> np.ndarray:

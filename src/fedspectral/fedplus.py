@@ -53,17 +53,12 @@ _HEADER = struct.Struct("<qqq")
 
 @dataclass(frozen=True)
 class FedPlusConfig:
-    """Protocol parameters: embedding width, local iterations, rounds, seed.
-
-    ``damping`` switches the client multiplier to (I + M)/2 = I - L/2,
-    which cannot oscillate on bipartite shard components; off by default.
-    """
+    """Protocol parameters: embedding width, local iterations, rounds, seed."""
 
     num_clusters: int
     iters: int = 1
     global_rounds: int = 1
     seed: int = 0
-    damping: bool = False
 
     def __post_init__(self):
         if self.num_clusters < 1:
@@ -109,14 +104,13 @@ def decode_frame(data: bytes) -> tuple[int, np.ndarray]:
     return tag, payload.reshape(rows, cols).astype(np.float64)
 
 
-def shard_multiplier(shard: ClientShard, damping: bool = False) -> EdgeOperator:
-    """Sparse client multiplier M = I - L (or I - L/2 with damping).
+def shard_multiplier(shard: ClientShard) -> EdgeOperator:
+    """Sparse client multiplier M = I - L.
 
     The zero Laplacian rows of shard-isolated nodes make M act as the
     identity there, passing the server's aggregated value through.
     """
-    scale = 0.5 if damping else 1.0
-    return laplacian_multiplier(shard.num_nodes, shard.edges, shard.weights, scale)
+    return laplacian_multiplier(shard.num_nodes, shard.edges, shard.weights)
 
 
 class PowerIterationClient:
@@ -128,12 +122,12 @@ class PowerIterationClient:
     The multiplier is built once at construction.
     """
 
-    def __init__(self, shard: ClientShard, iters: int, damping: bool = False):
+    def __init__(self, shard: ClientShard, iters: int):
         if iters < 1:
             raise ContractError(f"iters must be >= 1, got {iters}")
         self._client_id = shard.client_id
         self._iters = iters
-        self._multiplier = shard_multiplier(shard, damping)
+        self._multiplier = shard_multiplier(shard)
 
     @property
     def client_id(self) -> int:
@@ -238,9 +232,7 @@ def run_fedspectral_plus(
             f"num_clusters {cfg.num_clusters} exceeds node count {n}"
         )
 
-    transports = [
-        PowerIterationClient(sh, cfg.iters, cfg.damping) for sh in shards
-    ]
+    transports = [PowerIterationClient(sh, cfg.iters) for sh in shards]
     rng = np.random.default_rng(embedding_seed(cfg.seed))
     basis, _ = reduced_qr(rng.standard_normal((n, cfg.num_clusters)))
     basis = server_round_loop(

@@ -2,7 +2,7 @@
 
 Covers SNAP-style edge-list ingestion, canonical in-memory representation,
 and symmetric normalized Laplacians, both as dense float64 N x N matrices
-and as the sparse multiplier I - s*L (EdgeOperator, O(edges) memory). Node
+and as the sparse multiplier I - L (EdgeOperator, O(edges) memory). Node
 ids are contiguous 0..num_nodes-1 after remapping, with the original ids
 retained so results can be written back in source-file terms.
 """
@@ -190,30 +190,24 @@ def parse_arcs(text: TextSource) -> np.ndarray:
     return np.asarray(arcs, dtype=np.int64)
 
 
-def parse_edge_list(text: TextSource, directed: bool = False) -> Graph:
+def parse_edge_list(text: TextSource) -> Graph:
     """Parse whitespace-separated SNAP edge-list text into a Graph.
 
     Lines starting with '#' are comments. Node ids are remapped to a
     contiguous 0..N-1 range preserving sorted original-id order; the node
     universe includes every id that appears as an endpoint, even if only in
     self-loops. Self-loops and duplicate edges are dropped, and reciprocal
-    arcs of a directed file merge into one undirected edge of weight 1.
-
-    Parameters
-    ----------
-    text : str, bytes, or iterable of lines
-    directed : bool
-        Records that the source lists arcs; symmetrization is the same
-        dedup either way, so this only affects how callers (e.g. dataset
-        verification) interpret raw counts.
+    arcs of a directed file merge into one undirected edge of weight 1, so
+    directed and undirected sources parse alike. ``text`` is a str, bytes
+    or an iterable of lines.
     """
     return Graph.from_arcs(parse_arcs(text))
 
 
-def load_edge_list(path, directed: bool = False) -> Graph:
+def load_edge_list(path) -> Graph:
     """parse_edge_list over the contents of a file path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh, directed=directed)
+        return parse_edge_list(fh)
 
 
 def scan_edge_records(text: TextSource) -> EdgeScan:
@@ -336,25 +330,25 @@ class EdgeOperator:
 
 
 def laplacian_multiplier(
-    num_nodes: int, edges: np.ndarray, weights: np.ndarray, scale: float = 1.0
+    num_nodes: int, edges: np.ndarray, weights: np.ndarray
 ) -> EdgeOperator:
-    """I - scale * L of a canonical edge list, as a sparse EdgeOperator.
+    """I - L of a canonical edge list, as a sparse EdgeOperator.
 
-    Off-diagonal entries are scale * w(u,v) / sqrt(d_u d_v). The diagonal is
-    1 - scale on nodes with positive degree and 1 on isolated nodes, whose
-    Laplacian rows are zero, so the operator passes them through unchanged.
+    Off-diagonal entries are w(u,v) / sqrt(d_u d_v). The diagonal is 0 on
+    nodes with positive degree and 1 on isolated nodes, whose Laplacian
+    rows are zero, so the operator passes them through unchanged.
     """
     d = degrees_from_edges(num_nodes, edges, weights)
     inv_sqrt = np.zeros(num_nodes, dtype=np.float64)
     positive = d > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
     u, v = edges[:, 0], edges[:, 1]
-    vals = scale * (weights * (inv_sqrt[u] * inv_sqrt[v]))
+    vals = weights * (inv_sqrt[u] * inv_sqrt[v])
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
     order = np.lexsort((cols, rows))
     return EdgeOperator(
-        diag=np.where(positive, 1.0 - scale, 1.0),
+        diag=np.where(positive, 0.0, 1.0),
         rows=rows[order],
         cols=cols[order],
         vals=np.concatenate([vals, vals])[order],

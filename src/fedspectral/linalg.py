@@ -1,13 +1,15 @@
 """Dense numerical kernels.
 
-Householder reduced QR, a cyclic-Jacobi reference eigensolver, bottom-K
-eigenvector extraction by orthogonal iteration, Lloyd's k-means with
-k-means++ seeding, and the non-federated spectral clustering pipeline that
-serves as the gold standard for every experiment.
+Reduced QR and the dense reference eigensolver (numpy's LAPACK, under
+pinned sign conventions), bottom-K eigenvector extraction by orthogonal
+iteration, Lloyd's k-means with k-means++ seeding, and the non-federated
+spectral clustering pipeline that serves as the gold standard for every
+experiment.
 
-Everything is float64 and deterministic for fixed seeds. numpy is used for
-array arithmetic only; the factorizations themselves are implemented here
-so their sign conventions and failure modes are pinned.
+Everything is float64 and deterministic for fixed seeds. The LAPACK
+factorizations are followed by sign fixes (non-negative R diagonal;
+first nonzero eigenvector component positive), so their outputs are
+unique and runs repeat bit for bit.
 """
 
 from __future__ import annotations
@@ -27,18 +29,17 @@ __all__ = [
     "cluster_embedding_rows",
     "spectral_cluster",
     "global_spectral_clustering",
-    "REFERENCE_EIG_MAX_N",
 ]
 
-# Size cutoff for the "auto" eigensolver strategy: the dense reference
-# solver below this, orthogonal iteration above.
+# spectral_cluster solves Laplacians up to this size with the dense
+# reference solver, and larger ones by orthogonal iteration.
 REFERENCE_EIG_MAX_N = 256
 
 RANK_TOL = 1e-12
 
 
 def reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Householder reduced QR of an N x K matrix, N >= K.
+    """Reduced QR of an N x K matrix, N >= K.
 
     Returns (q, r) with a = q @ r, q orthonormal columns, r upper
     triangular with non-negative diagonal (the sign convention that makes
@@ -58,32 +59,7 @@ def reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n < k:
         raise ContractError(f"reduced_qr needs N >= K, got {n} x {k}")
 
-    r = a.copy()
-    reflectors: list[np.ndarray | None] = []
-    for j in range(k):
-        x = r[j:, j]
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            reflectors.append(None)
-            continue
-        v = x.copy()
-        v[0] += norm if x[0] >= 0 else -norm
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0.0:
-            reflectors.append(None)
-            continue
-        v /= vnorm
-        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        reflectors.append(v)
-
-    q = np.eye(n, k)
-    for j in range(k - 1, -1, -1):
-        v = reflectors[j]
-        if v is None:
-            continue
-        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-
-    r = np.triu(r[:k, :])
+    q, r = np.linalg.qr(a, mode="reduced")
     flip = np.diagonal(r) < 0
     if flip.any():
         r[flip, :] *= -1.0
@@ -110,84 +86,36 @@ def _fix_column_signs(vectors: np.ndarray) -> None:
 
 
 def symmetric_eig_reference(
-    a: np.ndarray, *, symmetry_tol: float = 1e-10, max_sweeps: int = 50
+    a: np.ndarray, *, symmetry_tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+    """Full eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns in matching
     order). Each eigenvector's first nonzero component is positive. This is
-    the test oracle and the small-instance workhorse; intended for N up to
-    a couple thousand.
+    the test oracle and the small-instance workhorse.
 
     Raises
     ------
     ContractError
-        If the input is not symmetric to within ``symmetry_tol``.
+        If the input has a non-finite entry or is not symmetric to within
+        ``symmetry_tol``.
     ConvergenceError
-        If the off-diagonal mass has not vanished after ``max_sweeps``.
+        If LAPACK's eigensolver does not converge.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError("expected a square matrix")
-    n = a.shape[0]
-    if n == 0:
+    if a.shape[0] == 0:
         raise ContractError("expected a non-empty matrix")
+    if not np.isfinite(a).all():
+        raise ContractError("matrix has non-finite entries")
     if np.abs(a - a.T).max() > symmetry_tol:
         raise ContractError("matrix is not symmetric within tolerance")
 
-    work = 0.5 * (a + a.T)
-    vectors = np.eye(n)
-    scale = np.linalg.norm(work)
-    if n == 1 or scale == 0.0:
-        vals = np.diagonal(work).copy()
-        order = np.argsort(vals, kind="stable")
-        return vals[order], vectors[:, order]
-
-    off_tol = n * np.finfo(np.float64).eps * scale
-    skip_tol = off_tol / n
-    converged = False
-    for _ in range(max_sweeps + 1):
-        # square the off-diagonal directly: the fro^2 - diag^2 shortcut
-        # cancels catastrophically once the off mass is tiny
-        off = work.copy()
-        np.fill_diagonal(off, 0.0)
-        off_sq = float((off * off).sum())
-        if off_sq <= off_tol * off_tol:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = work[p, q]
-                if abs(apq) <= skip_tol:
-                    continue
-                theta = (work[q, q] - work[p, p]) / (2.0 * apq)
-                if theta == 0.0:
-                    t = 1.0
-                else:
-                    t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                col_p = work[:, p].copy()
-                col_q = work[:, q].copy()
-                work[:, p] = c * col_p - s * col_q
-                work[:, q] = s * col_p + c * col_q
-                row_p = work[p, :].copy()
-                row_q = work[q, :].copy()
-                work[p, :] = c * row_p - s * row_q
-                work[q, :] = s * row_p + c * row_q
-                work[p, q] = 0.0
-                work[q, p] = 0.0
-                vec_p = vectors[:, p].copy()
-                vec_q = vectors[:, q].copy()
-                vectors[:, p] = c * vec_p - s * vec_q
-                vectors[:, q] = s * vec_p + c * vec_q
-    if not converged:
-        raise ConvergenceError(f"Jacobi sweeps did not converge within {max_sweeps}")
-
-    vals = np.diagonal(work).copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vectors = vectors[:, order]
+    try:
+        vals, vectors = np.linalg.eigh(0.5 * (a + a.T))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolver did not converge: {exc}") from None
     _fix_column_signs(vectors)
     return vals, vectors
 
@@ -345,30 +273,25 @@ def spectral_cluster(
     k: int,
     seed: int,
     *,
-    method: str = "auto",
     normalize_rows: bool = False,
     diag: Diagnostics | None = None,
 ) -> np.ndarray:
     """Laplacian in, cluster labels out.
 
-    Bottom-K embedding (dense reference solver or orthogonal iteration,
-    chosen by ``method``: "auto" switches on REFERENCE_EIG_MAX_N) followed
-    by k-means on the node rows. Seeds for the embedding init and the
-    k-means stream are derived from ``seed`` with fixed role labels, so
-    every caller of this pipeline agrees bit for bit.
+    Bottom-K embedding followed by k-means on the node rows. The embedding
+    comes from the dense reference solver when N <= REFERENCE_EIG_MAX_N and
+    from orthogonal iteration (bottom_k_eigenvectors) above that. Seeds for
+    the embedding init and the k-means stream are derived from ``seed``
+    with fixed role labels, so every caller of this pipeline agrees bit for
+    bit.
     """
     n = lap.shape[0]
     if not 1 <= k <= n:
         raise ContractError(f"need 1 <= k <= {n}, got {k}")
-    if method == "auto":
-        method = "reference" if n <= REFERENCE_EIG_MAX_N else "iteration"
-    if method == "reference":
-        _, vectors = symmetric_eig_reference(lap)
-        embedding = vectors[:, :k]
-    elif method == "iteration":
-        embedding = bottom_k_eigenvectors(lap, k, embedding_seed(seed), diag=diag)
+    if n <= REFERENCE_EIG_MAX_N:
+        embedding = symmetric_eig_reference(lap)[1][:, :k]
     else:
-        raise ContractError(f"unknown eigensolver method {method!r}")
+        embedding = bottom_k_eigenvectors(lap, k, embedding_seed(seed), diag=diag)
     return cluster_embedding_rows(
         embedding, k, kmeans_seed(seed), normalize_rows=normalize_rows
     )
@@ -379,7 +302,6 @@ def global_spectral_clustering(
     k: int,
     seed: int,
     *,
-    method: str = "auto",
     normalize_rows: bool = False,
     diag: Diagnostics | None = None,
 ) -> np.ndarray:
@@ -391,6 +313,4 @@ def global_spectral_clustering(
     if not 1 <= k <= g.num_nodes:
         raise ContractError(f"need 1 <= k <= {g.num_nodes}, got {k}")
     lap = normalized_laplacian(g)
-    return spectral_cluster(
-        lap, k, seed, method=method, normalize_rows=normalize_rows, diag=diag
-    )
+    return spectral_cluster(lap, k, seed, normalize_rows=normalize_rows, diag=diag)

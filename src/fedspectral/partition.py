@@ -114,8 +114,12 @@ def write_shard(shard: ClientShard, path, seed: int | None = None) -> None:
     """Write a shard as SNAP edge-list text with a provenance header.
 
     The '# nodes:' header preserves the full node universe, which the bare
-    edge list cannot represent for isolated nodes.
+    edge list cannot represent for isolated nodes. The format has no weight
+    column, so a shard with any weight other than 1 raises ContractError
+    rather than being written lossily.
     """
+    if (shard.weights != 1.0).any():
+        raise ContractError("shard files store unit weights only")
     lines = [f"# client_id: {shard.client_id}"]
     if seed is not None:
         lines.append(f"# seed: {seed}")
@@ -128,12 +132,12 @@ def write_shard(shard: ClientShard, path, seed: int | None = None) -> None:
 def read_shard(path) -> ClientShard:
     """Read a shard file written by write_shard.
 
-    Edge orientation and order are made canonical; self-loops, duplicate
-    edges (in either orientation) and endpoints outside the '# nodes:'
-    universe raise ParseError.
+    Edge orientation and order are made canonical; a missing or non-integer
+    '# client_id:'/'# nodes:' header, self-loops, duplicate edges (in either
+    orientation) and endpoints outside the '# nodes:' universe raise
+    ParseError.
     """
-    client_id = None
-    num_nodes = None
+    header = {}
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -141,11 +145,14 @@ def read_shard(path) -> ClientShard:
             if not line:
                 continue
             if line.startswith("#"):
-                body = line[1:].strip()
-                if body.startswith("client_id:"):
-                    client_id = int(body.split(":", 1)[1])
-                elif body.startswith("nodes:"):
-                    num_nodes = int(body.split(":", 1)[1])
+                key, _, value = line[1:].strip().partition(":")
+                if key in ("client_id", "nodes"):
+                    try:
+                        header[key] = int(value)
+                    except ValueError:
+                        raise ParseError(
+                            f"line {lineno}: non-integer {key} header"
+                        ) from None
                 continue
             parts = line.split()
             if len(parts) != 2:
@@ -157,10 +164,10 @@ def read_shard(path) -> ClientShard:
             if u == v:
                 raise ParseError(f"line {lineno}: self-loop {u} {v}")
             pairs.append((u, v))
-    if client_id is None or num_nodes is None:
+    if len(header) != 2:
         raise ParseError("shard file is missing its client_id/nodes header")
     try:
-        g = Graph.from_edges(num_nodes, pairs)
+        g = Graph.from_edges(header["nodes"], pairs)
     except ContractError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return ClientShard(client_id, g.num_nodes, g.edges, g.weights)
+    return ClientShard(header["client_id"], g.num_nodes, g.edges, g.weights)

@@ -62,13 +62,13 @@ def require_dataset(name: str) -> Path:
 @pytest.fixture(scope="session")
 def facebook_graph():
     path = require_dataset("ego-facebook")
-    return load_edge_list(path, directed=False)
+    return load_edge_list(path)
 
 
 @pytest.fixture(scope="session")
 def email_graph():
     path = require_dataset("email-eu-core")
-    return load_edge_list(path, directed=True)
+    return load_edge_list(path)
 
 
 # ---------------------------------------------------------------------------

@@ -33,14 +33,13 @@ def path_shard(client_id=0):
     return shard_from_graph(Graph.from_edges(2, [(0, 1)]), client_id)
 
 
-def dense_multiplier(shard, damping=False):
-    """Dense oracle for shard_multiplier: I - L, or I - L/2 with damping."""
-    scale = 0.5 if damping else 1.0
-    return np.eye(shard.num_nodes) - scale * shard.normalized_laplacian()
+def dense_multiplier(shard):
+    """Dense oracle for shard_multiplier: I - L."""
+    return np.eye(shard.num_nodes) - shard.normalized_laplacian()
 
 
-def client_step(shard, iters, embedding, *, damping=False):
-    client = PowerIterationClient(shard, iters, damping)
+def client_step(shard, iters, embedding):
+    client = PowerIterationClient(shard, iters)
     return client.run_round(BroadcastMessage(0, embedding)).embedding
 
 
@@ -57,28 +56,25 @@ def random_weighted_shard(n, num_edges, isolated, seed):
 
 
 class TestShardMultiplier:
-    @pytest.mark.parametrize("damping", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_dense_oracle(self, damping, seed):
+    def test_matches_dense_oracle(self, seed):
         shard = random_weighted_shard(40, 120, isolated=5, seed=seed)
         v = np.random.default_rng(seed + 100).standard_normal((40, 4))
-        mult = shard_multiplier(shard, damping)
-        expected = dense_multiplier(shard, damping)
+        mult = shard_multiplier(shard)
+        expected = dense_multiplier(shard)
         assert np.abs(mult @ np.eye(40) - expected).max() <= 1e-14
         assert np.abs(mult @ v - expected @ v).max() <= 1e-14
 
-    @pytest.mark.parametrize("damping", [False, True])
-    def test_isolated_nodes_pass_through(self, damping):
+    def test_isolated_nodes_pass_through(self):
         shard = random_weighted_shard(30, 60, isolated=4, seed=3)
         v = np.random.default_rng(4).standard_normal((30, 3))
-        out = shard_multiplier(shard, damping) @ v
+        out = shard_multiplier(shard) @ v
         assert np.array_equal(out[:4], v[:4])
 
     def test_edgeless_shard_is_identity(self):
         shard = ClientShard(0, 5, np.empty((0, 2), dtype=np.int64), np.empty(0))
         v = np.random.default_rng(5).standard_normal((5, 2))
-        for damping in (False, True):
-            assert np.array_equal(shard_multiplier(shard, damping) @ v, v)
+        assert np.array_equal(shard_multiplier(shard) @ v, v)
 
     def test_shape_contract(self):
         with pytest.raises(ContractError):
@@ -115,10 +111,6 @@ class TestClientPowerIteration:
         once = client_step(shard_from_graph(g), 1, v)
         twice = client_step(shard_from_graph(g), 1, once)
         assert np.array_equal(client_step(shard_from_graph(g), 2, v), twice)
-
-    def test_damping_variant(self):
-        out = client_step(path_shard(), 1, np.array([[1.0], [0.0]]), damping=True)
-        assert np.allclose(out, [[0.5], [0.5]])
 
     def test_contracts(self):
         with pytest.raises(ContractError):

@@ -21,7 +21,7 @@ def triangle():
 
 class TestParse:
     def test_dedup_and_self_loop(self):
-        g = parse_edge_list("0 1\n1 0\n1 1\n", directed=True)
+        g = parse_edge_list("0 1\n1 0\n1 1\n")
         assert g.num_nodes == 2
         assert g.edges.tolist() == [[0, 1]]
         assert g.weights.tolist() == [1.0]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from fedspectral.errors import ContractError, RankError
+from fedspectral.errors import ContractError, ConvergenceError, RankError
 from fedspectral.graph import Graph, normalized_laplacian
 from fedspectral.linalg import (
+    REFERENCE_EIG_MAX_N,
     bottom_k_eigenvectors,
     cluster_embedding_rows,
     global_spectral_clustering,
@@ -12,6 +13,7 @@ from fedspectral.linalg import (
     spectral_cluster,
     symmetric_eig_reference,
 )
+from fedspectral.seeding import kmeans_seed
 
 from conftest import gnp_graph, planted_graph, principal_angles
 
@@ -106,6 +108,20 @@ class TestReferenceEig:
     def test_non_symmetric_rejected(self):
         with pytest.raises(ContractError):
             symmetric_eig_reference(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_non_finite_rejected(self):
+        a = np.eye(3)
+        a[1, 1] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            symmetric_eig_reference(a)
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def fail(_):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(ConvergenceError):
+            symmetric_eig_reference(np.eye(2))
 
 
 class TestBottomK:
@@ -218,8 +234,11 @@ class TestGlobalClustering:
         )
 
     def test_methods_agree_on_labels(self):
-        g = planted_graph([15, 15, 15], 0.8, 0.04, seed=12)
+        # N = 300 lies above REFERENCE_EIG_MAX_N, so spectral_cluster takes
+        # the orthogonal-iteration path; the dense solver is the oracle
+        g = planted_graph([100, 100, 100], 0.3, 0.005, seed=12)
         lap = normalized_laplacian(g)
-        ref = spectral_cluster(lap, 3, seed=5, method="reference")
-        it = spectral_cluster(lap, 3, seed=5, method="iteration")
-        assert np.array_equal(ref, it)
+        assert lap.shape[0] > REFERENCE_EIG_MAX_N
+        dense = symmetric_eig_reference(lap)[1][:, :3]
+        expected = cluster_embedding_rows(dense, 3, kmeans_seed(5))
+        assert np.array_equal(spectral_cluster(lap, 3, seed=5), expected)

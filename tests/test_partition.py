@@ -120,6 +120,14 @@ class TestShardIO:
         assert again.client_id == shard.client_id
         assert again.num_nodes == shard.num_nodes
         assert np.array_equal(again.edges, shard.edges)
+        assert np.array_equal(again.weights, shard.weights)
+
+    def test_rejects_non_unit_weights(self, tmp_path):
+        shard = ClientShard(0, 3, np.array([[0, 1], [1, 2]]), np.array([2.5, 0.5]))
+        path = tmp_path / "shard.txt"
+        with pytest.raises(ContractError, match="unit weights"):
+            write_shard(shard, path)
+        assert not path.exists()
 
     def test_header_records_provenance(self, tmp_path):
         g = gnp_graph(10, 0.4, 10)
@@ -150,6 +158,20 @@ class TestShardIO:
     def test_rejects_bad_edges(self, tmp_path, body, match):
         path = tmp_path / "shard.txt"
         path.write_text("# client_id: 0\n# nodes: 2\n" + body)
+        with pytest.raises(ParseError, match=match):
+            read_shard(path)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("# client_id: 0\n# nodes: x\n0 1\n", "line 2: non-integer nodes"),
+            ("# client_id: zero\n# nodes: 2\n0 1\n", "line 1: non-integer client_id"),
+            ("# nodes: 2\n0 1\n", "missing"),
+        ],
+    )
+    def test_rejects_bad_headers(self, tmp_path, text, match):
+        path = tmp_path / "shard.txt"
+        path.write_text(text)
         with pytest.raises(ParseError, match=match):
             read_shard(path)
 
