@@ -11,6 +11,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -22,6 +23,7 @@ from .experiment import (
     ExperimentConfig,
     apply_config_values,
     parse_config_file,
+    parse_config_value,
     resolve_dataset_path,
     run_experiment,
     sweep,
@@ -41,7 +43,8 @@ _USER_ERRORS = (ConfigError, ContractError, ParseError, RankError, ConvergenceEr
 
 def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--dataset", help="edge-list path (resolved against $FEDSPECTRAL_DATA_DIR)")
+    parser.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
+                        help="edge-list path (resolved against $FEDSPECTRAL_DATA_DIR)")
     parser.add_argument("--directed", action="store_true", default=None,
                         help="treat the file as directed arcs")
     parser.add_argument("--algo", choices=ALGORITHMS)
@@ -60,33 +63,15 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
                         help="CSV destination (stdout when omitted)")
 
 
-_FLAG_FIELDS = (
-    "dataset_path",
-    "directed",
-    "algo",
-    "num_clients",
-    "num_clusters",
-    "iters",
-    "global_rounds",
-    "overlap",
-    "replication",
-    "master_seed",
-    "num_trials",
-    "normalize_rows",
-    "output_path",
-)
-
-
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(dataset_path="")
     if args.config:
         cfg = apply_config_values(cfg, parse_config_file(args.config))
     overrides = {}
-    for field in _FLAG_FIELDS:
-        attr = "dataset" if field == "dataset_path" else field
-        value = getattr(args, attr, None)
+    for field in dataclasses.fields(ExperimentConfig):
+        value = getattr(args, field.name)
         if value is not None:
-            overrides[field] = value
+            overrides[field.name] = value
     cfg = apply_config_values(cfg, overrides)
     if not cfg.dataset_path:
         raise ConfigError("no dataset given (use --dataset or a config file)")
@@ -118,29 +103,11 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _parse_axis_values(axis: str, raw: str):
-    parts = [p.strip() for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError("empty --values list")
-    if axis == "algo":
-        for p in parts:
-            if p not in ALGORITHMS:
-                raise ConfigError(f"unknown algo {p!r} in --values")
-        return parts
-    convert = float if axis == "overlap" else int
-    try:
-        return [convert(p) for p in parts]
-    except ValueError:
-        raise ConfigError(
-            f"--values for axis {axis!r} must be {convert.__name__}s, got {raw!r}"
-        ) from None
-
-
 def _cmd_sweep(args) -> int:
     cfg = _build_config(args)
     if args.axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {args.axis!r}; must be one of {SWEEP_AXES}")
-    values = _parse_axis_values(args.axis, args.values)
+    values = [parse_config_value(args.axis, v) for v in args.values.split(",") if v.strip()]
     points = sweep(
         cfg, args.axis, values, progress=lambda msg: print(msg, file=sys.stderr)
     )

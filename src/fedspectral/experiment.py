@@ -5,16 +5,25 @@ A run parses the dataset, computes the fixed global reference labeling
 per trial against it. Records serialize to long-format CSV (or JSON lines)
 whose bytes are reproducible for a fixed config and master seed, modulo
 the wallclock column.
+
+The two dataclasses are the schema. Config-file keys are the
+``ExperimentConfig`` field names, and each value is parsed by its field's
+type (``parse_config_value``): booleans accept true/false/yes/no/1/0, and
+``none`` or an empty value clears an optional field. Record columns (CSV,
+in declaration order) and keys (JSON lines) are the ``ResultRecord`` field
+names.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import os
 import time
+import typing
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +55,7 @@ __all__ = [
     "sweep",
     "SWEEP_AXES",
     "verify_dataset",
+    "parse_config_value",
     "parse_config_file",
     "apply_config_values",
     "write_records_csv",
@@ -83,6 +93,7 @@ class ExperimentConfig:
 
 
 _DEFAULTS = ExperimentConfig(dataset_path="")
+_CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
 
 # Fields an algorithm never reads; setting them anyway only earns a warning.
 _IRRELEVANT_FIELDS = {
@@ -219,6 +230,13 @@ def run_single_trial(
     return similarity, labels, diag, wallclock_ms
 
 
+# ResultRecord fields copied from the config of the same name; ``dataset``
+# is the config's ``dataset_path``.
+_RECORD_CONFIG_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ResultRecord) if f.name in _CONFIG_TYPES
+)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     *,
@@ -248,7 +266,26 @@ def run_experiment(
             reference,
             node_ids=graph.node_ids,
         )
+    return _run_trials(
+        cfg,
+        graph,
+        reference,
+        labels_dir=labels_dir,
+        client_labels_dir=client_labels_dir,
+        progress=progress,
+    )
 
+
+def _run_trials(
+    cfg: ExperimentConfig,
+    graph: Graph,
+    reference: np.ndarray,
+    *,
+    labels_dir=None,
+    client_labels_dir=None,
+    progress=None,
+) -> list[ResultRecord]:
+    """The trial loop of an already validated config."""
     records = []
     for trial in range(cfg.num_trials):
         seed = trial_seed(cfg.master_seed, trial)
@@ -269,16 +306,7 @@ def run_experiment(
         records.append(
             ResultRecord(
                 dataset=cfg.dataset_path,
-                directed=cfg.directed,
-                algo=cfg.algo,
-                num_clients=cfg.num_clients,
-                num_clusters=cfg.num_clusters,
-                iters=cfg.iters,
-                global_rounds=cfg.global_rounds,
-                overlap=cfg.overlap,
-                replication=cfg.replication,
-                normalize_rows=cfg.normalize_rows,
-                master_seed=cfg.master_seed,
+                **{name: getattr(cfg, name) for name in _RECORD_CONFIG_FIELDS},
                 trial=trial,
                 trial_seed=seed,
                 similarity=similarity,
@@ -305,6 +333,7 @@ def sweep(
 ) -> list[tuple[object, list[ResultRecord]]]:
     """Run the base experiment once per axis value, sharing the dataset.
 
+    Every point is validated before any runs, so a bad value fails fast.
     The reference labeling is recomputed only when the axis changes it
     (num_clusters). Returns [(value, records), ...] in the given order.
     """
@@ -313,23 +342,21 @@ def sweep(
     values = list(values)
     if not values:
         raise ConfigError("sweep needs at least one value")
+    cfgs = [dataclasses.replace(base_cfg, **{axis: value}) for value in values]
+    for cfg in cfgs:
+        validate_config(cfg)
     if graph is None:
         graph = load_dataset(base_cfg)
 
     references: dict[int, np.ndarray] = {}
     points = []
-    for value in values:
-        cfg = dataclasses.replace(base_cfg, **{axis: value})
-        validate_config(cfg)
+    for value, cfg in zip(values, cfgs):
         if cfg.num_clusters not in references:
             references[cfg.num_clusters] = compute_reference(graph, cfg)
         if progress is not None:
             progress(f"sweep {axis}={value}")
-        records = run_experiment(
-            cfg,
-            graph=graph,
-            reference=references[cfg.num_clusters],
-            progress=progress,
+        records = _run_trials(
+            cfg, graph, references[cfg.num_clusters], progress=progress
         )
         points.append((value, records))
     return points
@@ -393,36 +420,31 @@ _BOOL_VALUES = {
     "no": False,
     "0": False,
 }
+_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a float"}
 
 
-def _coerce(name: str, raw: str):
-    field_types = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    if name not in field_types:
-        raise ConfigError(f"unknown config key {name!r}")
+def parse_config_value(name: str, raw: str):
+    """Parse the text ``raw`` as a value of the ExperimentConfig field ``name``.
+
+    The field's type decides: ``bool`` takes true/false/yes/no/1/0 (any
+    case); ``int``, ``float`` and ``str`` call the type; ``X | None`` also
+    takes ``none`` or an empty value as None. Surrounding spaces are ignored.
+    """
+    try:
+        kind = _CONFIG_TYPES[name]
+    except KeyError:
+        raise ConfigError(f"unknown config key {name!r}") from None
     raw = raw.strip()
-    if name in ("dataset_path", "algo", "output_path"):
-        return raw
-    if name in ("directed", "normalize_rows"):
-        try:
-            return _BOOL_VALUES[raw.lower()]
-        except KeyError:
-            raise ConfigError(f"{name} must be a boolean, got {raw!r}") from None
-    if name == "overlap":
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{name} must be a float, got {raw!r}") from None
-    if name == "replication":
+    members = typing.get_args(kind)
+    if type(None) in members:
         if raw.lower() in ("", "none"):
             return None
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+        (kind,) = (m for m in members if m is not type(None))
+    parse = (lambda text: _BOOL_VALUES[text.lower()]) if kind is bool else kind
     try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{name} must be an integer, got {raw!r}") from None
+        return parse(raw)
+    except (KeyError, ValueError):
+        raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {raw!r}") from None
 
 
 def parse_config_file(path) -> dict:
@@ -436,7 +458,7 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            values[key.strip()] = _coerce(key.strip(), value)
+            values[key.strip()] = parse_config_value(key.strip(), value)
     return values
 
 
@@ -450,96 +472,62 @@ def apply_config_values(cfg: ExperimentConfig, values: dict) -> ExperimentConfig
 # trailing wallclock column.
 # ---------------------------------------------------------------------------
 
-RECORD_COLUMNS = [
-    "dataset",
-    "directed",
-    "algo",
-    "num_clients",
-    "num_clusters",
-    "iters",
-    "global_rounds",
-    "overlap",
-    "replication",
-    "normalize_rows",
-    "master_seed",
-    "trial",
-    "trial_seed",
-    "similarity",
-    "flags",
-    "round_drift",
-    "wallclock_ms",
-]
+RECORD_COLUMNS = [f.name for f in dataclasses.fields(ResultRecord)]
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(value)
+    if isinstance(value, tuple):
+        return ";".join(_cell(item) for item in value)
+    return str(value)
 
 
 def _record_cells(record: ResultRecord) -> list[str]:
-    return [
-        record.dataset,
-        "true" if record.directed else "false",
-        record.algo,
-        str(record.num_clients),
-        str(record.num_clusters),
-        str(record.iters),
-        str(record.global_rounds),
-        repr(record.overlap),
-        "" if record.replication is None else str(record.replication),
-        "true" if record.normalize_rows else "false",
-        str(record.master_seed),
-        str(record.trial),
-        str(record.trial_seed),
-        repr(record.similarity),
-        ";".join(record.flags),
-        ";".join(repr(d) for d in record.round_drift),
-        f"{record.wallclock_ms:.3f}",
-    ]
+    cells = [_cell(getattr(record, name)) for name in RECORD_COLUMNS]
+    cells[RECORD_COLUMNS.index("wallclock_ms")] = f"{record.wallclock_ms:.3f}"
+    return cells
 
 
-def _open_for_write(file_or_path):
+@contextlib.contextmanager
+def _text_output(file_or_path):
+    """Yield a writable text stream; a path is opened here and closed after."""
     if hasattr(file_or_path, "write"):
-        return file_or_path, False
-    return open(file_or_path, "w", encoding="utf-8", newline=""), True
+        yield file_or_path
+    else:
+        with open(file_or_path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 def write_records_csv(records, file_or_path) -> None:
-    fh, should_close = _open_for_write(file_or_path)
-    try:
+    with _text_output(file_or_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(RECORD_COLUMNS)
         for record in records:
             writer.writerow(_record_cells(record))
-    finally:
-        if should_close:
-            fh.close()
 
 
 def write_records_jsonl(records, file_or_path) -> None:
-    fh, should_close = _open_for_write(file_or_path)
-    try:
+    with _text_output(file_or_path) as fh:
         for record in records:
-            payload = dataclasses.asdict(record)
-            payload["flags"] = list(record.flags)
-            payload["round_drift"] = list(record.round_drift)
-            fh.write(json.dumps(payload, sort_keys=True) + "\n")
-    finally:
-        if should_close:
-            fh.close()
+            fh.write(json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
 
 
 def write_sweep_csv(points, axis: str, file_or_path) -> None:
-    fh, should_close = _open_for_write(file_or_path)
-    try:
+    with _text_output(file_or_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["axis", "axis_value"] + RECORD_COLUMNS)
         for value, records in points:
             for record in records:
                 writer.writerow([axis, str(value)] + _record_cells(record))
-    finally:
-        if should_close:
-            fh.close()
 
 
 def write_sweep_summary_csv(points, axis: str, file_or_path) -> None:
-    fh, should_close = _open_for_write(file_or_path)
-    try:
+    with _text_output(file_or_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(
             ["axis", "axis_value", "num_trials", "median", "q1", "q3", "min", "max"]
@@ -558,9 +546,6 @@ def write_sweep_summary_csv(points, axis: str, file_or_path) -> None:
                     repr(float(sims.max())),
                 ]
             )
-    finally:
-        if should_close:
-            fh.close()
 
 
 def records_to_csv_text(records) -> str:

@@ -82,7 +82,9 @@ def distribute_edges(
     """
     if num_clients < 1:
         raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
-    r = replication_count(overlap, num_clients) if replication is None else replication
+    r = replication_count(overlap, num_clients)  # validates overlap in every case
+    if replication is not None:
+        r = replication
     if not 1 <= r <= num_clients:
         raise ConfigError(f"replication must be in 1..{num_clients}, got {r}")
 

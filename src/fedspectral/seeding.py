@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
-
 
 def derive_seed(master_seed: int, *parts) -> int:
     """Derive a 64-bit child seed from a master seed and a role label.
@@ -23,11 +21,6 @@ def derive_seed(master_seed: int, *parts) -> int:
     text = ":".join([str(int(master_seed)), *[str(p) for p in parts]])
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def rng_from(master_seed: int, *parts) -> np.random.Generator:
-    """A numpy Generator seeded by derive_seed(master_seed, *parts)."""
-    return np.random.default_rng(derive_seed(master_seed, *parts))
 
 
 # Role labels. Keeping these in one place guarantees, for example, that a

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from fedspectral.cli import main
+from fedspectral.cli import _build_config, build_parser, main
+from fedspectral.experiment import ExperimentConfig
 from fedspectral.graph import load_edge_list, serialize_edge_list
 from fedspectral.metrics import write_labels_csv
 
@@ -95,7 +98,9 @@ def test_sweep_bad_axis(dataset_file, capsys):
     assert "unknown sweep axis" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("axis, values", [("iters", "abc"), ("overlap", "0.4,x")])
+@pytest.mark.parametrize(
+    "axis, values", [("iters", "abc"), ("overlap", "0.4,x"), ("algo", "global,nope")]
+)
 def test_sweep_bad_values(dataset_file, capsys, axis, values):
     code = main(
         [
@@ -109,6 +114,46 @@ def test_sweep_bad_values(dataset_file, capsys, axis, values):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert axis in err
+
+
+def test_flags_set_every_config_field():
+    args = build_parser().parse_args(
+        [
+            "run",
+            "--dataset", "data/email-Eu-core.txt",
+            "--directed",
+            "--algo", "fedspectral",
+            "--clients", "4",
+            "--clusters", "42",
+            "--iters", "3",
+            "--rounds", "7",
+            "--overlap", "0.25",
+            "--replication", "2",
+            "--seed", "11",
+            "--trials", "9",
+            "--normalize-rows",
+            "--output", "out/records.csv",
+        ]
+    )
+    cfg = _build_config(args)
+    assert cfg == ExperimentConfig(
+        dataset_path="data/email-Eu-core.txt",
+        directed=True,
+        algo="fedspectral",
+        num_clients=4,
+        num_clusters=42,
+        iters=3,
+        global_rounds=7,
+        overlap=0.25,
+        replication=2,
+        master_seed=11,
+        num_trials=9,
+        normalize_rows=True,
+        output_path="out/records.csv",
+    )
+    default = ExperimentConfig(dataset_path="")
+    for field in dataclasses.fields(ExperimentConfig):
+        assert getattr(cfg, field.name) != getattr(default, field.name)
 
 
 def test_metric_subcommand(tmp_path, capsys):
@@ -179,6 +224,25 @@ def test_partition_dump(dataset_file, tmp_path):
         assert shard.num_nodes == g.num_nodes
         union |= {tuple(e) for e in shard.edges.tolist()}
     assert union == {tuple(e) for e in g.edges.tolist()}
+
+
+def test_partition_dump_rejects_overlap_with_replication(dataset_file, tmp_path, capsys):
+    outdir = tmp_path / "shards"
+    code = main(
+        [
+            "partition-dump",
+            "--dataset", str(dataset_file),
+            "--clients", "3",
+            "--overlap", "7",
+            "--replication", "2",
+            "--outdir", str(outdir),
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "overlap" in err
+    assert not outdir.exists()
 
 
 def test_dump_client_labels(dataset_file, tmp_path):

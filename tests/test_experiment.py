@@ -7,9 +7,11 @@ import pytest
 from fedspectral.errors import ConfigError
 from fedspectral.experiment import (
     ExperimentConfig,
+    ResultRecord,
     apply_config_values,
     compute_reference,
     parse_config_file,
+    parse_config_value,
     records_to_csv_text,
     reference_seed,
     resolve_dataset_path,
@@ -103,6 +105,86 @@ class TestConfig:
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(bad)
 
+    def test_config_file_round_trip_every_field(self, tmp_path):
+        expected = ExperimentConfig(
+            dataset_path="data/email-Eu-core.txt",
+            directed=True,
+            algo="fedspectral",
+            num_clients=4,
+            num_clusters=42,
+            iters=3,
+            global_rounds=7,
+            overlap=0.25,
+            replication=2,
+            master_seed=11,
+            num_trials=9,
+            normalize_rows=True,
+            output_path="out/records.csv",
+        )
+        default = ExperimentConfig(dataset_path="")
+        for field in dataclasses.fields(ExperimentConfig):
+            assert getattr(expected, field.name) != getattr(default, field.name)
+        text = {"directed": "yes", "normalize_rows": "TRUE"}
+        cfg_file = tmp_path / "every.cfg"
+        cfg_file.write_text(
+            "".join(
+                f"{f.name} = {text.get(f.name, getattr(expected, f.name))}\n"
+                for f in dataclasses.fields(ExperimentConfig)
+            )
+        )
+        assert apply_config_values(default, parse_config_file(cfg_file)) == expected
+
+        cfg_file.write_text(
+            "replication = none\n"
+            "output_path = none\n"
+            "directed = 0\n"
+            "normalize_rows = no\n"
+        )
+        assert apply_config_values(expected, parse_config_file(cfg_file)) == (
+            dataclasses.replace(
+                expected,
+                replication=None,
+                output_path=None,
+                directed=False,
+                normalize_rows=False,
+            )
+        )
+
+    @pytest.mark.parametrize(
+        "name, raw, value",
+        [
+            ("replication", "", None),
+            ("replication", " None ", None),
+            ("replication", "3", 3),
+            ("output_path", "", None),
+            ("dataset_path", "none", "none"),
+            ("algo", " global ", "global"),
+            ("directed", "Yes", True),
+            ("normalize_rows", "FALSE", False),
+            ("overlap", "1", 1.0),
+            ("iters", " 12 ", 12),
+        ],
+    )
+    def test_parse_config_value_by_type(self, name, raw, value):
+        parsed = parse_config_value(name, raw)
+        assert parsed == value and type(parsed) is type(value)
+
+    @pytest.mark.parametrize(
+        "name, raw, message",
+        [
+            ("iters", "abc", "iters must be an integer, got 'abc'"),
+            ("iters", "2.5", "iters must be an integer, got '2.5'"),
+            ("replication", "two", "replication must be an integer, got 'two'"),
+            ("overlap", "x", "overlap must be a float, got 'x'"),
+            ("directed", "maybe", "directed must be a boolean, got 'maybe'"),
+            ("bogus", "1", "unknown config key 'bogus'"),
+        ],
+    )
+    def test_parse_config_value_errors(self, name, raw, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_value(name, raw)
+        assert str(excinfo.value) == message
+
     def test_dataset_env_dir(self, dataset_file, monkeypatch):
         monkeypatch.setenv("FEDSPECTRAL_DATA_DIR", str(dataset_file.parent))
         assert resolve_dataset_path(dataset_file.name) == dataset_file.parent / dataset_file.name
@@ -172,6 +254,59 @@ class TestRun:
         assert reference_seed("x.txt") != reference_seed("y.txt")
 
 
+class TestRecordFormat:
+    """Exact bytes of one hand-built record, pinning every column's format."""
+
+    RECORD = ResultRecord(
+        dataset="data/email-Eu-core.txt",
+        directed=True,
+        algo="fedspectral",
+        num_clients=5,
+        num_clusters=42,
+        iters=1,
+        global_rounds=1,
+        overlap=0.1 + 0.2,
+        replication=None,
+        normalize_rows=False,
+        master_seed=7,
+        trial=3,
+        trial_seed=18446744073709551615,
+        similarity=0.9123456789012345,
+        flags=(
+            "degenerate shard 2: no edges",
+            "bottom_k: sweep cap 1000 reached (drift 5.000e-04)",
+        ),
+        round_drift=(0.5, 1e-05),
+        wallclock_ms=12.3456,
+    )
+
+    def test_csv_line(self):
+        assert records_to_csv_text([self.RECORD]) == (
+            "dataset,directed,algo,num_clients,num_clusters,iters,global_rounds,"
+            "overlap,replication,normalize_rows,master_seed,trial,trial_seed,"
+            "similarity,flags,round_drift,wallclock_ms\n"
+            "data/email-Eu-core.txt,true,fedspectral,5,42,1,1,0.30000000000000004,,"
+            "false,7,3,18446744073709551615,0.9123456789012345,"
+            "degenerate shard 2: no edges;"
+            "bottom_k: sweep cap 1000 reached (drift 5.000e-04),"
+            "0.5;1e-05,12.346\n"
+        )
+
+    def test_jsonl_line(self, tmp_path):
+        out = tmp_path / "record.jsonl"
+        write_records_jsonl([self.RECORD], out)
+        assert out.read_text() == (
+            '{"algo": "fedspectral", "dataset": "data/email-Eu-core.txt", '
+            '"directed": true, "flags": ["degenerate shard 2: no edges", '
+            '"bottom_k: sweep cap 1000 reached (drift 5.000e-04)"], '
+            '"global_rounds": 1, "iters": 1, "master_seed": 7, '
+            '"normalize_rows": false, "num_clients": 5, "num_clusters": 42, '
+            '"overlap": 0.30000000000000004, "replication": null, '
+            '"round_drift": [0.5, 1e-05], "similarity": 0.9123456789012345, '
+            '"trial": 3, "trial_seed": 18446744073709551615, "wallclock_ms": 12.3456}\n'
+        )
+
+
 class TestSweep:
     def test_axis_validation(self, dataset_file):
         cfg = make_cfg(dataset_file)
@@ -208,6 +343,31 @@ class TestSweep:
         sims = {value: records[0].similarity for value, records in points}
         assert sims["global"] == 1.0
         assert 0.0 < sims["fedspectral_plus"] <= 1.0
+
+    def test_one_warning_per_point(self, dataset_file):
+        import warnings
+
+        cfg = ExperimentConfig(
+            dataset_path=str(dataset_file), algo="global", num_clients=3, num_trials=1
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            points = sweep(cfg, "num_clusters", [2, 3])
+        assert len(points) == 2
+        assert [str(w.message) for w in caught] == [
+            "num_clients is ignored by algo=global"
+        ] * 2
+
+    def test_bad_value_fails_before_any_point_runs(self, dataset_file):
+        ran = []
+        with pytest.raises(ConfigError, match="overlap must be in"):
+            sweep(
+                make_cfg(dataset_file, num_trials=1),
+                "overlap",
+                [0.5, 7.0],
+                progress=ran.append,
+            )
+        assert ran == []
 
 
 class TestVerify:

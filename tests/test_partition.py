@@ -104,6 +104,11 @@ class TestDistributeEdges:
         with pytest.raises(ConfigError):
             distribute_edges(g, 4, 0.9, seed=8, replication=5)
 
+    def test_overlap_checked_with_replication_override(self):
+        g = gnp_graph(20, 0.3, 7)
+        with pytest.raises(ConfigError, match="overlap"):
+            distribute_edges(g, 3, 7.0, seed=8, replication=2)
+
     def test_invalid_clients(self):
         g = gnp_graph(10, 0.3, 8)
         with pytest.raises(ConfigError):
