@@ -14,9 +14,9 @@ import numpy as np
 from .diagnostics import Diagnostics
 from .errors import ContractError
 from .graph import normalized_laplacian_from_adjacency
-from .linalg import spectral_cluster
+from .linalg import global_spectral_clustering, spectral_cluster
 from .metrics import write_labels_csv
-from .partition import ClientShard
+from .partition import ClientShard, shard_universe
 from .seeding import client_seed, derive_seed
 
 __all__ = ["get_client_labels", "build_similarity_graph", "fedspectral_server"]
@@ -32,22 +32,16 @@ def get_client_labels(
 ) -> np.ndarray:
     """Spectral clustering of one client's local shard.
 
-    Normalized Laplacian of the shard, bottom-K embedding, k-means on the
-    node rows (linalg.spectral_cluster, whose node count picks the dense
-    or the iterative eigensolver); deterministic for the client's derived
-    seed. A shard with no edges yields an all-zero Laplacian and a
-    degenerate (identical-rows) embedding; the labeling is still
-    deterministic and the event is flagged.
+    The shard is a graph, so this is linalg.global_spectral_clustering of
+    it: normalized Laplacian, bottom-K embedding, k-means on the node rows;
+    deterministic for the client's derived seed. A shard with no edges
+    yields an all-zero Laplacian and a degenerate (identical-rows)
+    embedding; the labeling is still deterministic and the event is flagged.
     """
-    if not 1 <= num_clusters <= shard.num_nodes:
-        raise ContractError(
-            f"need 1 <= num_clusters <= {shard.num_nodes}, got {num_clusters}"
-        )
     if shard.num_edges == 0 and diag is not None:
         diag.flag(f"degenerate shard {shard.client_id}: no edges")
-    lap = shard.normalized_laplacian()
-    return spectral_cluster(
-        lap, num_clusters, seed, normalize_rows=normalize_rows, diag=diag
+    return global_spectral_clustering(
+        shard, num_clusters, seed, normalize_rows=normalize_rows, diag=diag
     )
 
 
@@ -98,12 +92,7 @@ def fedspectral_server(
     independent of shard ordering and deterministic for fixed shards and
     seed. ``dump_dir`` optionally writes each client labeling as CSV.
     """
-    if not shards:
-        raise ContractError("need at least one shard")
-    n = shards[0].num_nodes
-    if any(sh.num_nodes != n for sh in shards):
-        raise ContractError("shards disagree on the node universe")
-
+    shard_universe(shards)
     by_id = sorted(shards, key=lambda sh: sh.client_id)
     labelings = [
         get_client_labels(

@@ -45,8 +45,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
     parser.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
                         help="edge-list path (resolved against $FEDSPECTRAL_DATA_DIR)")
-    parser.add_argument("--directed", action="store_true", default=None,
-                        help="treat the file as directed arcs")
     parser.add_argument("--algo", choices=ALGORITHMS)
     parser.add_argument("--clients", type=int, dest="num_clients")
     parser.add_argument("--clusters", type=int, dest="num_clusters")
@@ -60,7 +58,8 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--normalize-rows", action="store_true", default=None,
                         dest="normalize_rows")
     parser.add_argument("--output", dest="output_path",
-                        help="CSV destination (stdout when omitted)")
+                        help="file for the CSV records, or for the JSON lines "
+                             "of run --json (stdout when omitted)")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:

@@ -34,7 +34,7 @@ from .baseline import fedspectral_server
 from .diagnostics import Diagnostics
 from .errors import ConfigError
 from .fedplus import FedPlusConfig, run_fedspectral_plus
-from .graph import EdgeScan, Graph, load_edge_list, parse_arcs
+from .graph import Graph, load_edge_list, parse_arcs
 from .linalg import global_spectral_clustering
 from .metrics import cluster_similarity, write_labels_csv
 from .partition import distribute_edges
@@ -78,7 +78,6 @@ class ExperimentConfig:
     """One experiment: dataset, algorithm, shape, seeds, output."""
 
     dataset_path: str
-    directed: bool = False
     algo: str = "fedspectral_plus"
     num_clients: int = 5
     num_clusters: int = 10
@@ -160,7 +159,6 @@ class ResultRecord:
     """One trial's outcome plus everything needed to reproduce it."""
 
     dataset: str
-    directed: bool
     algo: str
     num_clients: int
     num_clusters: int
@@ -395,13 +393,12 @@ def verify_dataset(
     resolved = resolve_dataset_path(str(path))
     with open(resolved, "r", encoding="utf-8") as fh:
         arcs = parse_arcs(fh)
-    scan = EdgeScan.from_arcs(arcs)
     g = Graph.from_arcs(arcs)
     return VerifyReport(
         path=str(resolved),
         directed=directed,
         num_nodes=g.num_nodes,
-        num_edges=scan.num_arcs if directed else g.num_edges,
+        num_edges=len(np.unique(arcs, axis=0)) if directed else g.num_edges,
         undirected_edges=g.num_edges,
         expected_nodes=expected_nodes,
         expected_edges=expected_edges,

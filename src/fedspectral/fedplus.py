@@ -32,7 +32,7 @@ from .diagnostics import Diagnostics
 from .errors import ConfigError, ContractError, ConvergenceError, RankError
 from .graph import EdgeOperator, laplacian_multiplier
 from .linalg import cluster_embedding_rows, reduced_qr
-from .partition import ClientShard
+from .partition import ClientShard, shard_universe
 from .seeding import embedding_seed, kmeans_seed
 
 __all__ = [
@@ -110,7 +110,7 @@ def shard_multiplier(shard: ClientShard) -> EdgeOperator:
     The zero Laplacian rows of shard-isolated nodes make M act as the
     identity there, passing the server's aggregated value through.
     """
-    return laplacian_multiplier(shard.num_nodes, shard.edges, shard.weights)
+    return laplacian_multiplier(shard)
 
 
 class PowerIterationClient:
@@ -222,11 +222,7 @@ def run_fedspectral_plus(
     like every later one. Returns (labeling, final embedding); fully
     deterministic for fixed (shards, cfg).
     """
-    if not shards:
-        raise ContractError("need at least one shard")
-    n = shards[0].num_nodes
-    if any(sh.num_nodes != n for sh in shards):
-        raise ContractError("shards disagree on the node universe")
+    n = shard_universe(shards)
     if cfg.num_clusters > n:
         raise ContractError(
             f"num_clusters {cfg.num_clusters} exceeds node count {n}"

@@ -4,7 +4,9 @@ Covers SNAP-style edge-list ingestion, canonical in-memory representation,
 and symmetric normalized Laplacians, both as dense float64 N x N matrices
 and as the sparse multiplier I - L (EdgeOperator, O(edges) memory). Node
 ids are contiguous 0..num_nodes-1 after remapping, with the original ids
-retained so results can be written back in source-file terms.
+retained so results can be written back in source-file terms. A client
+shard (partition.ClientShard) is a Graph with a client id, so it has the
+same edge invariants, degrees and Laplacians.
 """
 
 from __future__ import annotations
@@ -18,52 +20,17 @@ from .errors import ContractError, ParseError
 
 __all__ = [
     "Graph",
-    "EdgeScan",
     "EdgeOperator",
-    "check_canonical_edges",
     "parse_arcs",
     "parse_edge_list",
     "load_edge_list",
     "serialize_edge_list",
-    "scan_edge_records",
-    "adjacency_from_edges",
     "normalized_laplacian",
     "normalized_laplacian_from_adjacency",
     "laplacian_multiplier",
 ]
 
 TextSource = Union[str, bytes, Iterable[str]]
-
-
-def check_canonical_edges(obj) -> None:
-    """Coerce and validate the canonical edge form of a frozen dataclass.
-
-    ``obj`` has ``num_nodes``, ``edges`` and ``weights``; shared by Graph and
-    ClientShard. Edges become an int64 (E, 2) array and weights float64 (E,);
-    every edge must be stored once as (u, v) with u < v, rows sorted
-    lexicographically, endpoints in 0..num_nodes-1 and weights positive.
-    """
-    edges = np.asarray(obj.edges, dtype=np.int64).reshape(-1, 2)
-    weights = np.asarray(obj.weights, dtype=np.float64).reshape(-1)
-    object.__setattr__(obj, "edges", edges)
-    object.__setattr__(obj, "weights", weights)
-    if obj.num_nodes <= 0:
-        raise ContractError("node universe must have at least one node")
-    if len(edges) != len(weights):
-        raise ContractError("edges and weights length mismatch")
-    if len(edges) == 0:
-        return
-    if edges.min() < 0 or edges.max() >= obj.num_nodes:
-        raise ContractError("edge endpoint outside 0..num_nodes-1")
-    if not (edges[:, 0] < edges[:, 1]).all():
-        raise ContractError("edges must be stored as (u, v) with u < v")
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    if not np.array_equal(order, np.arange(len(edges))):
-        raise ContractError("edges must be lexicographically sorted")
-    if len(edges) > 1 and (np.diff(edges, axis=0) == 0).all(axis=1).any():
-        raise ContractError("duplicate edge")
-    if (weights <= 0).any():
-        raise ContractError("edge weights must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,6 +40,9 @@ class Graph:
     Each edge is stored exactly once as (u, v) with u < v, rows sorted
     lexicographically. ``node_ids[i]`` is the original id of node ``i`` when
     the graph came from a file; ``None`` for programmatically built graphs.
+    Construction coerces edges to int64 (E, 2) and weights to float64 (E,)
+    and raises ContractError unless the edges are in this canonical form,
+    with endpoints in 0..num_nodes-1 and positive weights.
     """
 
     num_nodes: int
@@ -81,7 +51,27 @@ class Graph:
     node_ids: np.ndarray | None = None
 
     def __post_init__(self):
-        check_canonical_edges(self)
+        edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        weights = np.asarray(self.weights, dtype=np.float64).reshape(-1)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "weights", weights)
+        if self.num_nodes <= 0:
+            raise ContractError("node universe must have at least one node")
+        if len(edges) != len(weights):
+            raise ContractError("edges and weights length mismatch")
+        if len(edges) == 0:
+            return
+        if edges.min() < 0 or edges.max() >= self.num_nodes:
+            raise ContractError("edge endpoint outside 0..num_nodes-1")
+        if not (edges[:, 0] < edges[:, 1]).all():
+            raise ContractError("edges must be stored as (u, v) with u < v")
+        order = np.lexsort((edges[:, 1], edges[:, 0]))
+        if not np.array_equal(order, np.arange(len(edges))):
+            raise ContractError("edges must be lexicographically sorted")
+        if len(edges) > 1 and (np.diff(edges, axis=0) == 0).all(axis=1).any():
+            raise ContractError("duplicate edge")
+        if (weights <= 0).any():
+            raise ContractError("edge weights must be positive")
 
     @classmethod
     def from_edges(cls, num_nodes, pairs, weights=None, node_ids=None) -> "Graph":
@@ -130,29 +120,23 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         """Weighted degree of every node (length num_nodes)."""
-        return degrees_from_edges(self.num_nodes, self.edges, self.weights)
+        d = np.zeros(self.num_nodes, dtype=np.float64)
+        if self.num_edges:
+            np.add.at(d, self.edges[:, 0], self.weights)
+            np.add.at(d, self.edges[:, 1], self.weights)
+        return d
 
     def adjacency(self) -> np.ndarray:
         """Dense symmetric adjacency matrix."""
-        return adjacency_from_edges(self.num_nodes, self.edges, self.weights)
+        a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
+        if self.num_edges:
+            a[self.edges[:, 0], self.edges[:, 1]] = self.weights
+            a[self.edges[:, 1], self.edges[:, 0]] = self.weights
+        return a
 
-
-@dataclass(frozen=True)
-class EdgeScan:
-    """Raw counts of an edge-list file, before any cleanup."""
-
-    num_ids: int
-    num_arcs: int
-    num_data_lines: int
-
-    @classmethod
-    def from_arcs(cls, arcs: np.ndarray) -> "EdgeScan":
-        """Counts of raw (u, v) id arcs, as scan_edge_records reports them."""
-        return cls(
-            num_ids=len(np.unique(arcs)),
-            num_arcs=len(np.unique(arcs, axis=0)),
-            num_data_lines=len(arcs),
-        )
+    def normalized_laplacian(self) -> np.ndarray:
+        """Symmetric normalized Laplacian (dense N x N)."""
+        return normalized_laplacian_from_adjacency(self.adjacency())
 
 
 def _iter_lines(text: TextSource) -> Iterable[str]:
@@ -210,15 +194,6 @@ def load_edge_list(path) -> Graph:
         return parse_edge_list(fh)
 
 
-def scan_edge_records(text: TextSource) -> EdgeScan:
-    """Count distinct endpoint ids and distinct (ordered) arcs in raw input.
-
-    Self-loops count as arcs here; this is the view dataset verification
-    compares against published counts for directed sources.
-    """
-    return EdgeScan.from_arcs(parse_arcs(text))
-
-
 def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
     """Render a graph back to SNAP text (contiguous ids, one edge per line).
 
@@ -229,22 +204,6 @@ def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
     lines = [f"# {c}" for c in comments]
     lines.extend(f"{u} {v}" for u, v in g.edges)
     return "\n".join(lines) + "\n"
-
-
-def degrees_from_edges(num_nodes: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    d = np.zeros(num_nodes, dtype=np.float64)
-    if len(edges):
-        np.add.at(d, edges[:, 0], weights)
-        np.add.at(d, edges[:, 1], weights)
-    return d
-
-
-def adjacency_from_edges(num_nodes: int, edges: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    a = np.zeros((num_nodes, num_nodes), dtype=np.float64)
-    if len(edges):
-        a[edges[:, 0], edges[:, 1]] = weights
-        a[edges[:, 1], edges[:, 0]] = weights
-    return a
 
 
 def normalized_laplacian_from_adjacency(a: np.ndarray) -> np.ndarray:
@@ -278,9 +237,7 @@ def normalized_laplacian_from_adjacency(a: np.ndarray) -> np.ndarray:
     return lap
 
 
-def normalized_laplacian(g: Graph) -> np.ndarray:
-    """Symmetric normalized Laplacian of a graph (dense N x N)."""
-    return normalized_laplacian_from_adjacency(g.adjacency())
+normalized_laplacian = Graph.normalized_laplacian
 
 
 @dataclass(frozen=True)
@@ -329,21 +286,19 @@ class EdgeOperator:
         return np.ascontiguousarray(vt.T)
 
 
-def laplacian_multiplier(
-    num_nodes: int, edges: np.ndarray, weights: np.ndarray
-) -> EdgeOperator:
-    """I - L of a canonical edge list, as a sparse EdgeOperator.
+def laplacian_multiplier(g: Graph) -> EdgeOperator:
+    """I - L of a graph, as a sparse EdgeOperator.
 
     Off-diagonal entries are w(u,v) / sqrt(d_u d_v). The diagonal is 0 on
     nodes with positive degree and 1 on isolated nodes, whose Laplacian
     rows are zero, so the operator passes them through unchanged.
     """
-    d = degrees_from_edges(num_nodes, edges, weights)
-    inv_sqrt = np.zeros(num_nodes, dtype=np.float64)
+    d = g.degrees()
+    inv_sqrt = np.zeros(g.num_nodes, dtype=np.float64)
     positive = d > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
-    u, v = edges[:, 0], edges[:, 1]
-    vals = weights * (inv_sqrt[u] * inv_sqrt[v])
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    vals = g.weights * (inv_sqrt[u] * inv_sqrt[v])
     rows = np.concatenate([u, v])
     cols = np.concatenate([v, u])
     order = np.lexsort((cols, rows))

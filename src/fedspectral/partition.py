@@ -1,8 +1,9 @@
 """Edge distribution across simulated clients with controlled overlap.
 
-Every shard spans the full node universe (nodes with no local edges are
-simply isolated there); each global edge is replicated onto r distinct
-clients chosen uniformly at random, r = max(1, round(overlap * C)).
+A shard is a Graph over the full node universe plus its client id (nodes
+with no local edges are simply isolated there); each global edge is
+replicated onto r distinct clients chosen uniformly at random,
+r = max(1, round(overlap * C)).
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ParseError
-from .graph import (
-    Graph,
-    adjacency_from_edges,
-    check_canonical_edges,
-    normalized_laplacian_from_adjacency,
-)
+from .graph import Graph, serialize_edge_list
 
 __all__ = [
     "ClientShard",
+    "shard_universe",
     "replication_count",
     "distribute_edges",
     "write_shard",
@@ -29,29 +26,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClientShard:
-    """One client's private edge subset over the full node universe.
-
-    Edges are canonical as in Graph: stored once as (u, v) with u < v,
-    sorted lexicographically, with positive weights.
-    """
+@dataclass(frozen=True, kw_only=True)
+class ClientShard(Graph):
+    """One client's private edge subset: a Graph over the full node universe."""
 
     client_id: int
-    num_nodes: int
-    edges: np.ndarray
-    weights: np.ndarray
 
-    def __post_init__(self):
-        check_canonical_edges(self)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def normalized_laplacian(self) -> np.ndarray:
-        adjacency = adjacency_from_edges(self.num_nodes, self.edges, self.weights)
-        return normalized_laplacian_from_adjacency(adjacency)
+def shard_universe(shards) -> int:
+    """Node count shared by every shard; ContractError if none or they differ."""
+    if not shards:
+        raise ContractError("need at least one shard")
+    n = shards[0].num_nodes
+    if any(sh.num_nodes != n for sh in shards):
+        raise ContractError("shards disagree on the node universe")
+    return n
 
 
 def replication_count(overlap: float, num_clients: int) -> int:
@@ -103,10 +92,10 @@ def distribute_edges(
 
     return [
         ClientShard(
-            client_id=c,
             num_nodes=g.num_nodes,
             edges=g.edges[member[:, c]],
             weights=g.weights[member[:, c]],
+            client_id=c,
         )
         for c in range(num_clients)
     ]
@@ -122,13 +111,12 @@ def write_shard(shard: ClientShard, path, seed: int | None = None) -> None:
     """
     if (shard.weights != 1.0).any():
         raise ContractError("shard files store unit weights only")
-    lines = [f"# client_id: {shard.client_id}"]
+    comments = [f"client_id: {shard.client_id}"]
     if seed is not None:
-        lines.append(f"# seed: {seed}")
-    lines.append(f"# nodes: {shard.num_nodes}")
-    lines.extend(f"{u} {v}" for u, v in shard.edges)
+        comments.append(f"seed: {seed}")
+    comments.append(f"nodes: {shard.num_nodes}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(serialize_edge_list(shard, comments))
 
 
 def read_shard(path) -> ClientShard:
@@ -172,4 +160,6 @@ def read_shard(path) -> ClientShard:
         g = Graph.from_edges(header["nodes"], pairs)
     except ContractError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return ClientShard(header["client_id"], g.num_nodes, g.edges, g.weights)
+    return ClientShard(
+        g.num_nodes, g.edges, g.weights, client_id=header["client_id"]
+    )

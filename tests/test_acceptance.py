@@ -318,9 +318,7 @@ def facebook(facebook_graph):
 @pytest.fixture(scope="module")
 def email(email_graph):
     path = require_dataset("email-eu-core")
-    cfg = ExperimentConfig(
-        dataset_path=str(path), directed=True, num_clusters=EMAIL["K"]
-    )
+    cfg = ExperimentConfig(dataset_path=str(path), num_clusters=EMAIL["K"])
     start = time.perf_counter()
     reference = compute_reference(email_graph, cfg)
     print(f"\nemail-Eu-core reference labeling: {time.perf_counter() - start:.1f}s")
@@ -328,14 +326,12 @@ def email(email_graph):
         "graph": email_graph,
         "reference": reference,
         "path": str(path),
-        "directed": True,
     }
 
 
 def _run(ds, algo, *, trials, seed=20240, **overrides):
     params = dict(
         dataset_path=ds["path"],
-        directed=ds.get("directed", False),
         algo=algo,
         num_clients=5,
         num_clusters=10,
@@ -507,7 +503,6 @@ class TestOrderingAndTrends:
     def _trend_medians(self, ds, axis, values, **overrides):
         params = dict(
             dataset_path=ds["path"],
-            directed=ds.get("directed", False),
             algo="fedspectral_plus",
             num_clients=5,
             num_clusters=10,

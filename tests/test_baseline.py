@@ -17,12 +17,12 @@ from conftest import planted_graph
 
 
 def shard_from_graph(g, client_id=0):
-    return ClientShard(client_id, g.num_nodes, g.edges, g.weights)
+    return ClientShard(g.num_nodes, g.edges, g.weights, client_id=client_id)
 
 
 def empty_shard(n=6, client_id=0):
     return ClientShard(
-        client_id, n, np.empty((0, 2), dtype=np.int64), np.empty(0)
+        n, np.empty((0, 2), dtype=np.int64), np.empty(0), client_id=client_id
     )
 
 

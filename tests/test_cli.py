@@ -38,7 +38,7 @@ def test_run_writes_csv(dataset_file, tmp_path, capsys):
     )
     assert code == 0
     lines = out.read_text().splitlines()
-    assert lines[0].startswith("dataset,directed,algo,")
+    assert lines[0].startswith("dataset,algo,")
     assert len(lines) == 3
     assert "median similarity" in capsys.readouterr().err
 
@@ -54,7 +54,7 @@ def test_run_stdout_and_config_file(dataset_file, tmp_path, capsys):
     code = main(["run", "--config", str(cfg)])
     assert code == 0
     out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("dataset,directed,algo,")
+    assert out.splitlines()[0].startswith("dataset,algo,")
     assert ",global," in out.splitlines()[1]
 
 
@@ -121,7 +121,6 @@ def test_flags_set_every_config_field():
         [
             "run",
             "--dataset", "data/email-Eu-core.txt",
-            "--directed",
             "--algo", "fedspectral",
             "--clients", "4",
             "--clusters", "42",
@@ -138,7 +137,6 @@ def test_flags_set_every_config_field():
     cfg = _build_config(args)
     assert cfg == ExperimentConfig(
         dataset_path="data/email-Eu-core.txt",
-        directed=True,
         algo="fedspectral",
         num_clients=4,
         num_clusters=42,

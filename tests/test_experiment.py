@@ -83,7 +83,7 @@ class TestConfig:
             "algo = fedspectral\n"
             "num_clients = 4\n"
             "overlap = 0.25\n"
-            "directed = false\n"
+            "normalize_rows = false\n"
         )
         values = parse_config_file(cfg_file)
         cfg = apply_config_values(ExperimentConfig(dataset_path=""), values)
@@ -108,7 +108,6 @@ class TestConfig:
     def test_config_file_round_trip_every_field(self, tmp_path):
         expected = ExperimentConfig(
             dataset_path="data/email-Eu-core.txt",
-            directed=True,
             algo="fedspectral",
             num_clients=4,
             num_clusters=42,
@@ -124,7 +123,7 @@ class TestConfig:
         default = ExperimentConfig(dataset_path="")
         for field in dataclasses.fields(ExperimentConfig):
             assert getattr(expected, field.name) != getattr(default, field.name)
-        text = {"directed": "yes", "normalize_rows": "TRUE"}
+        text = {"normalize_rows": "TRUE"}
         cfg_file = tmp_path / "every.cfg"
         cfg_file.write_text(
             "".join(
@@ -137,7 +136,6 @@ class TestConfig:
         cfg_file.write_text(
             "replication = none\n"
             "output_path = none\n"
-            "directed = 0\n"
             "normalize_rows = no\n"
         )
         assert apply_config_values(expected, parse_config_file(cfg_file)) == (
@@ -145,7 +143,6 @@ class TestConfig:
                 expected,
                 replication=None,
                 output_path=None,
-                directed=False,
                 normalize_rows=False,
             )
         )
@@ -159,8 +156,9 @@ class TestConfig:
             ("output_path", "", None),
             ("dataset_path", "none", "none"),
             ("algo", " global ", "global"),
-            ("directed", "Yes", True),
+            ("normalize_rows", "Yes", True),
             ("normalize_rows", "FALSE", False),
+            ("normalize_rows", "0", False),
             ("overlap", "1", 1.0),
             ("iters", " 12 ", 12),
         ],
@@ -176,7 +174,11 @@ class TestConfig:
             ("iters", "2.5", "iters must be an integer, got '2.5'"),
             ("replication", "two", "replication must be an integer, got 'two'"),
             ("overlap", "x", "overlap must be a float, got 'x'"),
-            ("directed", "maybe", "directed must be a boolean, got 'maybe'"),
+            (
+                "normalize_rows",
+                "maybe",
+                "normalize_rows must be a boolean, got 'maybe'",
+            ),
             ("bogus", "1", "unknown config key 'bogus'"),
         ],
     )
@@ -259,7 +261,6 @@ class TestRecordFormat:
 
     RECORD = ResultRecord(
         dataset="data/email-Eu-core.txt",
-        directed=True,
         algo="fedspectral",
         num_clients=5,
         num_clusters=42,
@@ -282,10 +283,10 @@ class TestRecordFormat:
 
     def test_csv_line(self):
         assert records_to_csv_text([self.RECORD]) == (
-            "dataset,directed,algo,num_clients,num_clusters,iters,global_rounds,"
+            "dataset,algo,num_clients,num_clusters,iters,global_rounds,"
             "overlap,replication,normalize_rows,master_seed,trial,trial_seed,"
             "similarity,flags,round_drift,wallclock_ms\n"
-            "data/email-Eu-core.txt,true,fedspectral,5,42,1,1,0.30000000000000004,,"
+            "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,,"
             "false,7,3,18446744073709551615,0.9123456789012345,"
             "degenerate shard 2: no edges;"
             "bottom_k: sweep cap 1000 reached (drift 5.000e-04),"
@@ -297,7 +298,7 @@ class TestRecordFormat:
         write_records_jsonl([self.RECORD], out)
         assert out.read_text() == (
             '{"algo": "fedspectral", "dataset": "data/email-Eu-core.txt", '
-            '"directed": true, "flags": ["degenerate shard 2: no edges", '
+            '"flags": ["degenerate shard 2: no edges", '
             '"bottom_k: sweep cap 1000 reached (drift 5.000e-04)"], '
             '"global_rounds": 1, "iters": 1, "master_seed": 7, '
             '"normalize_rows": false, "num_clients": 5, "num_clusters": 42, '
@@ -383,6 +384,11 @@ class TestVerify:
         path = tmp_path / "arcs.txt"
         path.write_text("0 1\n1 0\n2 2\n")
         report = verify_dataset(path, 3, 3, directed=True)
+        assert report.ok
+        assert report.undirected_edges == 1
+        # (0,1), (1,0) and (1,1) are three arcs; the repeated self-loop is one
+        path.write_text("# c\n0 1\n1 0\n1 1\n1 1\n")
+        report = verify_dataset(path, 2, 3, directed=True)
         assert report.ok
         assert report.undirected_edges == 1
 

@@ -26,7 +26,7 @@ from conftest import planted_graph, principal_angles
 
 
 def shard_from_graph(g, client_id=0):
-    return ClientShard(client_id, g.num_nodes, g.edges, g.weights)
+    return ClientShard(g.num_nodes, g.edges, g.weights, client_id=client_id)
 
 
 def path_shard(client_id=0):
@@ -72,7 +72,9 @@ class TestShardMultiplier:
         assert np.array_equal(out[:4], v[:4])
 
     def test_edgeless_shard_is_identity(self):
-        shard = ClientShard(0, 5, np.empty((0, 2), dtype=np.int64), np.empty(0))
+        shard = ClientShard(
+            5, np.empty((0, 2), dtype=np.int64), np.empty(0), client_id=0
+        )
         v = np.random.default_rng(5).standard_normal((5, 2))
         assert np.array_equal(shard_multiplier(shard) @ v, v)
 
@@ -338,7 +340,8 @@ class TestProtocol:
         assert np.allclose(basis, oracle, rtol=0.0, atol=1e-10)
 
     def test_universe_mismatch(self):
-        a = ClientShard(0, 4, np.empty((0, 2), dtype=np.int64), np.empty(0))
-        b = ClientShard(1, 5, np.empty((0, 2), dtype=np.int64), np.empty(0))
+        none = np.empty((0, 2), dtype=np.int64)
+        a = ClientShard(4, none, np.empty(0), client_id=0)
+        b = ClientShard(5, none, np.empty(0), client_id=1)
         with pytest.raises(ContractError):
             run_fedspectral_plus([a, b], FedPlusConfig(2))

@@ -6,8 +6,8 @@ from fedspectral.graph import (
     Graph,
     normalized_laplacian,
     normalized_laplacian_from_adjacency,
+    parse_arcs,
     parse_edge_list,
-    scan_edge_records,
     serialize_edge_list,
 )
 from fedspectral.linalg import symmetric_eig_reference
@@ -66,10 +66,13 @@ class TestParse:
             assert np.array_equal(again.edges, g.edges)
 
     def test_scan_counts(self):
-        scan = scan_edge_records("# c\n0 1\n1 0\n1 1\n1 1\n")
-        assert scan.num_ids == 2
-        assert scan.num_arcs == 3  # (0,1), (1,0), (1,1)
-        assert scan.num_data_lines == 4
+        # the raw view verify_dataset counts for directed sources: nothing
+        # deduplicated, self-loops kept
+        arcs = parse_arcs("# c\n0 1\n1 0\n1 1\n1 1\n")
+        assert arcs.tolist() == [[0, 1], [1, 0], [1, 1], [1, 1]]
+        assert len(np.unique(arcs)) == 2
+        assert len(np.unique(arcs, axis=0)) == 3  # (0,1), (1,0), (1,1)
+        assert len(arcs) == 4
 
 
 class TestGraphInvariants:

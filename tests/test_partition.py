@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 
 from fedspectral.errors import ConfigError, ContractError, ParseError
+from fedspectral.graph import (
+    EdgeOperator,
+    Graph,
+    laplacian_multiplier,
+    normalized_laplacian,
+)
 from fedspectral.partition import (
     ClientShard,
     distribute_edges,
     read_shard,
     replication_count,
+    shard_universe,
     write_shard,
 )
 
@@ -128,11 +135,21 @@ class TestShardIO:
         assert np.array_equal(again.weights, shard.weights)
 
     def test_rejects_non_unit_weights(self, tmp_path):
-        shard = ClientShard(0, 3, np.array([[0, 1], [1, 2]]), np.array([2.5, 0.5]))
+        shard = ClientShard(
+            3, np.array([[0, 1], [1, 2]]), np.array([2.5, 0.5]), client_id=0
+        )
         path = tmp_path / "shard.txt"
         with pytest.raises(ContractError, match="unit weights"):
             write_shard(shard, path)
         assert not path.exists()
+
+    def test_exact_bytes(self, tmp_path):
+        shard = ClientShard(3, np.array([[0, 1], [1, 2]]), np.ones(2), client_id=4)
+        path = tmp_path / "client_4.txt"
+        write_shard(shard, path, seed=9)
+        assert path.read_bytes() == (
+            b"# client_id: 4\n# seed: 9\n# nodes: 3\n0 1\n1 2\n"
+        )
 
     def test_header_records_provenance(self, tmp_path):
         g = gnp_graph(10, 0.4, 10)
@@ -196,4 +213,25 @@ class TestClientShardInvariants:
     )
     def test_rejects_non_canonical_edges(self, edges, weights):
         with pytest.raises(ContractError):
-            ClientShard(0, 3, np.array(edges), np.array(weights))
+            ClientShard(3, np.array(edges), np.array(weights), client_id=0)
+
+    def test_shard_is_a_graph(self):
+        g = gnp_graph(20, 0.3, 12)
+        shard = distribute_edges(g, 3, 0.4, seed=13)[2]
+        assert isinstance(shard, Graph)
+        assert shard.client_id == 2
+        assert isinstance(laplacian_multiplier(shard), EdgeOperator)
+        plain = Graph(shard.num_nodes, shard.edges, shard.weights)
+        lap = normalized_laplacian(shard)
+        assert lap.shape == (20, 20)
+        assert np.array_equal(lap, normalized_laplacian(plain))
+
+    def test_client_id_is_keyword_only(self):
+        with pytest.raises(TypeError, match="client_id"):
+            ClientShard(0, 3, np.empty((0, 2)), np.empty(0))
+
+    def test_shard_universe(self):
+        shards = distribute_edges(gnp_graph(12, 0.4, 14), 3, 0.5, seed=15)
+        assert shard_universe(shards) == 12
+        with pytest.raises(ContractError, match="at least one shard"):
+            shard_universe([])
