@@ -21,7 +21,6 @@ from .experiment import (
     ALGORITHMS,
     SWEEP_AXES,
     ExperimentConfig,
-    apply_config_values,
     parse_config_file,
     parse_config_value,
     resolve_dataset_path,
@@ -65,13 +64,13 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig(dataset_path="")
     if args.config:
-        cfg = apply_config_values(cfg, parse_config_file(args.config))
+        cfg = dataclasses.replace(cfg, **parse_config_file(args.config))
     overrides = {}
     for field in dataclasses.fields(ExperimentConfig):
         value = getattr(args, field.name)
         if value is not None:
             overrides[field.name] = value
-    cfg = apply_config_values(cfg, overrides)
+    cfg = dataclasses.replace(cfg, **overrides)
     if not cfg.dataset_path:
         raise ConfigError("no dataset given (use --dataset or a config file)")
     return cfg

@@ -57,7 +57,6 @@ __all__ = [
     "verify_dataset",
     "parse_config_value",
     "parse_config_file",
-    "apply_config_values",
     "write_records_csv",
     "write_records_jsonl",
     "write_sweep_csv",
@@ -457,10 +456,6 @@ def parse_config_file(path) -> dict:
             key, _, value = line.partition("=")
             values[key.strip()] = parse_config_value(key.strip(), value)
     return values
-
-
-def apply_config_values(cfg: ExperimentConfig, values: dict) -> ExperimentConfig:
-    return dataclasses.replace(cfg, **values)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ applies ``iters`` local multiplications by its shard multiplier M = I - L
 ascending client-id order and re-orthonormalizes with a reduced QR. The
 only payloads crossing the client boundary are embeddings.
 
-M is a sparse EdgeOperator built once per client from the shard's edge
+M is a scipy CSR matrix built once per client from the shard's edge
 arrays: O(N + shard edges) memory, and O(shard edges * K) work per local
 step, where a dense N x N multiplier would cost O(N^2) of both.
 
@@ -27,10 +27,11 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .diagnostics import Diagnostics
 from .errors import ConfigError, ContractError, ConvergenceError, RankError
-from .graph import EdgeOperator, laplacian_multiplier
+from .graph import laplacian_multiplier
 from .linalg import cluster_embedding_rows, reduced_qr
 from .partition import ClientShard, shard_universe
 from .seeding import embedding_seed, kmeans_seed
@@ -104,7 +105,7 @@ def decode_frame(data: bytes) -> tuple[int, np.ndarray]:
     return tag, payload.reshape(rows, cols).astype(np.float64)
 
 
-def shard_multiplier(shard: ClientShard) -> EdgeOperator:
+def shard_multiplier(shard: ClientShard) -> sparse.csr_array:
     """Sparse client multiplier M = I - L.
 
     The zero Laplacian rows of shard-isolated nodes make M act as the
@@ -134,7 +135,12 @@ class PowerIterationClient:
         return self._client_id
 
     def run_round(self, message: BroadcastMessage) -> ClientReply:
-        v = self._multiplier.power(message.embedding, self._iters)
+        v = np.asarray(message.embedding, dtype=np.float64)
+        n = self._multiplier.shape[0]
+        if v.ndim != 2 or v.shape[0] != n:
+            raise ContractError(f"embedding must be {n} x K, got {v.shape}")
+        for _ in range(self._iters):
+            v = self._multiplier @ v
         return ClientReply(self._client_id, v)
 
 

@@ -2,7 +2,7 @@
 
 Covers SNAP-style edge-list ingestion, canonical in-memory representation,
 and symmetric normalized Laplacians, both as dense float64 N x N matrices
-and as the sparse multiplier I - L (EdgeOperator, O(edges) memory). Node
+and as the sparse multiplier I - L (scipy CSR, O(edges) memory). Node
 ids are contiguous 0..num_nodes-1 after remapping, with the original ids
 retained so results can be written back in source-file terms. A client
 shard (partition.ClientShard) is a Graph with a client id, so it has the
@@ -15,12 +15,12 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ContractError, ParseError
 
 __all__ = [
     "Graph",
-    "EdgeOperator",
     "parse_arcs",
     "parse_edge_list",
     "load_edge_list",
@@ -240,58 +240,14 @@ def normalized_laplacian_from_adjacency(a: np.ndarray) -> np.ndarray:
 normalized_laplacian = Graph.normalized_laplacian
 
 
-@dataclass(frozen=True)
-class EdgeOperator:
-    """Sparse symmetric N x N matrix: a diagonal plus off-diagonal entries.
+def laplacian_multiplier(g: Graph) -> sparse.csr_array:
+    """I - L of a graph, as a canonical scipy CSR matrix.
 
-    Entry (rows[i], cols[i]) holds vals[i]; both orientations of every edge
-    are stored, sorted by (row, col). Memory is O(N + edges).
-    """
-
-    diag: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.diag)
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.power(v, 1)
-
-    def power(self, v: np.ndarray, times: int) -> np.ndarray:
-        """self^times @ v for an N x K block, one bincount per column and step.
-
-        Each output entry is its diagonal term plus its row's off-diagonal
-        terms summed in stored order, so the result is bitwise deterministic
-        and power(v, a + b) equals power(power(v, a), b). The steps run on the
-        transposed K x N block, so each column of v is contiguous in memory.
-        """
-        v = np.asarray(v, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != self.num_nodes:
-            raise ContractError(
-                f"operand must be {self.num_nodes} x K, got {v.shape}"
-            )
-        vt = np.ascontiguousarray(v.T)
-        for _ in range(times):
-            out = self.diag * vt
-            for j, col in enumerate(vt):
-                out[j] += np.bincount(
-                    self.rows,
-                    weights=self.vals * col.take(self.cols),
-                    minlength=self.num_nodes,
-                )
-            vt = out
-        return np.ascontiguousarray(vt.T)
-
-
-def laplacian_multiplier(g: Graph) -> EdgeOperator:
-    """I - L of a graph, as a sparse EdgeOperator.
-
-    Off-diagonal entries are w(u,v) / sqrt(d_u d_v). The diagonal is 0 on
-    nodes with positive degree and 1 on isolated nodes, whose Laplacian
-    rows are zero, so the operator passes them through unchanged.
+    Off-diagonal entries are w(u,v) / sqrt(d_u d_v). Isolated nodes, whose
+    Laplacian rows are zero, store a 1 on the diagonal, so the multiplier
+    passes them through unchanged; no other diagonal entry is stored.
+    Column indices are sorted within each row, so ``M @ v`` sums every
+    row's terms in ascending column order.
     """
     d = g.degrees()
     inv_sqrt = np.zeros(g.num_nodes, dtype=np.float64)
@@ -299,12 +255,9 @@ def laplacian_multiplier(g: Graph) -> EdgeOperator:
     inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
     u, v = g.edges[:, 0], g.edges[:, 1]
     vals = g.weights * (inv_sqrt[u] * inv_sqrt[v])
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    order = np.lexsort((cols, rows))
-    return EdgeOperator(
-        diag=np.where(positive, 0.0, 1.0),
-        rows=rows[order],
-        cols=cols[order],
-        vals=np.concatenate([vals, vals])[order],
-    )
+    isolated = np.flatnonzero(~positive)
+    rows = np.concatenate([u, v, isolated])
+    cols = np.concatenate([v, u, isolated])
+    vals = np.concatenate([vals, vals, np.ones(len(isolated))])
+    n = g.num_nodes
+    return sparse.csr_array((vals, (rows, cols)), shape=(n, n))

@@ -66,8 +66,11 @@ def write_labels_csv(path, labels, node_ids=None) -> None:
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a (node_id, label) CSV; returns (node_ids, labels) sorted by id."""
-    ids = []
+    """Read a (node_id, label) CSV; returns (node_ids, labels) sorted by id.
+
+    Raises ParseError on a malformed line and on a node id listed twice.
+    """
+    first_line = {}
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -78,13 +81,19 @@ def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
             if len(parts) != 2:
                 raise ParseError(f"line {lineno}: expected node_id,label")
             try:
-                ids.append(int(parts[0]))
-                labels.append(int(parts[1]))
+                node, label = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"line {lineno}: non-integer field") from None
-    if not ids:
+            if node in first_line:
+                raise ParseError(
+                    f"line {lineno}: node id {node} repeated "
+                    f"(first on line {first_line[node]})"
+                )
+            first_line[node] = lineno
+            labels.append(label)
+    if not labels:
         raise ParseError("empty labels file")
-    ids_arr = np.asarray(ids, dtype=np.int64)
+    ids_arr = np.fromiter(first_line, dtype=np.int64, count=len(first_line))
     labels_arr = np.asarray(labels, dtype=np.int64)
     order = np.argsort(ids_arr, kind="stable")
     return ids_arr[order], labels_arr[order]

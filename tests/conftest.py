@@ -15,18 +15,8 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # Real datasets are local files, never downloaded: tests that need them
 # skip with instructions when they are absent. See README for URLs.
 DATASETS = {
-    "ego-facebook": {
-        "file": "facebook_combined.txt",
-        "directed": False,
-        "nodes": 4039,
-        "edges": 88234,
-    },
-    "email-eu-core": {
-        "file": "email-Eu-core.txt",
-        "directed": True,
-        "nodes": 1005,
-        "edges": 25571,
-    },
+    "ego-facebook": "facebook_combined.txt",
+    "email-eu-core": "email-Eu-core.txt",
 }
 
 
@@ -37,12 +27,12 @@ def pytest_configure(config):
 
 
 def dataset_path(name: str) -> Path | None:
-    info = DATASETS[name]
+    file_name = DATASETS[name]
     candidates = []
     env_dir = os.environ.get("FEDSPECTRAL_DATA_DIR")
     if env_dir:
-        candidates.append(Path(env_dir) / info["file"])
-    candidates.append(REPO_ROOT / "datasets" / info["file"])
+        candidates.append(Path(env_dir) / file_name)
+    candidates.append(REPO_ROOT / "datasets" / file_name)
     for candidate in candidates:
         if candidate.exists():
             return candidate
@@ -53,7 +43,7 @@ def require_dataset(name: str) -> Path:
     path = dataset_path(name)
     if path is None:
         pytest.skip(
-            f"dataset {DATASETS[name]['file']} not found; place it under "
+            f"dataset {DATASETS[name]} not found; place it under "
             f"./datasets or $FEDSPECTRAL_DATA_DIR (see README for the SNAP URL)"
         )
     return path

@@ -173,6 +173,20 @@ def test_metric_id_mismatch(tmp_path, capsys):
     assert "different node id" in capsys.readouterr().err
 
 
+def test_metric_repeated_node_id(tmp_path, capsys):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    a.write_text("node_id,label\n0,1\n0,2\n1,1\n")
+    b.write_text("node_id,label\n0,1\n0,1\n1,2\n")
+    assert main(["metric", str(a), str(b)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "node id 0 repeated" in lines[0]
+
+
 def test_verify_subcommand(dataset_file, capsys):
     g = load_edge_list(dataset_file)
     code = main(

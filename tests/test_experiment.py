@@ -8,7 +8,6 @@ from fedspectral.errors import ConfigError
 from fedspectral.experiment import (
     ExperimentConfig,
     ResultRecord,
-    apply_config_values,
     compute_reference,
     parse_config_file,
     parse_config_value,
@@ -86,11 +85,11 @@ class TestConfig:
             "normalize_rows = false\n"
         )
         values = parse_config_file(cfg_file)
-        cfg = apply_config_values(ExperimentConfig(dataset_path=""), values)
+        cfg = dataclasses.replace(ExperimentConfig(dataset_path=""), **values)
         assert cfg.algo == "fedspectral"
         assert cfg.num_clients == 4
         assert cfg.overlap == 0.25
-        overridden = apply_config_values(cfg, {"num_clients": 6})
+        overridden = dataclasses.replace(cfg, num_clients=6)
         assert overridden.num_clients == 6
 
     def test_config_file_errors(self, tmp_path):
@@ -131,14 +130,14 @@ class TestConfig:
                 for f in dataclasses.fields(ExperimentConfig)
             )
         )
-        assert apply_config_values(default, parse_config_file(cfg_file)) == expected
+        assert dataclasses.replace(default, **parse_config_file(cfg_file)) == expected
 
         cfg_file.write_text(
             "replication = none\n"
             "output_path = none\n"
             "normalize_rows = no\n"
         )
-        assert apply_config_values(expected, parse_config_file(cfg_file)) == (
+        assert dataclasses.replace(expected, **parse_config_file(cfg_file)) == (
             dataclasses.replace(
                 expected,
                 replication=None,

@@ -38,6 +38,32 @@ def dense_multiplier(shard):
     return np.eye(shard.num_nodes) - shard.normalized_laplacian()
 
 
+def ordered_row_sums(shard, v):
+    """Plain-Python oracle for shard_multiplier(shard) @ v.
+
+    Each row sums its terms w(u,v) * (1/sqrt(d_u) * 1/sqrt(d_v)) * v[col]
+    in ascending column order starting from 0.0; isolated rows return v.
+    """
+    d = shard.degrees()
+    inv_sqrt = [1.0 / np.sqrt(x) if x > 0 else 0.0 for x in d]
+    neighbours = [[] for _ in range(shard.num_nodes)]
+    for (a, b), w in zip(shard.edges.tolist(), shard.weights.tolist()):
+        entry = w * (inv_sqrt[a] * inv_sqrt[b])
+        neighbours[a].append((b, entry))
+        neighbours[b].append((a, entry))
+    out = np.empty_like(v)
+    for i, row in enumerate(neighbours):
+        if not row:
+            out[i] = v[i]
+            continue
+        for k in range(v.shape[1]):
+            acc = 0.0
+            for j, entry in sorted(row):
+                acc += entry * v[j, k]
+            out[i, k] = acc
+    return out
+
+
 def client_step(shard, iters, embedding):
     client = PowerIterationClient(shard, iters)
     return client.run_round(BroadcastMessage(0, embedding)).embedding
@@ -78,11 +104,12 @@ class TestShardMultiplier:
         v = np.random.default_rng(5).standard_normal((5, 2))
         assert np.array_equal(shard_multiplier(shard) @ v, v)
 
-    def test_shape_contract(self):
-        with pytest.raises(ContractError):
-            shard_multiplier(path_shard()) @ np.ones((3, 1))
-        with pytest.raises(ContractError):
-            shard_multiplier(path_shard()) @ np.ones(2)
+    def test_summation_order(self):
+        shard = random_weighted_shard(30, 80, isolated=4, seed=6)
+        v = np.random.default_rng(7).standard_normal((30, 3))
+        mult = shard_multiplier(shard)
+        assert mult.has_canonical_format
+        assert np.array_equal(mult @ v, ordered_row_sums(shard, v))
 
 
 class TestClientPowerIteration:
@@ -119,6 +146,8 @@ class TestClientPowerIteration:
             PowerIterationClient(path_shard(), 0)
         with pytest.raises(ContractError):
             client_step(path_shard(), 1, np.ones((3, 1)))
+        with pytest.raises(ContractError):
+            client_step(path_shard(), 1, np.ones(2))
 
 
 class TestAggregateRound:

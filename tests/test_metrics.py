@@ -95,3 +95,6 @@ class TestLabelsCSV:
         path.write_text("node_id,label\n1,x\n")
         with pytest.raises(ParseError):
             read_labels_csv(path)
+        path.write_text("node_id,label\n0,1\n0,2\n1,1\n")
+        with pytest.raises(ParseError, match="line 3: node id 0 repeated"):
+            read_labels_csv(path)
