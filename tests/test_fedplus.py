@@ -111,6 +111,18 @@ class TestShardMultiplier:
         assert mult.has_canonical_format
         assert np.array_equal(mult @ v, ordered_row_sums(shard, v))
 
+    def test_shape_contract(self):
+        mult = shard_multiplier(path_shard())
+        assert mult.shape == (2, 2)
+        assert mult.dtype == np.float64
+        with pytest.raises(ValueError):
+            mult @ np.ones((3, 1))
+        # the N x K operand contract is enforced where the multiplier is applied
+        with pytest.raises(ContractError):
+            client_step(path_shard(), 1, np.ones((3, 1)))
+        with pytest.raises(ContractError):
+            client_step(path_shard(), 1, np.ones(2))
+
 
 class TestClientPowerIteration:
     def test_path_graph_swap(self):
