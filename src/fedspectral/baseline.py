@@ -33,15 +33,15 @@ def get_client_labels(
     """Spectral clustering of one client's local shard.
 
     The shard is a graph, so this is linalg.global_spectral_clustering of
-    it: normalized Laplacian, bottom-K embedding, k-means on the node rows;
-    deterministic for the client's derived seed. A shard with no edges
-    yields an all-zero Laplacian and a degenerate (identical-rows)
-    embedding; the labeling is still deterministic and the event is flagged.
+    it: sparse normalized Laplacian, bottom-K embedding, k-means on the
+    node rows; deterministic for the client's derived seed. A shard with no
+    edges yields an all-zero Laplacian, whose every node is its own
+    component; the labeling is still deterministic and the event is flagged.
     """
     if shard.num_edges == 0 and diag is not None:
         diag.flag(f"degenerate shard {shard.client_id}: no edges")
     return global_spectral_clustering(
-        shard, num_clusters, seed, normalize_rows=normalize_rows, diag=diag
+        shard, num_clusters, seed, normalize_rows=normalize_rows
     )
 
 
@@ -87,8 +87,8 @@ def fedspectral_server(
 
     Collects every client's labels (each client seeded by
     hash(master_seed, client_id)), builds the similarity graph, zeroes its
-    diagonal, and spectrally clusters it as a weighted graph (with the same
-    size rule for the eigensolver as the clients). The result is
+    diagonal, and spectrally clusters its dense Laplacian as a weighted
+    graph (with the same eigensolver as the clients). The result is
     independent of shard ordering and deterministic for fixed shards and
     seed. ``dump_dir`` optionally writes each client labeling as CSV.
     """
@@ -115,9 +115,5 @@ def fedspectral_server(
     np.fill_diagonal(similarity, 0.0)
     lap = normalized_laplacian_from_adjacency(similarity)
     return spectral_cluster(
-        lap,
-        num_clusters,
-        derive_seed(seed, "server"),
-        normalize_rows=normalize_rows,
-        diag=diag,
+        lap, num_clusters, derive_seed(seed, "server"), normalize_rows=normalize_rows
     )

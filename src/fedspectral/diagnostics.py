@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 class Diagnostics:
     """Mutable collector threaded through optional ``diag=`` parameters.
 
-    flags        free-form event notes (degenerate shards, sweep caps hit).
+    flags        free-form event notes (degenerate client shards).
     round_drift  per-round subspace drift of the federated power iteration.
     """
 

@@ -1,12 +1,13 @@
 """Undirected graphs over a fixed node universe.
 
 Covers SNAP-style edge-list ingestion, canonical in-memory representation,
-and symmetric normalized Laplacians, both as dense float64 N x N matrices
-and as the sparse multiplier I - L (scipy CSR, O(edges) memory). Node
-ids are contiguous 0..num_nodes-1 after remapping, with the original ids
-retained so results can be written back in source-file terms. A client
-shard (partition.ClientShard) is a Graph with a client id, so it has the
-same edge invariants, degrees and Laplacians.
+and the symmetric normalized Laplacian L and the multiplier I - L, both as
+scipy CSR matrices of O(edges) memory built from one body. The dense
+Laplacian of a dense adjacency matrix serves the baseline server's
+similarity graph. Node ids are contiguous 0..num_nodes-1 after remapping,
+with the original ids retained so results can be written back in
+source-file terms. A client shard (partition.ClientShard) is a Graph with
+a client id, so it has the same edge invariants, degrees and Laplacians.
 """
 
 from __future__ import annotations
@@ -127,16 +128,23 @@ class Graph:
         return d
 
     def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix."""
+        """Dense symmetric adjacency matrix (a test oracle; no runtime caller)."""
         a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
         if self.num_edges:
             a[self.edges[:, 0], self.edges[:, 1]] = self.weights
             a[self.edges[:, 1], self.edges[:, 0]] = self.weights
         return a
 
-    def normalized_laplacian(self) -> np.ndarray:
-        """Symmetric normalized Laplacian (dense N x N)."""
-        return normalized_laplacian_from_adjacency(self.adjacency())
+    def normalized_laplacian(self) -> sparse.csr_array:
+        """Symmetric normalized Laplacian I - laplacian_multiplier(self), CSR.
+
+        Off-diagonal entries are -w(u,v) / sqrt(d_u d_v) and the diagonal
+        is 1, except that rows of isolated nodes are all zero, so an
+        edgeless graph gives a matrix with no stored entries. The matrix is
+        canonical: sorted column indices, no duplicates, no stored zeros.
+        """
+        identity = sparse.eye_array(self.num_nodes, format="csr")
+        return identity - laplacian_multiplier(self)
 
 
 def _iter_lines(text: TextSource) -> Iterable[str]:

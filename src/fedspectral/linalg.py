@@ -1,12 +1,12 @@
-"""Dense numerical kernels.
+"""Numerical kernels.
 
 Reduced QR and the dense reference eigensolver (numpy's LAPACK, under
-pinned sign conventions), bottom-K eigenvector extraction by orthogonal
-iteration, Lloyd's k-means with k-means++ seeding, and the non-federated
-spectral clustering pipeline that serves as the gold standard for every
-experiment.
+pinned sign conventions), the bottom-K eigensolver of a sparse or dense
+Laplacian (ARPACK through scipy's eigsh, per connected component), Lloyd's
+k-means with k-means++ seeding, and the non-federated spectral clustering
+pipeline that serves as the gold standard for every experiment.
 
-Everything is float64 and deterministic for fixed seeds. The LAPACK
+Everything is float64 and deterministic for fixed seeds. The
 factorizations are followed by sign fixes (non-negative R diagonal;
 first nonzero eigenvector component positive), so their outputs are
 unique and runs repeat bit for bit.
@@ -15,8 +15,10 @@ unique and runs repeat bit for bit.
 from __future__ import annotations
 
 import numpy as np
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import ArpackNoConvergence, eigsh
 
-from .diagnostics import Diagnostics
 from .errors import ContractError, ConvergenceError, RankError
 from .graph import Graph, normalized_laplacian
 from .seeding import embedding_seed, kmeans_seed
@@ -30,10 +32,6 @@ __all__ = [
     "spectral_cluster",
     "global_spectral_clustering",
 ]
-
-# spectral_cluster solves Laplacians up to this size with the dense
-# reference solver, and larger ones by orthogonal iteration.
-REFERENCE_EIG_MAX_N = 256
 
 RANK_TOL = 1e-12
 
@@ -120,63 +118,72 @@ def symmetric_eig_reference(
     return vals, vectors
 
 
-def _subspace_drift(old: np.ndarray, new: np.ndarray) -> float:
-    """Largest-principal-angle sine between consecutive orthonormal bases."""
-    residual = new - old @ (old.T @ new)
-    return float(np.linalg.norm(residual, ord=2))
+def _bottom_of_component(
+    block: sparse.csr_array, k: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bottom-k eigenpairs of one connected component's Laplacian block.
 
-
-def bottom_k_eigenvectors(
-    lap: np.ndarray,
-    k: int,
-    seed: int,
-    *,
-    tol: float = 1e-9,
-    max_sweeps: int = 1000,
-    diag: Diagnostics | None = None,
-) -> np.ndarray:
-    """Orthonormal basis for the K smallest eigenvalues of a Laplacian.
-
-    Orthogonal iteration with a QR re-orthonormalization every sweep. The
-    iteration multiplier is I - L/2: its spectrum 1 - lambda/2 lies in
-    [0, 1] and decreases with lambda, so the dominant subspace is exactly
-    the bottom-K Laplacian subspace for every graph (the raw I - L
-    multiplier would be beaten by eigenvalues near 2). Converges when the
-    subspace angle between sweeps falls below ``tol``; hitting the sweep
-    cap is flagged in diagnostics, not an error, since a degenerate gap at
-    the K boundary makes the limit an arbitrary invariant subspace.
-
-    A final Rayleigh-Ritz rotation orders the columns by ascending Ritz
-    value and applies the first-nonzero-positive sign convention, so the
-    output approximates the reference solver's bottom-K block.
+    ARPACK starts from a standard normal vector drawn from ``rng`` and
+    draws any restart vector from it too. It needs k below the block size,
+    so a block wholly inside the bottom K goes to the dense reference
+    solver instead.
     """
-    lap = np.asarray(lap, dtype=np.float64)
+    size = block.shape[0]
+    if k == size:
+        return symmetric_eig_reference(block.toarray())
+    try:
+        return eigsh(block, k, which="SA", v0=rng.standard_normal(size), rng=rng)
+    except ArpackNoConvergence as exc:
+        raise ConvergenceError(f"ARPACK did not converge: {exc}") from None
+
+
+def bottom_k_eigenvectors(lap, k: int, seed: int) -> np.ndarray:
+    """Orthonormal eigenvectors of the K smallest eigenvalues of a Laplacian.
+
+    ``lap`` is a dense or sparse symmetric Laplacian. It is block diagonal
+    over its graph's connected components, each with one zero eigenvalue,
+    and a Krylov method grown from one start vector sees only one copy of
+    a repeated eigenvalue. So each component gives its bottom min(K, size)
+    pairs (_bottom_of_component; an isolated node, a zero row, gives
+    (0, e_i) without a solve) and the K smallest pairs are kept, ties going
+    to the component with the lowest node. Columns come in ascending
+    eigenvalue order, each with its first nonzero component positive, and
+    repeat bit for bit for fixed (lap, k, seed).
+
+    Raises
+    ------
+    ContractError
+        If the input is not square or has a non-finite entry, or k is
+        outside 1..N.
+    ConvergenceError
+        If ARPACK does not converge.
+    """
+    lap = sparse.csr_array(lap, dtype=np.float64)
     n = lap.shape[0]
-    if lap.ndim != 2 or lap.shape[1] != n:
+    if lap.shape != (n, n):
         raise ContractError("expected a square Laplacian")
     if not 1 <= k <= n:
         raise ContractError(f"need 1 <= k <= {n}, got {k}")
+    if not np.isfinite(lap.data).all():
+        raise ContractError("Laplacian has non-finite entries")
 
-    multiplier = np.eye(n) - 0.5 * lap
+    count, component = connected_components(lap, directed=False)
+    diagonal = lap.diagonal()
     rng = np.random.default_rng(seed)
-    basis, _ = reduced_qr(rng.standard_normal((n, k)))
-    converged = False
-    drift = np.inf
-    for _ in range(max_sweeps):
-        candidate, _ = reduced_qr(multiplier @ basis)
-        drift = _subspace_drift(basis, candidate)
-        basis = candidate
-        if drift < tol:
-            converged = True
-            break
-    if not converged and diag is not None:
-        diag.flag(f"bottom_k: sweep cap {max_sweeps} reached (drift {drift:.3e})")
+    pairs = []  # (eigenvalue, lowest node, nodes, eigenvector on the nodes)
+    for label in range(count):
+        nodes = np.flatnonzero(component == label)
+        if len(nodes) == 1:
+            vals, vecs = diagonal[nodes], np.ones((1, 1))
+        else:
+            block = lap if count == 1 else lap[nodes][:, nodes]
+            vals, vecs = _bottom_of_component(block, min(k, len(nodes)), rng)
+        pairs += [(val, nodes[0], nodes, vec) for val, vec in zip(vals[:k], vecs.T)]
+    pairs.sort(key=lambda pair: pair[:2])
 
-    # Rayleigh-Ritz: rotate within the converged subspace to approximate
-    # the individual eigenvectors, ordered by ascending eigenvalue.
-    projected = basis.T @ (lap @ basis)
-    _, rotation = symmetric_eig_reference(0.5 * (projected + projected.T))
-    basis = basis @ rotation
+    basis = np.zeros((n, k), dtype=np.float64)
+    for col, (_, _, nodes, vec) in enumerate(pairs[:k]):
+        basis[nodes, col] = vec
     _fix_column_signs(basis)
     return basis
 
@@ -269,48 +276,35 @@ def cluster_embedding_rows(
 
 
 def spectral_cluster(
-    lap: np.ndarray,
-    k: int,
-    seed: int,
-    *,
-    normalize_rows: bool = False,
-    diag: Diagnostics | None = None,
+    lap, k: int, seed: int, *, normalize_rows: bool = False
 ) -> np.ndarray:
-    """Laplacian in, cluster labels out.
+    """Laplacian (dense or sparse) in, cluster labels out.
 
-    Bottom-K embedding followed by k-means on the node rows. The embedding
-    comes from the dense reference solver when N <= REFERENCE_EIG_MAX_N and
-    from orthogonal iteration (bottom_k_eigenvectors) above that. Seeds for
-    the embedding init and the k-means stream are derived from ``seed``
-    with fixed role labels, so every caller of this pipeline agrees bit for
-    bit.
+    Bottom-K embedding (bottom_k_eigenvectors) followed by k-means on the
+    node rows. Seeds for the eigensolver's start vector and the k-means
+    stream are derived from ``seed`` with fixed role labels, so every
+    caller of this pipeline agrees bit for bit.
     """
     n = lap.shape[0]
     if not 1 <= k <= n:
         raise ContractError(f"need 1 <= k <= {n}, got {k}")
-    if n <= REFERENCE_EIG_MAX_N:
-        embedding = symmetric_eig_reference(lap)[1][:, :k]
-    else:
-        embedding = bottom_k_eigenvectors(lap, k, embedding_seed(seed), diag=diag)
+    embedding = bottom_k_eigenvectors(lap, k, embedding_seed(seed))
     return cluster_embedding_rows(
         embedding, k, kmeans_seed(seed), normalize_rows=normalize_rows
     )
 
 
 def global_spectral_clustering(
-    g: Graph,
-    k: int,
-    seed: int,
-    *,
-    normalize_rows: bool = False,
-    diag: Diagnostics | None = None,
+    g: Graph, k: int, seed: int, *, normalize_rows: bool = False
 ) -> np.ndarray:
     """Spectral clustering of the whole, undistributed graph.
 
     This is the reference labeling every federated output is scored
-    against. Deterministic for fixed (g, k, seed).
+    against. It solves the graph's sparse normalized Laplacian.
+    Deterministic for fixed (g, k, seed).
     """
     if not 1 <= k <= g.num_nodes:
         raise ContractError(f"need 1 <= k <= {g.num_nodes}, got {k}")
-    lap = normalized_laplacian(g)
-    return spectral_cluster(lap, k, seed, normalize_rows=normalize_rows, diag=diag)
+    return spectral_cluster(
+        normalized_laplacian(g), k, seed, normalize_rows=normalize_rows
+    )

@@ -68,7 +68,8 @@ def write_labels_csv(path, labels, node_ids=None) -> None:
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a (node_id, label) CSV; returns (node_ids, labels) sorted by id.
 
-    Raises ParseError on a malformed line and on a node id listed twice.
+    Raises ParseError, naming the file and the line, on a malformed line
+    and on a node id listed twice.
     """
     first_line = {}
     labels = []
@@ -79,20 +80,20 @@ def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
                 continue
             parts = line.split(",")
             if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected node_id,label")
+                raise ParseError(f"{path}: line {lineno}: expected node_id,label")
             try:
                 node, label = int(parts[0]), int(parts[1])
             except ValueError:
-                raise ParseError(f"line {lineno}: non-integer field") from None
+                raise ParseError(f"{path}: line {lineno}: non-integer field") from None
             if node in first_line:
                 raise ParseError(
-                    f"line {lineno}: node id {node} repeated "
+                    f"{path}: line {lineno}: node id {node} repeated "
                     f"(first on line {first_line[node]})"
                 )
             first_line[node] = lineno
             labels.append(label)
     if not labels:
-        raise ParseError("empty labels file")
+        raise ParseError(f"{path}: empty labels file")
     ids_arr = np.fromiter(first_line, dtype=np.int64, count=len(first_line))
     labels_arr = np.asarray(labels, dtype=np.int64)
     order = np.argsort(ids_arr, kind="stable")

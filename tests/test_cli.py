@@ -2,7 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from fedspectral import linalg
 from fedspectral.cli import _build_config, build_parser, main
 from fedspectral.experiment import ExperimentConfig
 from fedspectral.graph import load_edge_list, serialize_edge_list
@@ -62,6 +64,21 @@ def test_run_missing_dataset_errors(capsys):
     code = main(["run", "--dataset", "missing.txt", "--clusters", "2"])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_unconverged_reference_errors(dataset_file, monkeypatch, capsys):
+    def no_convergence(*args, **kwargs):
+        raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+    monkeypatch.setattr(linalg, "eigsh", no_convergence)
+    code = main(["run", "--dataset", str(dataset_file), "--algo", "global", "--clusters", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert "ARPACK did not converge" in lines[0]
 
 
 def test_sweep_outputs(dataset_file, tmp_path):
@@ -185,6 +202,12 @@ def test_metric_repeated_node_id(tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert "node id 0 repeated" in lines[0]
+    good = tmp_path / "good.csv"
+    good.write_text("node_id,label\n0,1\n1,2\n")
+    assert main(["metric", str(good), str(b)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {b}: line 3: node id 0 repeated")
 
 
 def test_verify_subcommand(dataset_file, capsys):

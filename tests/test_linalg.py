@@ -1,10 +1,15 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
+from fedspectral import linalg
 from fedspectral.errors import ContractError, ConvergenceError, RankError
-from fedspectral.graph import Graph, normalized_laplacian
+from fedspectral.graph import (
+    Graph,
+    normalized_laplacian,
+    normalized_laplacian_from_adjacency,
+)
 from fedspectral.linalg import (
-    REFERENCE_EIG_MAX_N,
     bottom_k_eigenvectors,
     cluster_embedding_rows,
     global_spectral_clustering,
@@ -15,7 +20,7 @@ from fedspectral.linalg import (
 )
 from fedspectral.seeding import kmeans_seed
 
-from conftest import gnp_graph, planted_graph, principal_angles
+from conftest import gnp_graph, is_connected, planted_graph, principal_angles
 
 
 def two_triangles():
@@ -144,7 +149,7 @@ class TestBottomK:
     def test_matches_reference_on_random_graph(self):
         g = planted_graph([10, 10, 10, 10, 10], 0.8, 0.04, seed=5)
         lap = normalized_laplacian(g)
-        _, vecs = symmetric_eig_reference(lap)
+        _, vecs = symmetric_eig_reference(lap.toarray())
         basis = bottom_k_eigenvectors(lap, 5, seed=2)
         assert principal_angles(basis, vecs[:, :5]).max() < 1e-6
 
@@ -159,6 +164,76 @@ class TestBottomK:
         lap = np.zeros((3, 3))
         with pytest.raises(ContractError):
             bottom_k_eigenvectors(lap, 4, seed=0)
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ContractError, match="non-finite"):
+            bottom_k_eigenvectors(np.array([[1.0, np.nan], [np.nan, 1.0]]), 1, seed=0)
+
+    def test_agrees_with_dense_oracle_with_isolated_nodes(self):
+        # isolated nodes and small components repeat the zero eigenvalue,
+        # which a single Krylov start vector cannot resolve on its own
+        rng = np.random.default_rng(13)
+        compared = 0
+        for trial in range(40):
+            n = int(rng.integers(5, 60))
+            base = gnp_graph(n - int(rng.integers(1, 5)), rng.uniform(0.03, 0.3), trial)
+            g = Graph(n, base.edges, rng.uniform(0.1, 3.0, base.num_edges))
+            k = int(rng.integers(1, n + 1))
+            dense = normalized_laplacian_from_adjacency(g.adjacency())
+            vals, vecs = symmetric_eig_reference(dense)
+            basis = bottom_k_eigenvectors(normalized_laplacian(g), k, seed=trial)
+            assert np.abs(basis.T @ basis - np.eye(k)).max() < 1e-12
+            ritz = np.diagonal(basis.T @ dense @ basis)
+            assert (np.diff(ritz) >= -1e-12).all()
+            assert np.abs(ritz - vals[:k]).max() < 1e-12
+            if k == n or vals[k] - vals[k - 1] > 1e-3:
+                compared += 1
+                sine = np.linalg.norm(basis - vecs[:, :k] @ (vecs[:, :k].T @ basis), 2)
+                assert sine < 1e-8
+        assert compared >= 20
+
+    def test_sparse_and_dense_input_give_equal_labels(self):
+        g = planted_graph([100, 100, 100], 0.3, 0.005, seed=12)
+        sparse_lap = normalized_laplacian(g)
+        dense_lap = normalized_laplacian_from_adjacency(g.adjacency())
+        assert np.array_equal(
+            spectral_cluster(sparse_lap, 3, seed=5), spectral_cluster(dense_lap, 3, seed=5)
+        )
+
+    def test_same_seed_same_bits(self):
+        # a star's Laplacian repeats the eigenvalue 1 exactly, so the Krylov
+        # space can break down and ARPACK then draws a restart vector
+        for n in range(4, 16):
+            lap = normalized_laplacian(Graph.from_edges(n, [(0, i) for i in range(1, n)]))
+            for k in range(1, n):
+                first = bottom_k_eigenvectors(lap, k, seed=k)
+                assert np.array_equal(first, bottom_k_eigenvectors(lap, k, seed=k))
+
+    def test_dense_path_for_k_equal_n_and_edgeless(self, monkeypatch):
+        def no_arpack(*args, **kwargs):
+            raise AssertionError("ARPACK called")
+
+        monkeypatch.setattr(linalg, "eigsh", no_arpack)
+        g = planted_graph([5, 5], 0.8, 0.1, seed=3)
+        assert is_connected(g)
+        lap = normalized_laplacian(g)
+        assert np.array_equal(
+            bottom_k_eigenvectors(lap, 10, seed=0), symmetric_eig_reference(lap.toarray())[1]
+        )
+        # every node of an edgeless graph is its own component: e_i, eigenvalue 0
+        edgeless = normalized_laplacian(Graph.from_edges(4, []))
+        assert edgeless.nnz == 0
+        expected = symmetric_eig_reference(np.zeros((4, 4)))[1][:, :2]
+        assert np.array_equal(bottom_k_eigenvectors(edgeless, 2, seed=0), expected)
+
+    def test_arpack_no_convergence_is_convergence_error(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(linalg, "eigsh", no_convergence)
+        lap = normalized_laplacian(planted_graph([10, 10], 0.8, 0.1, seed=4))
+        with pytest.raises(ConvergenceError, match="ARPACK"):
+            bottom_k_eigenvectors(lap, 2, seed=0)
 
 
 class TestKMeans:
@@ -234,11 +309,9 @@ class TestGlobalClustering:
         )
 
     def test_methods_agree_on_labels(self):
-        # N = 300 lies above REFERENCE_EIG_MAX_N, so spectral_cluster takes
-        # the orthogonal-iteration path; the dense solver is the oracle
+        # spectral_cluster solves with ARPACK; the dense solver is the oracle
         g = planted_graph([100, 100, 100], 0.3, 0.005, seed=12)
         lap = normalized_laplacian(g)
-        assert lap.shape[0] > REFERENCE_EIG_MAX_N
-        dense = symmetric_eig_reference(lap)[1][:, :3]
+        dense = symmetric_eig_reference(lap.toarray())[1][:, :3]
         expected = cluster_embedding_rows(dense, 3, kmeans_seed(5))
         assert np.array_equal(spectral_cluster(lap, 3, seed=5), expected)
