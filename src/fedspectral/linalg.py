@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
 from .errors import ContractError, ConvergenceError, RankError
 from .graph import Graph, normalized_laplacian
@@ -124,17 +124,26 @@ def _bottom_of_component(
     """Bottom-k eigenpairs of one connected component's Laplacian block.
 
     ARPACK starts from a standard normal vector drawn from ``rng`` and
-    draws any restart vector from it too. It needs k below the block size,
-    so a block wholly inside the bottom K goes to the dense reference
-    solver instead.
+    draws any restart vector from it too. Grown from one vector, its
+    Krylov space can hold fewer copies of a repeated eigenvalue than there
+    are, so an answer that repeats an eigenvalue is not trusted. The dense
+    reference solver takes those blocks, the blocks ARPACK cannot run on
+    (k not below the block size) and the blocks where ARPACK stops with an
+    error other than non-convergence (error 3, "no shifts could be
+    applied", is seen on cliques).
     """
-    size = block.shape[0]
-    if k == size:
-        return symmetric_eig_reference(block.toarray())
-    try:
-        return eigsh(block, k, which="SA", v0=rng.standard_normal(size), rng=rng)
-    except ArpackNoConvergence as exc:
-        raise ConvergenceError(f"ARPACK did not converge: {exc}") from None
+    if k < block.shape[0]:
+        try:
+            vals, vecs = eigsh(
+                block, k, which="SA", v0=rng.standard_normal(block.shape[0]), rng=rng
+            )
+            if (np.diff(np.sort(vals)) > 1e-9).all():
+                return vals, vecs
+        except ArpackNoConvergence as exc:
+            raise ConvergenceError(f"ARPACK did not converge: {exc}") from None
+        except ArpackError:
+            pass
+    return symmetric_eig_reference(block.toarray())
 
 
 def bottom_k_eigenvectors(lap, k: int, seed: int) -> np.ndarray:
@@ -144,11 +153,11 @@ def bottom_k_eigenvectors(lap, k: int, seed: int) -> np.ndarray:
     over its graph's connected components, each with one zero eigenvalue,
     and a Krylov method grown from one start vector sees only one copy of
     a repeated eigenvalue. So each component gives its bottom min(K, size)
-    pairs (_bottom_of_component; an isolated node, a zero row, gives
-    (0, e_i) without a solve) and the K smallest pairs are kept, ties going
-    to the component with the lowest node. Columns come in ascending
-    eigenvalue order, each with its first nonzero component positive, and
-    repeat bit for bit for fixed (lap, k, seed).
+    pairs (_bottom_of_component; an isolated node, a zero row, is a 1 x 1
+    block) and the K smallest pairs are kept, ties going to the component
+    with the lowest node. Columns come in ascending eigenvalue order, each
+    with its first nonzero component positive, and repeat bit for bit for
+    fixed (lap, k, seed).
 
     Raises
     ------
@@ -168,16 +177,12 @@ def bottom_k_eigenvectors(lap, k: int, seed: int) -> np.ndarray:
         raise ContractError("Laplacian has non-finite entries")
 
     count, component = connected_components(lap, directed=False)
-    diagonal = lap.diagonal()
     rng = np.random.default_rng(seed)
     pairs = []  # (eigenvalue, lowest node, nodes, eigenvector on the nodes)
     for label in range(count):
         nodes = np.flatnonzero(component == label)
-        if len(nodes) == 1:
-            vals, vecs = diagonal[nodes], np.ones((1, 1))
-        else:
-            block = lap if count == 1 else lap[nodes][:, nodes]
-            vals, vecs = _bottom_of_component(block, min(k, len(nodes)), rng)
+        block = lap if count == 1 else lap[nodes][:, nodes]
+        vals, vecs = _bottom_of_component(block, min(k, len(nodes)), rng)
         pairs += [(val, nodes[0], nodes, vec) for val, vec in zip(vals[:k], vecs.T)]
     pairs.sort(key=lambda pair: pair[:2])
 
@@ -285,9 +290,6 @@ def spectral_cluster(
     stream are derived from ``seed`` with fixed role labels, so every
     caller of this pipeline agrees bit for bit.
     """
-    n = lap.shape[0]
-    if not 1 <= k <= n:
-        raise ContractError(f"need 1 <= k <= {n}, got {k}")
     embedding = bottom_k_eigenvectors(lap, k, embedding_seed(seed))
     return cluster_embedding_rows(
         embedding, k, kmeans_seed(seed), normalize_rows=normalize_rows
@@ -303,8 +305,6 @@ def global_spectral_clustering(
     against. It solves the graph's sparse normalized Laplacian.
     Deterministic for fixed (g, k, seed).
     """
-    if not 1 <= k <= g.num_nodes:
-        raise ContractError(f"need 1 <= k <= {g.num_nodes}, got {k}")
     return spectral_cluster(
         normalized_laplacian(g), k, seed, normalize_rows=normalize_rows
     )

@@ -192,6 +192,28 @@ class TestBottomK:
                 assert sine < 1e-8
         assert compared >= 20
 
+    def test_agrees_with_dense_oracle_with_repeated_eigenvalues(self):
+        # identical pendant motifs on one hub and twin nodes repeat nonzero
+        # eigenvalues inside one component; a single Krylov run misses copies
+        rng = np.random.default_rng(11)
+        for trial in range(60):
+            core = gnp_graph(int(rng.integers(8, 40)), rng.uniform(0.1, 0.5), trial)
+            edges = [tuple(e) for e in core.edges]
+            n = core.num_nodes
+            for hub in rng.integers(0, core.num_nodes, 3):
+                for _ in range(int(rng.integers(2, 5))):
+                    edges += [(hub, n), (n, n + 1)] if trial % 2 else [(hub, n)]
+                    n += 2 if trial % 2 else 1
+            twin = int(rng.integers(core.num_nodes))
+            edges += [(a + b - twin, n) for a, b in edges if twin in (a, b)]
+            g = Graph.from_edges(n + 1, edges)
+            dense = normalized_laplacian(g).toarray()
+            vals, _ = symmetric_eig_reference(dense)
+            for k in rng.integers(1, n + 1, 2):
+                basis = bottom_k_eigenvectors(normalized_laplacian(g), int(k), seed=trial)
+                ritz = np.diagonal(basis.T @ dense @ basis)
+                assert np.abs(ritz - vals[:k]).max() < 1e-12
+
     def test_sparse_and_dense_input_give_equal_labels(self):
         g = planted_graph([100, 100, 100], 0.3, 0.005, seed=12)
         sparse_lap = normalized_laplacian(g)
@@ -220,11 +242,24 @@ class TestBottomK:
         assert np.array_equal(
             bottom_k_eigenvectors(lap, 10, seed=0), symmetric_eig_reference(lap.toarray())[1]
         )
-        # every node of an edgeless graph is its own component: e_i, eigenvalue 0
+        # every node of an edgeless graph is a 1 x 1 component of its own
         edgeless = normalized_laplacian(Graph.from_edges(4, []))
         assert edgeless.nnz == 0
         expected = symmetric_eig_reference(np.zeros((4, 4)))[1][:, :2]
         assert np.array_equal(bottom_k_eigenvectors(edgeless, 2, seed=0), expected)
+
+    def test_clique_blocks_fall_back_to_dense(self):
+        # unanimous clients give a co-membership graph of cliques; a clique's
+        # repeated eigenvalue straddles the K boundary, and from this seed's
+        # start vector ARPACK stops with error 3 ("no shifts could be applied")
+        labels = np.repeat(np.arange(8), [100] * 5 + [1] * 3)
+        similarity = (labels[:, None] == labels[None, :]).astype(np.float64)
+        np.fill_diagonal(similarity, 0.0)
+        lap = normalized_laplacian_from_adjacency(similarity)
+        basis = bottom_k_eigenvectors(lap, 10, seed=1)
+        vals, _ = symmetric_eig_reference(lap)
+        assert np.abs(np.diagonal(basis.T @ lap @ basis) - vals[:10]).max() < 1e-12
+        assert np.abs(basis.T @ basis - np.eye(10)).max() < 1e-12
 
     def test_arpack_no_convergence_is_convergence_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):
