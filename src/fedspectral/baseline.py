@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from scipy import sparse
 
 from .diagnostics import Diagnostics
 from .errors import ContractError
@@ -45,12 +46,14 @@ def get_client_labels(
     )
 
 
-def build_similarity_graph(labelings, num_clients: int) -> np.ndarray:
-    """Co-membership similarity graph from per-client labelings.
+def build_similarity_graph(labelings, num_clients: int) -> sparse.csr_array:
+    """Co-membership similarity graph from per-client labelings, CSR.
 
     Entry (i, j) is the fraction of clients whose labeling puts i and j in
     the same cluster, so values live on the grid {0, 1/C, ..., 1} and the
-    diagonal is exactly 1.
+    diagonal is exactly 1. It is H H^T / C, where the sparse N x sum(k_c)
+    matrix H stacks the clients' one-hot labelings side by side; the
+    result is canonical (sorted column indices, no stored zeros).
     """
     labelings = [np.asarray(lab).reshape(-1) for lab in labelings]
     if len(labelings) != num_clients:
@@ -65,13 +68,13 @@ def build_similarity_graph(labelings, num_clients: int) -> np.ndarray:
     if any(lab.min() < 0 for lab in labelings):
         raise ContractError("cluster ids must be non-negative")
 
-    counts = np.zeros((n, n), dtype=np.float64)
-    for lab in labelings:
-        onehot = np.zeros((n, int(lab.max()) + 1), dtype=np.float64)
-        onehot[np.arange(n), lab] = 1.0
-        counts += onehot @ onehot.T
-    counts /= num_clients
-    return counts
+    offsets = np.cumsum([0] + [int(lab.max()) + 1 for lab in labelings])
+    cols = np.concatenate([lab + off for lab, off in zip(labelings, offsets)])
+    rows = np.tile(np.arange(n), num_clients)
+    onehot = sparse.csr_array((np.ones(len(cols)), (rows, cols)), shape=(n, offsets[-1]))
+    similarity = (onehot @ onehot.T) / num_clients
+    similarity.sort_indices()
+    return similarity
 
 
 def fedspectral_server(
@@ -87,7 +90,7 @@ def fedspectral_server(
 
     Collects every client's labels (each client seeded by
     hash(master_seed, client_id)), builds the similarity graph, zeroes its
-    diagonal, and spectrally clusters its dense Laplacian as a weighted
+    diagonal, and spectrally clusters its sparse Laplacian as a weighted
     graph (with the same eigensolver as the clients). The result is
     independent of shard ordering and deterministic for fixed shards and
     seed. ``dump_dir`` optionally writes each client labeling as CSV.
@@ -112,7 +115,7 @@ def fedspectral_server(
             )
 
     similarity = build_similarity_graph(labelings, len(shards))
-    np.fill_diagonal(similarity, 0.0)
+    similarity = similarity - sparse.eye_array(similarity.shape[0], format="csr")
     lap = normalized_laplacian_from_adjacency(similarity)
     return spectral_cluster(
         lap, num_clusters, derive_seed(seed, "server"), normalize_rows=normalize_rows

@@ -2,12 +2,13 @@
 
 Covers SNAP-style edge-list ingestion, canonical in-memory representation,
 and the symmetric normalized Laplacian L and the multiplier I - L, both as
-scipy CSR matrices of O(edges) memory built from one body. The dense
-Laplacian of a dense adjacency matrix serves the baseline server's
-similarity graph. Node ids are contiguous 0..num_nodes-1 after remapping,
-with the original ids retained so results can be written back in
-source-file terms. A client shard (partition.ClientShard) is a Graph with
-a client id, so it has the same edge invariants, degrees and Laplacians.
+scipy CSR matrices of O(edges) memory built from one body; the Laplacian
+of a weighted adjacency matrix (the baseline server's similarity graph)
+is that of the Graph of its upper triangle. Node ids are contiguous
+0..num_nodes-1 after remapping, with the original ids retained so results
+can be written back in source-file terms. A client shard
+(partition.ClientShard) is a Graph with a client id, so it has the same
+edge invariants, degrees and Laplacians.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class Graph:
     the graph came from a file; ``None`` for programmatically built graphs.
     Construction coerces edges to int64 (E, 2) and weights to float64 (E,)
     and raises ContractError unless the edges are in this canonical form,
-    with endpoints in 0..num_nodes-1 and positive weights.
+    with endpoints in 0..num_nodes-1 and positive, finite weights.
     """
 
     num_nodes: int
@@ -71,8 +72,8 @@ class Graph:
             raise ContractError("edges must be lexicographically sorted")
         if len(edges) > 1 and (np.diff(edges, axis=0) == 0).all(axis=1).any():
             raise ContractError("duplicate edge")
-        if (weights <= 0).any():
-            raise ContractError("edge weights must be positive")
+        if not (np.isfinite(weights) & (weights > 0)).all():
+            raise ContractError("edge weights must be positive and finite")
 
     @classmethod
     def from_edges(cls, num_nodes, pairs, weights=None, node_ids=None) -> "Graph":
@@ -214,35 +215,26 @@ def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def normalized_laplacian_from_adjacency(a: np.ndarray) -> np.ndarray:
-    """Symmetric normalized Laplacian of a dense weighted adjacency matrix.
+def normalized_laplacian_from_adjacency(a) -> sparse.csr_array:
+    """Symmetric normalized Laplacian of a weighted adjacency matrix, CSR.
 
-    L[i,j] = -w(i,j)/sqrt(d_i d_j) off the diagonal and L[i,i] = 1 for
-    nodes with positive degree. Rows and columns of degree-0 nodes are all
-    zeros, so downstream multipliers act as the identity there.
-
-    The input must be square, symmetric, non-negative, and zero on the
-    diagonal. The output is exactly symmetric by construction.
+    ``a`` is dense or sparse, square, symmetric and zero on the diagonal.
+    The result is Graph.normalized_laplacian of the graph whose edges are
+    the nonzero entries above the diagonal, so the Graph contract rejects
+    negative and non-finite weights; rows and columns of degree-0 nodes
+    are all zeros.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a = sparse.csr_array(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError("adjacency must be square")
-    n = a.shape[0]
-    diag = np.diagonal(a)
-    if len(diag) and np.abs(diag).max() != 0.0:
+    if a.diagonal().any():
         raise ContractError("adjacency diagonal must be zero (no self-loops)")
-    if a.size and a.min() < 0:
-        raise ContractError("adjacency entries must be non-negative")
-    d = a.sum(axis=1)
-    inv_sqrt = np.zeros(n, dtype=np.float64)
-    positive = d > 0
-    inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
-    # outer(inv, inv) is exactly symmetric, hence so is the product with a
-    lap = a * np.multiply.outer(inv_sqrt, inv_sqrt)
-    np.negative(lap, out=lap)
-    idx = np.arange(n)
-    lap[idx, idx] = np.where(positive, 1.0, 0.0)
-    return lap
+    if (a != a.T).nnz:
+        raise ContractError("adjacency must be symmetric")
+    upper = sparse.triu(a, k=1, format="csr").tocoo()
+    keep = upper.data != 0
+    edges = np.stack([upper.row, upper.col], axis=1)[keep]
+    return Graph(a.shape[0], edges, upper.data[keep]).normalized_laplacian()
 
 
 normalized_laplacian = Graph.normalized_laplacian

@@ -150,6 +150,22 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(sigma, -1.0, 1.0))
 
 
+def dense_normalized_laplacian(a: np.ndarray) -> np.ndarray:
+    """Dense symmetric normalized Laplacian of a dense adjacency (test oracle).
+
+    L[i,j] = -w(i,j)/sqrt(d_i d_j) off the diagonal and L[i,i] = 1 for
+    nodes with positive degree; degree-0 rows and columns are all zeros.
+    The input is not checked.
+    """
+    d = a.sum(axis=1)
+    inv_sqrt = np.zeros(len(d))
+    positive = d > 0
+    inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
+    lap = -a * np.multiply.outer(inv_sqrt, inv_sqrt)
+    np.fill_diagonal(lap, np.where(positive, 1.0, 0.0))
+    return lap
+
+
 def mismatch_pairs_loop(global_labels, aggregated_labels) -> int:
     """Literal ordered double loop over node pairs (test oracle)."""
     n = len(global_labels)

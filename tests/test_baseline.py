@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fedspectral.baseline import (
     build_similarity_graph,
@@ -61,14 +62,14 @@ class TestSimilarityGraph:
 
     def test_unanimous_clients_give_comembership_blocks(self):
         labels = np.array([0, 0, 1, 1, 2])
-        sim = build_similarity_graph([labels, labels, labels], 3)
+        sim = build_similarity_graph([labels, labels, labels], 3).toarray()
         expected = (labels[:, None] == labels[None, :]).astype(float)
         assert np.array_equal(sim, expected)
 
     def test_diagonal_is_exactly_one_and_grid_valued(self):
         rng = np.random.default_rng(5)
         labelings = [rng.integers(0, 3, 12) for _ in range(4)]
-        sim = build_similarity_graph(labelings, 4)
+        sim = build_similarity_graph(labelings, 4).toarray()
         assert np.array_equal(np.diagonal(sim), np.ones(12))
         assert np.array_equal(sim, sim.T)
         scaled = sim * 4
@@ -77,23 +78,29 @@ class TestSimilarityGraph:
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(6)
         num_clients, n = 5, 40
-        labelings = [rng.integers(0, 4, n) for _ in range(num_clients)]
-        sim = build_similarity_graph(labelings, num_clients)
-        brute = np.zeros((n, n))
-        for lab in labelings:
-            for i in range(n):
-                for j in range(n):
-                    if lab[i] == lab[j]:
-                        brute[i, j] += 1 / num_clients
-        assert np.abs(sim - brute).max() < 1e-12
+        random = [rng.integers(0, 4, n) for _ in range(num_clients)]
+        # unequal per-client k moves every later client's column block in H
+        unequal = [rng.integers(0, k, n) for k in (1, 7, 2, 12, 3)]
+        unanimous = [random[0]] * num_clients
+        for labelings in (random, unequal, unanimous):
+            sim = build_similarity_graph(labelings, num_clients)
+            assert isinstance(sim, sparse.csr_array) and sim.has_canonical_format
+            assert (sim.data != 0).all()
+            brute = np.zeros((n, n))
+            for lab in labelings:
+                for i in range(n):
+                    for j in range(n):
+                        if lab[i] == lab[j]:
+                            brute[i, j] += 1 / num_clients
+            assert np.abs(sim.toarray() - brute).max() < 1e-12
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(7)
         labelings = [rng.integers(0, 4, 15) for _ in range(3)]
-        base = build_similarity_graph(labelings, 3)
+        base = build_similarity_graph(labelings, 3).toarray()
         perm = rng.permutation(4)
         relabeled = [perm[lab] for lab in labelings]
-        assert np.array_equal(base, build_similarity_graph(relabeled, 3))
+        assert np.array_equal(base, build_similarity_graph(relabeled, 3).toarray())
 
     def test_contracts(self):
         with pytest.raises(ContractError):

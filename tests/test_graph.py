@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fedspectral.errors import ContractError, ParseError
 from fedspectral.graph import (
@@ -12,7 +13,7 @@ from fedspectral.graph import (
 )
 from fedspectral.linalg import symmetric_eig_reference
 
-from conftest import connected_components, gnp_graph
+from conftest import connected_components, dense_normalized_laplacian, gnp_graph
 
 
 def triangle():
@@ -92,6 +93,11 @@ class TestGraphInvariants:
         with pytest.raises(ContractError):
             Graph.from_edges(2, [(0, 1)], weights=[0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_non_finite_or_nonpositive_weight(self, bad):
+        with pytest.raises(ContractError, match="positive and finite"):
+            Graph(3, [[0, 1], [1, 2]], [bad, 1.0])
+
     def test_canonicalizes_orientation(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0)])
         assert g.edges.tolist() == [[0, 2], [1, 3]]
@@ -153,3 +159,21 @@ class TestLaplacian:
             normalized_laplacian_from_adjacency(np.eye(2))
         with pytest.raises(ContractError):
             normalized_laplacian_from_adjacency(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+        with pytest.raises(ContractError, match="symmetric"):
+            normalized_laplacian_from_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        lap = normalized_laplacian_from_adjacency(sparse.csr_array(triangle().adjacency()))
+        assert np.array_equal(lap.toarray(), normalized_laplacian(triangle()).toarray())
+
+    def test_adjacency_laplacian_matches_dense_oracle(self):
+        rng = np.random.default_rng(8)
+        for trial in range(30):
+            # the last 1-4 nodes, and any node gnp leaves alone, are isolated
+            n = int(rng.integers(6, 50))
+            base = gnp_graph(n - int(rng.integers(1, 5)), 0.2, trial)
+            g = Graph(n, base.edges, rng.uniform(0.1, 3.0, base.num_edges))
+            a = g.adjacency()
+            expected = dense_normalized_laplacian(a)
+            for given in (a, sparse.csr_array(a)):
+                lap = normalized_laplacian_from_adjacency(given)
+                assert isinstance(lap, sparse.csr_array) and lap.has_canonical_format
+                assert np.abs(lap.toarray() - expected).max() <= 1e-15
