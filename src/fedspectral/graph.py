@@ -23,6 +23,7 @@ from .errors import ContractError, ParseError
 
 __all__ = [
     "Graph",
+    "scan_edge_text",
     "parse_arcs",
     "parse_edge_list",
     "load_edge_list",
@@ -67,10 +68,13 @@ class Graph:
             raise ContractError("edge endpoint outside 0..num_nodes-1")
         if not (edges[:, 0] < edges[:, 1]).all():
             raise ContractError("edges must be stored as (u, v) with u < v")
-        order = np.lexsort((edges[:, 1], edges[:, 0]))
-        if not np.array_equal(order, np.arange(len(edges))):
+        # u * N + v orders edges as (u, v) does; in place to spare a temporary
+        key = edges[:, 0] * self.num_nodes
+        key += edges[:, 1]
+        step = np.diff(key).min(initial=1)
+        if step < 0:
             raise ContractError("edges must be lexicographically sorted")
-        if len(edges) > 1 and (np.diff(edges, axis=0) == 0).all(axis=1).any():
+        if step == 0:
             raise ContractError("duplicate edge")
         if not (np.isfinite(weights) & (weights > 0)).all():
             raise ContractError("edge weights must be positive and finite")
@@ -83,38 +87,29 @@ class Graph:
         and duplicates are rejected (use parse_edge_list for raw input that
         may contain them).
         """
-        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
-        w = (
-            np.ones(len(arr), dtype=np.float64)
-            if weights is None
-            else np.asarray(weights, dtype=np.float64).reshape(-1)
-        )
-        if len(arr):
-            if (arr[:, 0] == arr[:, 1]).any():
-                raise ContractError("self-loop in edge list")
-            lo = np.minimum(arr[:, 0], arr[:, 1])
-            hi = np.maximum(arr[:, 0], arr[:, 1])
-            arr = np.stack([lo, hi], axis=1)
-            order = np.lexsort((arr[:, 1], arr[:, 0]))
-            arr = arr[order]
-            w = w[order]
-        return cls(num_nodes=num_nodes, edges=arr, weights=w, node_ids=node_ids)
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        w = np.ones(len(arr)) if weights is None else np.ravel(weights)
+        if len(w) != len(arr):
+            raise ContractError("edges and weights length mismatch")
+        if (arr[:, 0] == arr[:, 1]).any():
+            raise ContractError("self-loop in edge list")
+        arr = np.sort(arr, axis=1)
+        order = np.lexsort((arr[:, 1], arr[:, 0]))
+        return cls(num_nodes, arr[order], w[order], node_ids=node_ids)
 
     @classmethod
     def from_arcs(cls, arcs: np.ndarray) -> "Graph":
         """Undirected graph of raw (u, v) id arcs, as parse_edge_list builds it."""
-        ids = np.unique(arcs)
-        remapped = np.searchsorted(ids, arcs)
-        lo = np.minimum(remapped[:, 0], remapped[:, 1])
-        hi = np.maximum(remapped[:, 0], remapped[:, 1])
-        keep = lo < hi
-        pairs = np.unique(np.stack([lo[keep], hi[keep]], axis=1), axis=0)
-        return cls(
-            num_nodes=len(ids),
-            edges=pairs,
-            weights=np.ones(len(pairs), dtype=np.float64),
-            node_ids=ids,
-        )
+        ids, inverse = np.unique(arcs, return_inverse=True)
+        u, v = inverse.reshape(arcs.shape).T
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        n = len(ids)
+        # dedupe scalar keys by sort and diff; np.unique hashes them, far slower
+        keys = np.sort((lo * n + hi)[lo < hi])
+        keys = keys[np.diff(keys, prepend=-1) != 0]
+        return cls(n, np.stack(np.divmod(keys, n), axis=1), np.ones(len(keys)), ids)
 
     @property
     def num_edges(self) -> int:
@@ -148,12 +143,41 @@ class Graph:
         return identity - laplacian_multiplier(self)
 
 
-def _iter_lines(text: TextSource) -> Iterable[str]:
+def _int_pairs(lines: list[str]) -> np.ndarray | None:
+    """Lines as an int64 (E, 2) array, or None unless each is two int64 tokens."""
+    try:
+        arr = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return arr if arr.shape[1] == 2 else None
+
+
+def scan_edge_text(text: TextSource) -> tuple[np.ndarray, list, list]:
+    """Split SNAP text into (arcs, their line numbers, [(line number, '#' line)]).
+
+    Arcs are the raw (u, v) ids of the data lines, int64 (E, 2); blank lines
+    are skipped. A data line is two whitespace-separated integers in the
+    int64 range, ASCII digits with an optional sign. Anything else (a third
+    token, an inline '# note', '1_0', '1.0', an id outside int64) raises
+    ParseError naming its 1-based line.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    if isinstance(text, str):
-        return text.splitlines()
-    return text
+    lines = text.splitlines() if isinstance(text, str) else text
+    data, numbers, comments = [], [], []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            comments.append((lineno, line))
+        elif line:
+            data.append(line)
+            numbers.append(lineno)
+    arcs = _int_pairs(data) if data else np.empty((0, 2), dtype=np.int64)
+    if arcs is None:
+        bad = next(i for i, line in enumerate(data) if _int_pairs([line]) is None)
+        msg = f"expected two integers in the int64 range, got {data[bad]!r}"
+        raise ParseError(f"line {numbers[bad]}: {msg}")
+    return arcs, numbers, comments
 
 
 def parse_arcs(text: TextSource) -> np.ndarray:
@@ -161,26 +185,12 @@ def parse_arcs(text: TextSource) -> np.ndarray:
 
     '#' lines and blank lines are skipped; nothing is deduplicated or
     remapped. Raises ParseError, with the line number, on a malformed line
-    and on input without data lines.
+    (see scan_edge_text) and on input without data lines.
     """
-    arcs = []
-    for lineno, raw in enumerate(_iter_lines(text), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise ParseError(
-                f"line {lineno}: expected two integer tokens, got {len(parts)}"
-            )
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
-        arcs.append((u, v))
-    if not arcs:
+    arcs = scan_edge_text(text)[0]
+    if not len(arcs):
         raise ParseError("empty edge list: no data lines")
-    return np.asarray(arcs, dtype=np.int64)
+    return arcs
 
 
 def parse_edge_list(text: TextSource) -> Graph:

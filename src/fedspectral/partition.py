@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, ParseError
-from .graph import Graph, serialize_edge_list
+from .graph import Graph, scan_edge_text, serialize_edge_list
 
 __all__ = [
     "ClientShard",
@@ -127,37 +127,24 @@ def read_shard(path) -> ClientShard:
     orientation) and endpoints outside the '# nodes:' universe raise
     ParseError.
     """
-    header = {}
-    pairs = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition(":")
-                if key in ("client_id", "nodes"):
-                    try:
-                        header[key] = int(value)
-                    except ValueError:
-                        raise ParseError(
-                            f"line {lineno}: non-integer {key} header"
-                        ) from None
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(f"line {lineno}: expected two integer tokens")
+        arcs, numbers, comments = scan_edge_text(fh)
+    header = {}
+    for lineno, line in comments:
+        key, _, value = line[1:].strip().partition(":")
+        if key in ("client_id", "nodes"):
             try:
-                u, v = int(parts[0]), int(parts[1])
+                header[key] = int(value)
             except ValueError:
-                raise ParseError(f"line {lineno}: non-integer token") from None
-            if u == v:
-                raise ParseError(f"line {lineno}: self-loop {u} {v}")
-            pairs.append((u, v))
+                raise ParseError(f"line {lineno}: non-integer {key} header") from None
+    loops = np.flatnonzero(arcs[:, 0] == arcs[:, 1])
+    if len(loops):
+        u, v = arcs[loops[0]]
+        raise ParseError(f"line {numbers[loops[0]]}: self-loop {u} {v}")
     if len(header) != 2:
         raise ParseError("shard file is missing its client_id/nodes header")
     try:
-        g = Graph.from_edges(header["nodes"], pairs)
+        g = Graph.from_edges(header["nodes"], arcs)
     except ContractError as exc:
         raise ParseError(f"{path}: {exc}") from None
     return ClientShard(

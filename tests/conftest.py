@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fedspectral.errors import ParseError
 from fedspectral.graph import Graph, load_edge_list
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -164,6 +165,32 @@ def dense_normalized_laplacian(a: np.ndarray) -> np.ndarray:
     lap = -a * np.multiply.outer(inv_sqrt, inv_sqrt)
     np.fill_diagonal(lap, np.where(positive, 1.0, 0.0))
     return lap
+
+
+def parse_arcs_loop(text) -> np.ndarray:
+    """Per-line SNAP edge-list parser with Python ``int`` (test oracle).
+
+    Takes str, bytes or an iterable of lines, skips blank and '#' lines and
+    raises ParseError naming the line of a malformed one. Python ``int``
+    also accepts '1_0' and non-ASCII digits, which graph.parse_arcs rejects.
+    """
+    if isinstance(text, bytes):
+        text = text.decode("utf-8")
+    arcs = []
+    for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise ParseError(f"line {lineno}: expected two integer tokens, got {len(parts)}")
+        try:
+            arcs.append((int(parts[0]), int(parts[1])))
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer token in {line!r}") from None
+    if not arcs:
+        raise ParseError("empty edge list: no data lines")
+    return np.asarray(arcs, dtype=np.int64)
 
 
 def mismatch_pairs_loop(global_labels, aggregated_labels) -> int:

@@ -81,6 +81,22 @@ def test_run_unconverged_reference_errors(dataset_file, monkeypatch, capsys):
     assert "ARPACK did not converge" in lines[0]
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_id_outside_int64_errors(command, tmp_path, capsys):
+    path = tmp_path / "huge_id.txt"
+    path.write_text("0 1\n# c\n99999999999999999999 1\n")
+    argv = {
+        "run": ["run", "--dataset", str(path), "--clusters", "2"],
+        "verify": ["verify", "--dataset", str(path), "--expect-nodes", "3", "--expect-edges", "2"],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and "line 3" in lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_sweep_outputs(dataset_file, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

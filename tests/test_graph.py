@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -11,9 +13,15 @@ from fedspectral.graph import (
     parse_edge_list,
     serialize_edge_list,
 )
+from fedspectral.experiment import verify_dataset
 from fedspectral.linalg import symmetric_eig_reference
 
-from conftest import connected_components, dense_normalized_laplacian, gnp_graph
+from conftest import (
+    connected_components,
+    dense_normalized_laplacian,
+    gnp_graph,
+    parse_arcs_loop,
+)
 
 
 def triangle():
@@ -66,14 +74,127 @@ class TestParse:
             assert again.num_nodes == g.num_nodes
             assert np.array_equal(again.edges, g.edges)
 
-    def test_scan_counts(self):
+    def test_scan_counts(self, tmp_path):
         # the raw view verify_dataset counts for directed sources: nothing
         # deduplicated, self-loops kept
-        arcs = parse_arcs("# c\n0 1\n1 0\n1 1\n1 1\n")
+        text = "# c\n0 1\n1 0\n1 1\n1 1\n"
+        arcs = parse_arcs(text)
         assert arcs.tolist() == [[0, 1], [1, 0], [1, 1], [1, 1]]
         assert len(np.unique(arcs)) == 2
         assert len(np.unique(arcs, axis=0)) == 3  # (0,1), (1,0), (1,1)
         assert len(arcs) == 4
+        path = tmp_path / "arcs.txt"
+        path.write_text(text)
+        directed = verify_dataset(path, 2, 3, directed=True)
+        assert (directed.num_nodes, directed.num_edges, directed.undirected_edges) == (2, 3, 1)
+        undirected = verify_dataset(path, 2, 1)
+        assert (undirected.num_nodes, undirected.num_edges) == (2, 1)
+        # ids near the int64 limits: raw u * N + v would overflow, remapped cannot
+        big = 2**62
+        path.write_text(f"{-big} {big}\n{big} {-big}\n{big} {big}\n{-big} {big}\n")
+        report = verify_dataset(path, 2, 3, directed=True)
+        assert (report.num_nodes, report.num_edges, report.undirected_edges) == (2, 3, 1)
+
+
+def _random_snap_text(rng, malformed: bool) -> str:
+    """SNAP text mixing comments, blanks, whitespace, CRLF and arc kinds."""
+    spaces = [" ", "\t", "  ", " \t "]
+    lines, arcs = [], []
+    for _ in range(rng.integers(1, 30)):
+        kind = rng.integers(6)
+        pad = str(rng.choice(["", " ", "\t", "  "]))
+        if kind == 0:
+            lines.append(pad + "# comment 1 2")
+        elif kind == 1:
+            lines.append(pad)
+        else:
+            if kind == 2 and arcs:  # reciprocal of an earlier arc
+                u, v = arcs[rng.integers(len(arcs))][::-1]
+            elif kind == 3:  # self-loop
+                u = v = int(rng.integers(-5, 40))
+            else:
+                u, v = (int(x) for x in rng.integers(-5, 40, size=2))
+            arcs.append((u, v))
+            tail = str(rng.choice(["", " ", "\t"]))
+            lines.append(f"{pad}{u}{rng.choice(spaces)}{v}{tail}")
+    if not arcs:
+        lines.append(f"{rng.integers(40)} {rng.integers(40)}")
+    if malformed:
+        bad = str(rng.choice(["0 1 2", "7", "0 x", "0 1 # note", "1.5 2", "-", "3 4 5 6"]))
+        lines.insert(int(rng.integers(len(lines) + 1)), bad)
+    newline = str(rng.choice(["\n", "\r\n"]))
+    return newline.join(lines) + (newline if rng.random() < 0.5 else "")
+
+
+class TestParseAgainstOracle:
+    """graph.parse_arcs against the per-line parser in conftest."""
+
+    @staticmethod
+    def _sources(text, tmp_path):
+        """The same text as str, as bytes and as an open file handle."""
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return [lambda: text, lambda: text.encode("utf-8"), lambda: open(path, encoding="utf-8")]
+
+    @staticmethod
+    def _parse(parse, make):
+        source = make()
+        try:
+            return parse(source)
+        finally:
+            if hasattr(source, "close"):
+                source.close()
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_matches_oracle(self, seed, tmp_path):
+        rng = np.random.default_rng(seed)
+        text = _random_snap_text(rng, malformed=False)
+        for make in self._sources(text, tmp_path):
+            arcs = self._parse(parse_arcs, make)
+            expected = self._parse(parse_arcs_loop, make)
+            assert arcs.dtype == np.int64 and arcs.shape == expected.shape
+            assert np.array_equal(arcs, expected)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_malformed_line_number_matches_oracle(self, seed, tmp_path):
+        text = _random_snap_text(np.random.default_rng(1000 + seed), malformed=True)
+        for make in self._sources(text, tmp_path):
+            with pytest.raises(ParseError) as oracle:
+                self._parse(parse_arcs_loop, make)
+            line = re.match(r"line \d+:", str(oracle.value)).group(0)
+            with pytest.raises(ParseError, match=f"^{line}"):
+                self._parse(parse_arcs, make)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("0 1\n# c\n2 3\n0 1 2\n", 4),  # a third token after valid lines
+            ("0 1\n\n5\n", 3),  # one token
+            ("5\n0 1\n2 3\n", 1),  # one token before two-token lines
+            ("0 1\n0 1 # note\n", 2),  # inline comments are not comments
+            ("0 1\n99999999999999999999 1\n", 2),  # outside int64
+            ("0 1\n2 -9223372036854775809\n", 2),
+        ],
+    )
+    def test_malformed_line_number(self, text, line):
+        with pytest.raises(ParseError, match=f"^line {line}: "):
+            parse_arcs(text)
+
+    def test_only_comments(self):
+        with pytest.raises(ParseError, match="empty edge list"):
+            parse_arcs("# one\n\n  # two\n")
+
+    def test_int64_limits_accepted(self):
+        arcs = parse_arcs("9223372036854775807 -9223372036854775808\n+3 007\n")
+        assert arcs.tolist() == [[2**63 - 1, -(2**63)], [3, 7]]
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663"])
+    def test_stricter_than_python_int(self, token):
+        # Python int accepts digit-group underscores and non-ASCII digits;
+        # the parser takes ASCII digits with an optional sign only
+        assert parse_arcs_loop(f"{token} 2\n").shape == (1, 2)
+        with pytest.raises(ParseError, match="^line 2: "):
+            parse_arcs(f"0 1\n{token} 2\n")
 
 
 class TestGraphInvariants:
@@ -101,6 +222,27 @@ class TestGraphInvariants:
     def test_canonicalizes_orientation(self):
         g = Graph.from_edges(4, [(3, 1), (2, 0)])
         assert g.edges.tolist() == [[0, 2], [1, 3]]
+
+    def test_unsorted_and_duplicate_are_distinct_errors(self):
+        with pytest.raises(ContractError, match="lexicographically sorted"):
+            Graph(4, [[0, 2], [0, 1]], [1.0, 1.0])
+        with pytest.raises(ContractError, match="lexicographically sorted"):
+            Graph(4, [[1, 2], [0, 3], [0, 3]], [1.0, 1.0, 1.0])
+        with pytest.raises(ContractError, match="duplicate edge"):
+            Graph(4, [[0, 1], [1, 2], [1, 2]], [1.0, 1.0, 1.0])
+
+    def test_from_edges_array_and_iterable_agree(self):
+        pairs = np.array([[3, 1], [2, 0], [0, 1]])
+        a = Graph.from_edges(4, pairs, weights=[1.0, 2.0, 3.0])
+        b = Graph.from_edges(4, (tuple(p) for p in pairs.tolist()), weights=[1.0, 2.0, 3.0])
+        assert a.edges.tolist() == b.edges.tolist() == [[0, 1], [0, 2], [1, 3]]
+        assert a.weights.tolist() == b.weights.tolist() == [3.0, 2.0, 1.0]
+
+    def test_from_edges_weight_count_must_match(self):
+        with pytest.raises(ContractError, match="length mismatch"):
+            Graph.from_edges(3, [(0, 1)], weights=[1.0, 2.0])
+        with pytest.raises(ContractError, match="length mismatch"):
+            Graph.from_edges(3, [], weights=[1.0])
 
 
 class TestLaplacian:

@@ -175,6 +175,8 @@ class TestShardIO:
             ("0 1\n2 2\n", "line 4: self-loop"),
             ("0 1\n1 0\n0 1\n", "duplicate edge"),
             ("0 1\n1 2\n", "outside"),
+            ("0 1\n99999999999999999999 1\n", "line 4: expected two integers"),
+            ("0 1\n\n1 0 # again\n", "line 5: expected two integers"),
         ],
     )
     def test_rejects_bad_edges(self, tmp_path, body, match):
