@@ -2,7 +2,8 @@
 
 Every client spectrally clusters its private shard and ships only the
 length-N label vector; the server fuses the labelings into a co-membership
-similarity graph and spectrally re-clusters that.
+similarity Graph and spectrally re-clusters that. Clients and server run
+the one pipeline, linalg.global_spectral_clustering, on their graphs.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ from scipy import sparse
 
 from .diagnostics import Diagnostics
 from .errors import ContractError
-from .graph import normalized_laplacian_from_adjacency
-from .linalg import global_spectral_clustering, spectral_cluster
+from .graph import Graph
+# no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
+from .graph import normalized_laplacian_from_adjacency  # noqa: F401
+from .linalg import global_spectral_clustering
 from .metrics import write_labels_csv
 from .partition import ClientShard, shard_universe
 from .seeding import client_seed, derive_seed
@@ -46,35 +49,35 @@ def get_client_labels(
     )
 
 
-def build_similarity_graph(labelings, num_clients: int) -> sparse.csr_array:
-    """Co-membership similarity graph from per-client labelings, CSR.
+def build_similarity_graph(labelings, num_clients: int) -> Graph:
+    """Co-membership Graph of per-client labelings.
 
-    Entry (i, j) is the fraction of clients whose labeling puts i and j in
-    the same cluster, so values live on the grid {0, 1/C, ..., 1} and the
-    diagonal is exactly 1. It is H H^T / C, where the sparse N x sum(k_c)
-    matrix H stacks the clients' one-hot labelings side by side; the
-    result is canonical (sorted column indices, no stored zeros).
+    Nodes i < j share an edge when some client puts them in one cluster,
+    weighted by the fraction of clients that do: the entries above the
+    diagonal of H H^T / C, where the sparse N x sum(k_c) matrix H stacks
+    the clients' one-hot labelings side by side. Labelings must be 1-D
+    arrays of non-negative integers, all of one non-zero length.
     """
-    labelings = [np.asarray(lab).reshape(-1) for lab in labelings]
-    if len(labelings) != num_clients:
-        raise ContractError(
-            f"expected {num_clients} labelings, got {len(labelings)}"
-        )
-    if num_clients == 0:
-        raise ContractError("need at least one client labeling")
-    n = labelings[0].shape[0]
-    if any(lab.shape[0] != n for lab in labelings):
-        raise ContractError("labelings have mismatched lengths")
-    if any(lab.min() < 0 for lab in labelings):
-        raise ContractError("cluster ids must be non-negative")
+    labelings = [np.asarray(lab) for lab in labelings]
+    if num_clients < 1 or len(labelings) != num_clients:
+        raise ContractError(f"expected {num_clients} >= 1 labelings, got {len(labelings)}")
+    n = labelings[0].size
+    if n == 0 or not all(
+        lab.shape == (n,) and lab.dtype.kind in "iu" and lab.min() >= 0 for lab in labelings
+    ):
+        raise ContractError("need 1-D non-negative integer labelings of one non-zero length")
 
     offsets = np.cumsum([0] + [int(lab.max()) + 1 for lab in labelings])
-    cols = np.concatenate([lab + off for lab, off in zip(labelings, offsets)])
+    cols = np.concatenate(labelings).astype(np.int64) + np.repeat(offsets[:-1], n)
     rows = np.tile(np.arange(n), num_clients)
     onehot = sparse.csr_array((np.ones(len(cols)), (rows, cols)), shape=(n, offsets[-1]))
-    similarity = (onehot @ onehot.T) / num_clients
-    similarity.sort_indices()
-    return similarity
+    counts = onehot @ onehot.T
+    counts.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(counts.indptr))
+    upper = counts.indices > rows
+    edges = np.stack([rows[upper], counts.indices[upper]], axis=1)
+    # count * (1/C) is what scipy's sparse H H^T / C computes: 3 * (1/5) != 3 / 5
+    return Graph(n, edges, counts.data[upper] * (1 / num_clients))
 
 
 def fedspectral_server(
@@ -89,9 +92,10 @@ def fedspectral_server(
     """Aggregate per-client labelings into a global clustering.
 
     Collects every client's labels (each client seeded by
-    hash(master_seed, client_id)), builds the similarity graph, zeroes its
-    diagonal, and spectrally clusters its sparse Laplacian as a weighted
-    graph (with the same eigensolver as the clients). The result is
+    hash(master_seed, client_id)), builds the co-membership Graph
+    (build_similarity_graph) and clusters it with
+    global_spectral_clustering, the pipeline of the clients and of the
+    reference, seeded by hash(master_seed, "server"). The result is
     independent of shard ordering and deterministic for fixed shards and
     seed. ``dump_dir`` optionally writes each client labeling as CSV.
     """
@@ -114,9 +118,7 @@ def fedspectral_server(
                 os.path.join(dump_dir, f"client_{sh.client_id}_labels.csv"), lab
             )
 
-    similarity = build_similarity_graph(labelings, len(shards))
-    similarity = similarity - sparse.eye_array(similarity.shape[0], format="csr")
-    lap = normalized_laplacian_from_adjacency(similarity)
-    return spectral_cluster(
-        lap, num_clusters, derive_seed(seed, "server"), normalize_rows=normalize_rows
+    graph = build_similarity_graph(labelings, len(shards))
+    return global_spectral_clustering(
+        graph, num_clusters, derive_seed(seed, "server"), normalize_rows=normalize_rows
     )

@@ -2,13 +2,12 @@
 
 Covers SNAP-style edge-list ingestion, canonical in-memory representation,
 and the symmetric normalized Laplacian L and the multiplier I - L, both as
-scipy CSR matrices of O(edges) memory built from one body; the Laplacian
-of a weighted adjacency matrix (the baseline server's similarity graph)
-is that of the Graph of its upper triangle. Node ids are contiguous
-0..num_nodes-1 after remapping, with the original ids retained so results
-can be written back in source-file terms. A client shard
-(partition.ClientShard) is a Graph with a client id, so it has the same
-edge invariants, degrees and Laplacians.
+scipy CSR matrices of O(edges) memory built from one body. Every runtime
+graph is a Graph (a client shard, partition.ClientShard, is a Graph with a
+client id; the baseline server's co-membership graph is one too), so the
+Laplacian of an adjacency matrix is only a test oracle. Node ids are
+contiguous 0..num_nodes-1 after remapping, with the original ids retained
+so results can be written back in source-file terms.
 """
 
 from __future__ import annotations
@@ -139,8 +138,7 @@ class Graph:
         edgeless graph gives a matrix with no stored entries. The matrix is
         canonical: sorted column indices, no duplicates, no stored zeros.
         """
-        identity = sparse.eye_array(self.num_nodes, format="csr")
-        return identity - laplacian_multiplier(self)
+        return _scaled_adjacency(self, laplacian=True)
 
 
 def _int_pairs(lines: list[str]) -> np.ndarray | None:
@@ -228,6 +226,7 @@ def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
 def normalized_laplacian_from_adjacency(a) -> sparse.csr_array:
     """Symmetric normalized Laplacian of a weighted adjacency matrix, CSR.
 
+    A test oracle with no runtime caller (bench/layers.py still traces it).
     ``a`` is dense or sparse, square, symmetric and zero on the diagonal.
     The result is Graph.normalized_laplacian of the graph whose edges are
     the nonzero entries above the diagonal, so the Graph contract rejects
@@ -259,15 +258,23 @@ def laplacian_multiplier(g: Graph) -> sparse.csr_array:
     Column indices are sorted within each row, so ``M @ v`` sums every
     row's terms in ascending column order.
     """
+    return _scaled_adjacency(g, laplacian=False)
+
+
+def _scaled_adjacency(g: Graph, *, laplacian: bool) -> sparse.csr_array:
+    """L (``laplacian``) or I - L, whose off-diagonal entries are negations;
+    the diagonal 1s go to nodes with edges in L, to isolated nodes in I - L."""
     d = g.degrees()
     inv_sqrt = np.zeros(g.num_nodes, dtype=np.float64)
     positive = d > 0
     inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
     u, v = g.edges[:, 0], g.edges[:, 1]
     vals = g.weights * (inv_sqrt[u] * inv_sqrt[v])
-    isolated = np.flatnonzero(~positive)
-    rows = np.concatenate([u, v, isolated])
-    cols = np.concatenate([v, u, isolated])
-    vals = np.concatenate([vals, vals, np.ones(len(isolated))])
+    if laplacian:
+        np.negative(vals, out=vals)
+    unit = np.flatnonzero(positive == laplacian)
+    rows = np.concatenate([u, v, unit])
+    cols = np.concatenate([v, u, unit])
+    vals = np.concatenate([vals, vals, np.ones(len(unit))])
     n = g.num_nodes
     return sparse.csr_array((vals, (rows, cols)), shape=(n, n))

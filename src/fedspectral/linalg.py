@@ -3,8 +3,9 @@
 Reduced QR and the dense reference eigensolver (numpy's LAPACK, under
 pinned sign conventions), the bottom-K eigensolver of a sparse or dense
 Laplacian (ARPACK through scipy's eigsh, per connected component), Lloyd's
-k-means with k-means++ seeding, and the non-federated spectral clustering
-pipeline that serves as the gold standard for every experiment.
+k-means with k-means++ seeding, and the one spectral clustering pipeline
+of a graph: it gives the reference labeling that every experiment scores
+against, and the baseline's client and server labelings.
 
 Everything is float64 and deterministic for fixed seeds. The
 factorizations are followed by sign fixes (non-negative R diagonal;
@@ -29,7 +30,6 @@ __all__ = [
     "bottom_k_eigenvectors",
     "kmeans",
     "cluster_embedding_rows",
-    "spectral_cluster",
     "global_spectral_clustering",
 ]
 
@@ -280,31 +280,16 @@ def cluster_embedding_rows(
     return kmeans(points, k, seed)
 
 
-def spectral_cluster(
-    lap, k: int, seed: int, *, normalize_rows: bool = False
-) -> np.ndarray:
-    """Laplacian (dense or sparse) in, cluster labels out.
-
-    Bottom-K embedding (bottom_k_eigenvectors) followed by k-means on the
-    node rows. Seeds for the eigensolver's start vector and the k-means
-    stream are derived from ``seed`` with fixed role labels, so every
-    caller of this pipeline agrees bit for bit.
-    """
-    embedding = bottom_k_eigenvectors(lap, k, embedding_seed(seed))
-    return cluster_embedding_rows(
-        embedding, k, kmeans_seed(seed), normalize_rows=normalize_rows
-    )
-
-
 def global_spectral_clustering(
     g: Graph, k: int, seed: int, *, normalize_rows: bool = False
 ) -> np.ndarray:
-    """Spectral clustering of the whole, undistributed graph.
-
-    This is the reference labeling every federated output is scored
-    against. It solves the graph's sparse normalized Laplacian.
-    Deterministic for fixed (g, k, seed).
+    """Spectral clustering of a graph: the reference (the whole graph), each
+    baseline client (its shard) and the baseline server (the co-membership
+    graph) all call this one pipeline. Bottom-K eigenvectors of the sparse
+    normalized Laplacian, then k-means on the node rows, both seeded from
+    ``seed`` by role; deterministic for fixed (g, k, seed).
     """
-    return spectral_cluster(
-        normalized_laplacian(g), k, seed, normalize_rows=normalize_rows
+    embedding = bottom_k_eigenvectors(normalized_laplacian(g), k, embedding_seed(seed))
+    return cluster_embedding_rows(
+        embedding, k, kmeans_seed(seed), normalize_rows=normalize_rows
     )

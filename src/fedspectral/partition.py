@@ -122,11 +122,19 @@ def write_shard(shard: ClientShard, path, seed: int | None = None) -> None:
 def read_shard(path) -> ClientShard:
     """Read a shard file written by write_shard.
 
-    Edge orientation and order are made canonical; a missing or non-integer
-    '# client_id:'/'# nodes:' header, self-loops, duplicate edges (in either
-    orientation) and endpoints outside the '# nodes:' universe raise
-    ParseError.
+    Edge orientation and order are made canonical; malformed data lines, a
+    missing or non-integer '# client_id:'/'# nodes:' header, self-loops,
+    duplicate edges (in either orientation) and endpoints outside the
+    '# nodes:' universe raise ParseError, whose message starts with the path.
     """
+    try:
+        return _parse_shard(path)
+    except (ParseError, ContractError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
+
+
+def _parse_shard(path) -> ClientShard:
+    """read_shard without the path in its error messages."""
     with open(path, "r", encoding="utf-8") as fh:
         arcs, numbers, comments = scan_edge_text(fh)
     header = {}
@@ -143,10 +151,7 @@ def read_shard(path) -> ClientShard:
         raise ParseError(f"line {numbers[loops[0]]}: self-loop {u} {v}")
     if len(header) != 2:
         raise ParseError("shard file is missing its client_id/nodes header")
-    try:
-        g = Graph.from_edges(header["nodes"], arcs)
-    except ContractError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    g = Graph.from_edges(header["nodes"], arcs)
     return ClientShard(
         g.num_nodes, g.edges, g.weights, client_id=header["client_id"]
     )

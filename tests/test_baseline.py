@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from fedspectral import baseline
 from fedspectral.baseline import (
     build_similarity_graph,
     fedspectral_server,
@@ -9,10 +10,19 @@ from fedspectral.baseline import (
 )
 from fedspectral.diagnostics import Diagnostics
 from fedspectral.errors import ContractError
-from fedspectral.graph import Graph
-from fedspectral.linalg import global_spectral_clustering
+from fedspectral.graph import (
+    Graph,
+    normalized_laplacian,
+    normalized_laplacian_from_adjacency,
+)
+from fedspectral.linalg import (
+    bottom_k_eigenvectors,
+    cluster_embedding_rows,
+    global_spectral_clustering,
+)
 from fedspectral.metrics import cluster_similarity
 from fedspectral.partition import ClientShard, distribute_edges
+from fedspectral.seeding import derive_seed, embedding_seed, kmeans_seed
 
 from conftest import planted_graph
 
@@ -56,23 +66,27 @@ class TestClientLabels:
 class TestSimilarityGraph:
     def test_two_client_entries(self):
         both = build_similarity_graph([[0, 0, 1], [1, 1, 0]], 2)
-        assert both[0, 1] == 1.0
+        assert both.adjacency()[0, 1] == 1.0
         one = build_similarity_graph([[0, 0, 1], [0, 1, 1]], 2)
-        assert one[0, 1] == 0.5
+        assert one.adjacency()[0, 1] == 0.5
 
     def test_unanimous_clients_give_comembership_blocks(self):
         labels = np.array([0, 0, 1, 1, 2])
-        sim = build_similarity_graph([labels, labels, labels], 3).toarray()
+        sim = build_similarity_graph([labels, labels, labels], 3)
         expected = (labels[:, None] == labels[None, :]).astype(float)
-        assert np.array_equal(sim, expected)
+        assert np.array_equal(sim.adjacency() + np.eye(5), expected)
 
     def test_diagonal_is_exactly_one_and_grid_valued(self):
+        # the co-membership diagonal is one by definition; the Graph stores
+        # no self-loops, by design, so its adjacency diagonal is zero
         rng = np.random.default_rng(5)
         labelings = [rng.integers(0, 3, 12) for _ in range(4)]
-        sim = build_similarity_graph(labelings, 4).toarray()
-        assert np.array_equal(np.diagonal(sim), np.ones(12))
-        assert np.array_equal(sim, sim.T)
-        scaled = sim * 4
+        sim = build_similarity_graph(labelings, 4)
+        assert isinstance(sim, Graph) and sim.num_nodes == 12
+        assert (sim.edges[:, 0] < sim.edges[:, 1]).all()
+        assert not np.diagonal(sim.adjacency()).any()
+        assert ((sim.weights > 0) & (sim.weights <= 1)).all()
+        scaled = sim.weights * 4
         assert np.abs(scaled - np.round(scaled)).max() < 1e-12
 
     def test_matches_bruteforce_oracle(self):
@@ -84,29 +98,90 @@ class TestSimilarityGraph:
         unanimous = [random[0]] * num_clients
         for labelings in (random, unequal, unanimous):
             sim = build_similarity_graph(labelings, num_clients)
-            assert isinstance(sim, sparse.csr_array) and sim.has_canonical_format
-            assert (sim.data != 0).all()
+            assert isinstance(sim, Graph)
             brute = np.zeros((n, n))
             for lab in labelings:
                 for i in range(n):
                     for j in range(n):
                         if lab[i] == lab[j]:
                             brute[i, j] += 1 / num_clients
-            assert np.abs(sim.toarray() - brute).max() < 1e-12
+            assert np.abs(sim.adjacency() + np.eye(n) - brute).max() < 1e-12
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(7)
         labelings = [rng.integers(0, 4, 15) for _ in range(3)]
-        base = build_similarity_graph(labelings, 3).toarray()
+        base = build_similarity_graph(labelings, 3)
         perm = rng.permutation(4)
-        relabeled = [perm[lab] for lab in labelings]
-        assert np.array_equal(base, build_similarity_graph(relabeled, 3).toarray())
+        relabeled = build_similarity_graph([perm[lab] for lab in labelings], 3)
+        assert np.array_equal(base.edges, relabeled.edges)
+        assert np.array_equal(base.weights, relabeled.weights)
 
     def test_contracts(self):
         with pytest.raises(ContractError):
             build_similarity_graph([[0, 1]], 2)
         with pytest.raises(ContractError):
             build_similarity_graph([[0, 1], [0, 1, 2]], 2)
+        # float labels would be truncated into columns, merging nodes 0 and 1
+        with pytest.raises(ContractError, match="integer"):
+            build_similarity_graph([[0.2, 0.7, 1.0]], 1)
+        with pytest.raises(ContractError, match="non-zero length"):
+            build_similarity_graph([[], []], 2)
+        with pytest.raises(ContractError, match="1-D"):
+            build_similarity_graph([[[0, 1], [1, 0]]], 1)
+        with pytest.raises(ContractError, match="non-negative"):
+            build_similarity_graph([[0, -1]], 1)
+
+
+def comembership_counts(labelings):
+    """Integer N x N count of the clients that co-label each pair."""
+    return sum((lab[:, None] == lab[None, :]).astype(np.int64) for lab in labelings)
+
+
+def oracle_labelings(case, rng, n, num_clients):
+    if case == "random":
+        return [rng.integers(0, rng.integers(1, 8), n) for _ in range(num_clients)]
+    if case == "unequal":
+        return [rng.integers(0, k, n) for k in (1, 9, 2, 5, 3, 12, 4)[:num_clients]]
+    if case == "unanimous":
+        return [rng.integers(0, 4, n)] * num_clients
+    # near-singleton: k close to N leaves most nodes alone or in pairs
+    return [rng.integers(0, n - 2, n) for _ in range(num_clients)]
+
+
+class TestServerOracle:
+    """The server equals the pipeline it replaced, which clustered the
+    Laplacian of the adjacency H H^T / C - I with the server's seeds."""
+
+    @pytest.mark.parametrize("case", ["random", "unequal", "unanimous", "singletons"])
+    def test_laplacian_and_labels_match_adjacency_pipeline(self, monkeypatch, case):
+        rng = np.random.default_rng(len(case))
+        for trial in range(8):
+            # 1 / C is inexact for C = 3, 5, 6, 7, where the rounding shows
+            n, num_clients = int(rng.integers(8, 40)), int(rng.integers(2, 8))
+            labelings = oracle_labelings(case, rng, n, num_clients)
+            # scipy divides a sparse matrix by C as count * (1/C), whose bits
+            # differ from count / C (3 * (1/5) != 3 / 5), so divide the CSR
+            counts = sparse.csr_array(comembership_counts(labelings))
+            identity = sparse.eye_array(n, format="csr")
+            old_lap = normalized_laplacian_from_adjacency(counts / num_clients - identity)
+            lap = normalized_laplacian(build_similarity_graph(labelings, num_clients))
+            assert lap.shape == old_lap.shape
+            assert np.array_equal(lap.indptr, old_lap.indptr)
+            assert np.array_equal(lap.indices, old_lap.indices)
+            assert np.array_equal(lap.data, old_lap.data)
+
+            monkeypatch.setattr(
+                baseline, "get_client_labels", lambda sh, *a, **kw: labelings[sh.client_id]
+            )
+            shards = [empty_shard(n, c) for c in range(num_clients)]
+            k, seed, rows = int(rng.integers(1, min(n, 8) + 1)), 100 + trial, trial % 2 == 1
+            server = derive_seed(seed, "server")
+            embedding = bottom_k_eigenvectors(old_lap, k, embedding_seed(server))
+            expected = cluster_embedding_rows(
+                embedding, k, kmeans_seed(server), normalize_rows=rows
+            )
+            labels = fedspectral_server(shards, k, seed, normalize_rows=rows)
+            assert np.array_equal(labels, expected)
 
 
 class TestServer:

@@ -15,7 +15,6 @@ from fedspectral.linalg import (
     global_spectral_clustering,
     kmeans,
     reduced_qr,
-    spectral_cluster,
     symmetric_eig_reference,
 )
 from fedspectral.seeding import kmeans_seed
@@ -219,7 +218,8 @@ class TestBottomK:
         sparse_lap = normalized_laplacian(g)
         dense_lap = normalized_laplacian_from_adjacency(g.adjacency()).toarray()
         assert np.array_equal(
-            spectral_cluster(sparse_lap, 3, seed=5), spectral_cluster(dense_lap, 3, seed=5)
+            bottom_k_eigenvectors(sparse_lap, 3, seed=5),
+            bottom_k_eigenvectors(dense_lap, 3, seed=5),
         )
 
     def test_same_seed_same_bits(self):
@@ -344,9 +344,9 @@ class TestGlobalClustering:
         )
 
     def test_methods_agree_on_labels(self):
-        # spectral_cluster solves with ARPACK; the dense solver is the oracle
+        # global_spectral_clustering solves with ARPACK; the dense solver is the oracle
         g = planted_graph([100, 100, 100], 0.3, 0.005, seed=12)
         lap = normalized_laplacian(g)
         dense = symmetric_eig_reference(lap.toarray())[1][:, :3]
         expected = cluster_embedding_rows(dense, 3, kmeans_seed(5))
-        assert np.array_equal(spectral_cluster(lap, 3, seed=5), expected)
+        assert np.array_equal(global_spectral_clustering(g, 3, seed=5), expected)

@@ -182,8 +182,9 @@ class TestShardIO:
     def test_rejects_bad_edges(self, tmp_path, body, match):
         path = tmp_path / "shard.txt"
         path.write_text("# client_id: 0\n# nodes: 2\n" + body)
-        with pytest.raises(ParseError, match=match):
+        with pytest.raises(ParseError, match=match) as excinfo:
             read_shard(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
 
     @pytest.mark.parametrize(
         "text, match",
@@ -196,8 +197,9 @@ class TestShardIO:
     def test_rejects_bad_headers(self, tmp_path, text, match):
         path = tmp_path / "shard.txt"
         path.write_text(text)
-        with pytest.raises(ParseError, match=match):
+        with pytest.raises(ParseError, match=match) as excinfo:
             read_shard(path)
+        assert str(excinfo.value).startswith(f"{path}: ")
 
 
 class TestClientShardInvariants:
