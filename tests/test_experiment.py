@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -304,6 +305,41 @@ class TestRecordFormat:
             '"overlap": 0.30000000000000004, "replication": null, '
             '"round_drift": [0.5, 1e-05], "similarity": 0.9123456789012345, '
             '"trial": 3, "trial_seed": 18446744073709551615, "wallclock_ms": 12.3456}\n'
+        )
+
+    # Two sweep points: RECORD alone, then RECORD with a lower-scoring trial.
+    SWEEP_POINTS = [
+        (1, [RECORD]),
+        (0.1 + 0.2, [RECORD, dataclasses.replace(RECORD, trial=4, similarity=0.25)]),
+    ]
+
+    def test_sweep_csv_lines(self):
+        buf = io.StringIO()
+        write_sweep_csv(self.SWEEP_POINTS, "overlap", buf)
+        head = "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,,false,7,"
+        tail = (
+            ",degenerate shard 2: no edges;"
+            "bottom_k: sweep cap 1000 reached (drift 5.000e-04),0.5;1e-05,12.346\n"
+        )
+        assert buf.getvalue() == (
+            "axis,axis_value,dataset,algo,num_clients,num_clusters,iters,"
+            "global_rounds,overlap,replication,normalize_rows,master_seed,trial,"
+            "trial_seed,similarity,flags,round_drift,wallclock_ms\n"
+            f"overlap,1,{head}3,18446744073709551615,0.9123456789012345{tail}"
+            f"overlap,0.30000000000000004,{head}3,18446744073709551615,"
+            f"0.9123456789012345{tail}"
+            f"overlap,0.30000000000000004,{head}4,18446744073709551615,0.25{tail}"
+        )
+
+    def test_sweep_summary_lines(self):
+        buf = io.StringIO()
+        write_sweep_summary_csv(self.SWEEP_POINTS, "overlap", buf)
+        assert buf.getvalue() == (
+            "axis,axis_value,num_trials,median,q1,q3,min,max\n"
+            "overlap,1,1,0.9123456789012345,0.9123456789012345,"
+            "0.9123456789012345,0.9123456789012345,0.9123456789012345\n"
+            "overlap,0.30000000000000004,2,0.5811728394506173,"
+            "0.41558641972530863,0.7467592591759259,0.25,0.9123456789012345\n"
         )
 
 
