@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import io
 import json
 import os
 import time
@@ -407,7 +406,7 @@ def verify_dataset(
 
 
 # ---------------------------------------------------------------------------
-# Config files: simple "key = value" lines, '#' comments, CLI overrides win.
+# Config files: one "key = value" line per key, '#' comments, CLI overrides win.
 # ---------------------------------------------------------------------------
 
 _BOOL_VALUES = {
@@ -448,6 +447,7 @@ def parse_config_value(name: str, raw: str):
 def parse_config_file(path) -> dict:
     """Parse a key = value config file into typed ExperimentConfig values."""
     values = {}
+    first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -455,8 +455,12 @@ def parse_config_file(path) -> dict:
                 continue
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            values[key.strip()] = parse_config_value(key.strip(), value)
+            key, _, value = (part.strip() for part in line.partition("="))
+            if key in first_line:
+                where = f"{path}:{lineno}: key {key!r}"
+                raise ConfigError(f"{where} repeated (first on line {first_line[key]})")
+            first_line[key] = lineno
+            values[key] = parse_config_value(key, value)
     return values
 
 
@@ -497,12 +501,15 @@ def _text_output(file_or_path):
             yield fh
 
 
-def write_records_csv(records, file_or_path) -> None:
+def _write_csv(file_or_path, header: list[str], rows) -> None:
     with _text_output(file_or_path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RECORD_COLUMNS)
-        for record in records:
-            writer.writerow(_record_cells(record))
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_records_csv(records, file_or_path) -> None:
+    _write_csv(file_or_path, RECORD_COLUMNS, map(_record_cells, records))
 
 
 def write_records_jsonl(records, file_or_path) -> None:
@@ -512,37 +519,15 @@ def write_records_jsonl(records, file_or_path) -> None:
 
 
 def write_sweep_csv(points, axis: str, file_or_path) -> None:
-    with _text_output(file_or_path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["axis", "axis_value"] + RECORD_COLUMNS)
-        for value, records in points:
-            for record in records:
-                writer.writerow([axis, str(value)] + _record_cells(record))
+    rows = ([axis, str(v)] + _record_cells(r) for v, records in points for r in records)
+    _write_csv(file_or_path, ["axis", "axis_value"] + RECORD_COLUMNS, rows)
 
 
 def write_sweep_summary_csv(points, axis: str, file_or_path) -> None:
-    with _text_output(file_or_path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["axis", "axis_value", "num_trials", "median", "q1", "q3", "min", "max"]
-        )
-        for value, records in points:
-            sims = np.array([r.similarity for r in records], dtype=np.float64)
-            writer.writerow(
-                [
-                    axis,
-                    str(value),
-                    str(len(sims)),
-                    repr(float(np.median(sims))),
-                    repr(float(np.percentile(sims, 25))),
-                    repr(float(np.percentile(sims, 75))),
-                    repr(float(sims.min())),
-                    repr(float(sims.max())),
-                ]
-            )
-
-
-def records_to_csv_text(records) -> str:
-    buf = io.StringIO()
-    write_records_csv(records, buf)
-    return buf.getvalue()
+    header = ["axis", "axis_value", "num_trials", "median", "q1", "q3", "min", "max"]
+    rows = []
+    for value, records in points:
+        sims = np.array([r.similarity for r in records], dtype=np.float64)
+        stats = (np.median(sims), *np.percentile(sims, [25, 75]), sims.min(), sims.max())
+        rows.append([axis, str(value), str(len(sims))] + [repr(float(x)) for x in stats])
+    _write_csv(file_or_path, header, rows)

@@ -183,20 +183,19 @@ def server_round_loop(
     *,
     diag: Diagnostics | None = None,
     on_round=None,
-    map_fn=map,
 ) -> np.ndarray:
     """Run the broadcast/iterate/aggregate rounds over client transports.
 
     The transports are anything with a ``run_round(BroadcastMessage) ->
     ClientReply`` method; this loop never touches shard data. Replies are
     aggregated in ascending client-id order, so the result is independent
-    of completion order, and ``map_fn`` may be a thread pool's ``map``.
-    ``on_round(round_index, basis)`` observes each post-aggregation basis.
+    of transport order. ``on_round(round_index, basis)`` observes each
+    post-aggregation basis.
     """
     basis = np.asarray(initial_basis, dtype=np.float64)
     for round_index in range(global_rounds):
         message = BroadcastMessage(round_index, basis)
-        replies = list(map_fn(lambda t: t.run_round(message), transports))
+        replies = [t.run_round(message) for t in transports]
         replies.sort(key=lambda reply: reply.client_id)
         candidate = aggregate_round(
             [reply.embedding for reply in replies], round_index=round_index
@@ -205,7 +204,8 @@ def server_round_loop(
             raise ConvergenceError(f"round {round_index}: non-finite embedding")
         if diag is not None:
             residual = candidate - basis @ (basis.T @ candidate)
-            diag.round_drift.append(float(np.linalg.norm(residual, ord=2)))
+            # largest singular value: the spectral norm, without norm's moveaxis
+            diag.round_drift.append(float(np.linalg.svd(residual, compute_uv=False)[0]))
         basis = candidate
         if on_round is not None:
             on_round(round_index, basis)
@@ -219,7 +219,6 @@ def run_fedspectral_plus(
     normalize_rows: bool = False,
     diag: Diagnostics | None = None,
     on_round=None,
-    map_fn=map,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full protocol: random orthonormal start, rounds, final k-means.
 
@@ -243,7 +242,6 @@ def run_fedspectral_plus(
         cfg.global_rounds,
         diag=diag,
         on_round=on_round,
-        map_fn=map_fn,
     )
     labels = cluster_embedding_rows(
         basis, cfg.num_clusters, kmeans_seed(cfg.seed), normalize_rows=normalize_rows

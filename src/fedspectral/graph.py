@@ -122,14 +122,6 @@ class Graph:
             np.add.at(d, self.edges[:, 1], self.weights)
         return d
 
-    def adjacency(self) -> np.ndarray:
-        """Dense symmetric adjacency matrix (a test oracle; no runtime caller)."""
-        a = np.zeros((self.num_nodes, self.num_nodes), dtype=np.float64)
-        if self.num_edges:
-            a[self.edges[:, 0], self.edges[:, 1]] = self.weights
-            a[self.edges[:, 1], self.edges[:, 0]] = self.weights
-        return a
-
     def normalized_laplacian(self) -> sparse.csr_array:
         """Symmetric normalized Laplacian I - laplacian_multiplier(self), CSR.
 

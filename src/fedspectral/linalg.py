@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 RANK_TOL = 1e-12
+SYMMETRY_TOL = 1e-10
+KMEANS_MAX_ITER = 300
 
 
 def reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -83,9 +85,7 @@ def _fix_column_signs(vectors: np.ndarray) -> None:
             col *= -1.0
 
 
-def symmetric_eig_reference(
-    a: np.ndarray, *, symmetry_tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eig_reference(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a symmetric matrix.
 
     Returns (eigenvalues ascending, eigenvectors as columns in matching
@@ -96,7 +96,7 @@ def symmetric_eig_reference(
     ------
     ContractError
         If the input has a non-finite entry or is not symmetric to within
-        ``symmetry_tol``.
+        SYMMETRY_TOL.
     ConvergenceError
         If LAPACK's eigensolver does not converge.
     """
@@ -107,7 +107,7 @@ def symmetric_eig_reference(
         raise ContractError("expected a non-empty matrix")
     if not np.isfinite(a).all():
         raise ContractError("matrix has non-finite entries")
-    if np.abs(a - a.T).max() > symmetry_tol:
+    if np.abs(a - a.T).max() > SYMMETRY_TOL:
         raise ContractError("matrix is not symmetric within tolerance")
 
     try:
@@ -198,13 +198,12 @@ def kmeans(
     k: int,
     seed: int,
     *,
-    max_iter: int = 300,
     objective_history: list[float] | None = None,
 ) -> np.ndarray:
     """Lloyd's algorithm with k-means++ seeding.
 
     Deterministic for fixed (points, k, seed). Stops when no label changes
-    or after ``max_iter`` iterations. An empty cluster is repaired by
+    or after KMEANS_MAX_ITER iterations. An empty cluster is repaired by
     reassigning the point farthest from its current centroid (ties break to
     the lowest index). Never fails on degenerate geometry: with fewer than
     k distinct rows, duplicates simply share labels.
@@ -231,7 +230,7 @@ def kmeans(
         dist_sq = np.minimum(dist_sq, ((points - centers[c]) ** 2).sum(axis=1))
 
     labels = None
-    for _ in range(max_iter):
+    for _ in range(KMEANS_MAX_ITER):
         sq = (
             (points * points).sum(axis=1)[:, None]
             + (centers * centers).sum(axis=1)[None, :]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import os
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from fedspectral.errors import ParseError
+from fedspectral.experiment import write_records_csv
 from fedspectral.graph import Graph, load_edge_list
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -151,6 +153,14 @@ def principal_angles(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(sigma, -1.0, 1.0))
 
 
+def dense_adjacency(g: Graph) -> np.ndarray:
+    """Dense symmetric adjacency matrix of a Graph (test oracle)."""
+    a = np.zeros((g.num_nodes, g.num_nodes), dtype=np.float64)
+    a[g.edges[:, 0], g.edges[:, 1]] = g.weights
+    a[g.edges[:, 1], g.edges[:, 0]] = g.weights
+    return a
+
+
 def dense_normalized_laplacian(a: np.ndarray) -> np.ndarray:
     """Dense symmetric normalized Laplacian of a dense adjacency (test oracle).
 
@@ -212,6 +222,13 @@ def mismatch_pairs_matrix(global_labels, aggregated_labels) -> int:
     same_global = g[:, None] == g[None, :]
     differ_agg = a[:, None] != a[None, :]
     return int((same_global & differ_agg).sum())
+
+
+def records_to_csv_text(records) -> str:
+    """The record CSV that experiment.write_records_csv writes, as a string."""
+    buf = io.StringIO()
+    write_records_csv(records, buf)
+    return buf.getvalue()
 
 
 def median_similarity(records) -> float:

@@ -7,7 +7,6 @@ files are absent. Every criterion prints one PASS/FAIL line.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -260,7 +259,7 @@ def test_privacy_boundary_structural():
 
     transports = [Spy(PowerIterationClient(sh, 2)) for sh in shards]
     v0, _ = reduced_qr(rng.standard_normal((20, 2)))
-    server_round_loop(transports, v0, 3, map_fn=ThreadPoolExecutor(3).map)
+    server_round_loop(transports, v0, 3)
     payload_ok = all(
         isinstance(p, np.ndarray) and p.shape == (20, 2) and p.dtype == np.float64
         for p in payloads

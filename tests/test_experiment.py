@@ -12,7 +12,6 @@ from fedspectral.experiment import (
     compute_reference,
     parse_config_file,
     parse_config_value,
-    records_to_csv_text,
     reference_seed,
     resolve_dataset_path,
     run_experiment,
@@ -27,7 +26,7 @@ from fedspectral.experiment import (
 from fedspectral.graph import load_edge_list, serialize_edge_list
 from fedspectral.seeding import trial_seed
 
-from conftest import planted_graph
+from conftest import planted_graph, records_to_csv_text
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +103,10 @@ class TestConfig:
         bad.write_text("just a line\n")
         with pytest.raises(ConfigError, match="key = value"):
             parse_config_file(bad)
+        bad.write_text("iters = 2\n# again\niters = 5\n")
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config_file(bad)
+        assert str(excinfo.value) == f"{bad}:3: key 'iters' repeated (first on line 1)"
 
     def test_config_file_round_trip_every_field(self, tmp_path):
         expected = ExperimentConfig(

@@ -18,6 +18,7 @@ from fedspectral.linalg import symmetric_eig_reference
 
 from conftest import (
     connected_components,
+    dense_adjacency,
     dense_normalized_laplacian,
     gnp_graph,
     parse_arcs_loop,
@@ -248,7 +249,7 @@ class TestGraphInvariants:
 class TestLaplacian:
     def test_triangle(self):
         lap = normalized_laplacian(triangle())
-        expected = np.eye(3) - 0.5 * triangle().adjacency()
+        expected = np.eye(3) - 0.5 * dense_adjacency(triangle())
         assert np.abs(lap - expected).max() < 1e-12
         assert abs(lap[0, 1] + 0.5) < 1e-12
 
@@ -303,7 +304,9 @@ class TestLaplacian:
             normalized_laplacian_from_adjacency(np.array([[0.0, -1.0], [-1.0, 0.0]]))
         with pytest.raises(ContractError, match="symmetric"):
             normalized_laplacian_from_adjacency(np.array([[0.0, 1.0], [0.0, 0.0]]))
-        lap = normalized_laplacian_from_adjacency(sparse.csr_array(triangle().adjacency()))
+        lap = normalized_laplacian_from_adjacency(
+            sparse.csr_array(dense_adjacency(triangle()))
+        )
         assert np.array_equal(lap.toarray(), normalized_laplacian(triangle()).toarray())
 
     def test_adjacency_laplacian_matches_dense_oracle(self):
@@ -313,7 +316,7 @@ class TestLaplacian:
             n = int(rng.integers(6, 50))
             base = gnp_graph(n - int(rng.integers(1, 5)), 0.2, trial)
             g = Graph(n, base.edges, rng.uniform(0.1, 3.0, base.num_edges))
-            a = g.adjacency()
+            a = dense_adjacency(g)
             expected = dense_normalized_laplacian(a)
             for given in (a, sparse.csr_array(a)):
                 lap = normalized_laplacian_from_adjacency(given)
