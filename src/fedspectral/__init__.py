@@ -22,11 +22,7 @@ from .experiment import (
     sweep,
     verify_dataset,
 )
-from .fedplus import (
-    FedPlusConfig,
-    aggregate_round,
-    run_fedspectral_plus,
-)
+from .fedplus import aggregate_round, run_fedspectral_plus
 from .graph import (
     Graph,
     load_edge_list,
@@ -62,7 +58,6 @@ __all__ = [
     "get_client_labels",
     "build_similarity_graph",
     "fedspectral_server",
-    "FedPlusConfig",
     "aggregate_round",
     "run_fedspectral_plus",
     "cluster_similarity",

@@ -13,7 +13,6 @@ import os
 import numpy as np
 from scipy import sparse
 
-from .diagnostics import Diagnostics
 from .errors import ContractError
 from .graph import Graph
 # no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
@@ -32,7 +31,6 @@ def get_client_labels(
     seed: int,
     *,
     normalize_rows: bool = False,
-    diag: Diagnostics | None = None,
 ) -> np.ndarray:
     """Spectral clustering of one client's local shard.
 
@@ -40,10 +38,8 @@ def get_client_labels(
     it: sparse normalized Laplacian, bottom-K embedding, k-means on the
     node rows; deterministic for the client's derived seed. A shard with no
     edges yields an all-zero Laplacian, whose every node is its own
-    component; the labeling is still deterministic and the event is flagged.
+    component; the labeling is still deterministic.
     """
-    if shard.num_edges == 0 and diag is not None:
-        diag.flag(f"degenerate shard {shard.client_id}: no edges")
     return global_spectral_clustering(
         shard, num_clusters, seed, normalize_rows=normalize_rows
     )
@@ -86,7 +82,6 @@ def fedspectral_server(
     seed: int,
     *,
     normalize_rows: bool = False,
-    diag: Diagnostics | None = None,
     dump_dir=None,
 ) -> np.ndarray:
     """Aggregate per-client labelings into a global clustering.
@@ -107,7 +102,6 @@ def fedspectral_server(
             num_clusters,
             client_seed(seed, sh.client_id),
             normalize_rows=normalize_rows,
-            diag=diag,
         )
         for sh in by_id
     ]

@@ -50,8 +50,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--iters", type=int)
     parser.add_argument("--rounds", type=int, dest="global_rounds")
     parser.add_argument("--overlap", type=float)
-    parser.add_argument("--replication", type=int,
-                        help="override round(overlap * clients)")
     parser.add_argument("--seed", type=int, dest="master_seed")
     parser.add_argument("--trials", type=int, dest="num_trials")
     parser.add_argument("--normalize-rows", action="store_true", default=None,
@@ -109,13 +107,12 @@ def _cmd_sweep(args) -> int:
     points = sweep(
         cfg, args.axis, values, progress=lambda msg: print(msg, file=sys.stderr)
     )
-    if cfg.output_path:
-        write_sweep_csv(points, args.axis, cfg.output_path)
-        summary_path = args.summary or f"{cfg.output_path}.summary.csv"
+    write_sweep_csv(points, args.axis, cfg.output_path or sys.stdout)
+    summary_path = args.summary or (cfg.output_path and f"{cfg.output_path}.summary.csv")
+    if summary_path:
         write_sweep_summary_csv(points, args.axis, summary_path)
-        print(f"wrote {cfg.output_path} and {summary_path}", file=sys.stderr)
-    else:
-        write_sweep_csv(points, args.axis, sys.stdout)
+        written = " and ".join(filter(None, (cfg.output_path, summary_path)))
+        print(f"wrote {written}", file=sys.stderr)
     return 0
 
 
@@ -147,13 +144,7 @@ def _cmd_partition_dump(args) -> int:
     import os
 
     graph = load_edge_list(resolve_dataset_path(args.dataset))
-    shards = distribute_edges(
-        graph,
-        args.clients,
-        args.overlap,
-        partition_seed(args.seed),
-        replication=args.replication,
-    )
+    shards = distribute_edges(graph, args.clients, args.overlap, partition_seed(args.seed))
     os.makedirs(args.outdir, exist_ok=True)
     for shard in shards:
         path = os.path.join(args.outdir, f"client_{shard.client_id}.txt")
@@ -200,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
     dump_p.add_argument("--dataset", required=True)
     dump_p.add_argument("--clients", type=int, required=True)
     dump_p.add_argument("--overlap", type=float, default=0.4)
-    dump_p.add_argument("--replication", type=int)
     dump_p.add_argument("--seed", type=int, default=0)
     dump_p.add_argument("--outdir", required=True)
     dump_p.set_defaults(func=_cmd_partition_dump)

@@ -7,14 +7,12 @@ from dataclasses import dataclass, field
 
 @dataclass
 class Diagnostics:
-    """Mutable collector threaded through optional ``diag=`` parameters.
+    """Mutable per-trial collector; fedplus fills it through ``diag=``.
 
-    flags        free-form event notes (degenerate client shards).
+    flags        free-form event notes (degenerate client shards of the
+                 label-aggregation baseline, noted by run_single_trial).
     round_drift  per-round subspace drift of the federated power iteration.
     """
 
     flags: list[str] = field(default_factory=list)
     round_drift: list[float] = field(default_factory=list)
-
-    def flag(self, message: str) -> None:
-        self.flags.append(message)

@@ -32,7 +32,7 @@ import numpy as np
 from .baseline import fedspectral_server
 from .diagnostics import Diagnostics
 from .errors import ConfigError
-from .fedplus import FedPlusConfig, run_fedspectral_plus
+from .fedplus import run_fedspectral_plus
 from .graph import Graph, load_edge_list, parse_arcs
 from .linalg import global_spectral_clustering
 from .metrics import cluster_similarity, write_labels_csv
@@ -82,7 +82,6 @@ class ExperimentConfig:
     iters: int = 1
     global_rounds: int = 1
     overlap: float = 0.4
-    replication: int | None = None
     master_seed: int = 0
     num_trials: int = 5
     normalize_rows: bool = False
@@ -94,7 +93,7 @@ _CONFIG_TYPES = typing.get_type_hints(ExperimentConfig)
 
 # Fields an algorithm never reads; setting them anyway only earns a warning.
 _IRRELEVANT_FIELDS = {
-    "global": ("num_clients", "iters", "global_rounds", "overlap", "replication"),
+    "global": ("num_clients", "iters", "global_rounds", "overlap"),
     "fedspectral": ("iters", "global_rounds"),
     "fedspectral_plus": (),
 }
@@ -109,10 +108,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
     if not 0.0 < cfg.overlap <= 1.0:
         raise ConfigError(f"overlap must be in (0, 1], got {cfg.overlap}")
-    if cfg.replication is not None and not 1 <= cfg.replication <= cfg.num_clients:
-        raise ConfigError(
-            f"replication must be in 1..{cfg.num_clients}, got {cfg.replication}"
-        )
     for name in _IRRELEVANT_FIELDS[cfg.algo]:
         if getattr(cfg, name) != getattr(_DEFAULTS, name):
             warnings.warn(
@@ -163,7 +158,6 @@ class ResultRecord:
     iters: int
     global_rounds: int
     overlap: float
-    replication: int | None
     normalize_rows: bool
     master_seed: int
     trial: int
@@ -188,42 +182,38 @@ def run_single_trial(
     depends only on (graph, cfg shape, seed), which is what makes records
     reproducible from their recorded trial_seed alone.
     """
-    diag = Diagnostics()
+    diagnostics = Diagnostics()
     start = time.perf_counter()
     if cfg.algo == "global":
         labels = reference
     else:
-        shards = distribute_edges(
-            graph,
-            cfg.num_clients,
-            cfg.overlap,
-            partition_seed(seed),
-            replication=cfg.replication,
-        )
+        shards = distribute_edges(graph, cfg.num_clients, cfg.overlap, partition_seed(seed))
         if cfg.algo == "fedspectral":
+            diagnostics.flags.extend(
+                f"degenerate shard {sh.client_id}: no edges"
+                for sh in shards
+                if sh.num_edges == 0
+            )
             labels = fedspectral_server(
                 shards,
                 cfg.num_clusters,
                 seed,
                 normalize_rows=cfg.normalize_rows,
-                diag=diag,
                 dump_dir=client_labels_dir,
             )
         else:
             labels, _ = run_fedspectral_plus(
                 shards,
-                FedPlusConfig(
-                    num_clusters=cfg.num_clusters,
-                    iters=cfg.iters,
-                    global_rounds=cfg.global_rounds,
-                    seed=seed,
-                ),
+                cfg.num_clusters,
+                seed,
+                iters=cfg.iters,
+                global_rounds=cfg.global_rounds,
                 normalize_rows=cfg.normalize_rows,
-                diag=diag,
+                diag=diagnostics,
             )
     wallclock_ms = (time.perf_counter() - start) * 1000.0
     similarity = cluster_similarity(reference, labels)
-    return similarity, labels, diag, wallclock_ms
+    return similarity, labels, diagnostics, wallclock_ms
 
 
 # ResultRecord fields copied from the config of the same name; ``dataset``
@@ -248,9 +238,14 @@ def run_experiment(
     (sweeps, tests); ``labels_dir`` writes the reference and per-trial
     labelings as (node_id, label) CSVs keyed by original node ids, and
     ``client_labels_dir`` additionally dumps each baseline client's local
-    labeling under a per-trial subdirectory.
+    labeling under a per-trial subdirectory; other algorithms have no
+    client labelings, so they warn and write none.
     """
     validate_config(cfg)
+    if client_labels_dir is not None and cfg.algo != "fedspectral":
+        warnings.warn(
+            f"client_labels_dir is ignored by algo={cfg.algo}", UserWarning, stacklevel=2
+        )
     if graph is None:
         graph = load_dataset(cfg)
     if reference is None:
@@ -290,7 +285,7 @@ def _run_trials(
             if client_labels_dir is not None
             else None
         )
-        similarity, labels, diag, wallclock_ms = run_single_trial(
+        similarity, labels, diagnostics, wallclock_ms = run_single_trial(
             graph, reference, cfg, seed, client_labels_dir=trial_dump
         )
         if labels_dir is not None:
@@ -306,8 +301,8 @@ def _run_trials(
                 trial=trial,
                 trial_seed=seed,
                 similarity=similarity,
-                flags=tuple(diag.flags),
-                round_drift=tuple(diag.round_drift),
+                flags=tuple(diagnostics.flags),
+                round_drift=tuple(diagnostics.round_drift),
                 wallclock_ms=wallclock_ms,
             )
         )

@@ -37,7 +37,6 @@ from .partition import ClientShard, shard_universe
 from .seeding import embedding_seed, kmeans_seed
 
 __all__ = [
-    "FedPlusConfig",
     "BroadcastMessage",
     "ClientReply",
     "encode_frame",
@@ -50,26 +49,6 @@ __all__ = [
 ]
 
 _HEADER = struct.Struct("<qqq")
-
-
-@dataclass(frozen=True)
-class FedPlusConfig:
-    """Protocol parameters: embedding width, local iterations, rounds, seed."""
-
-    num_clusters: int
-    iters: int = 1
-    global_rounds: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.num_clusters < 1:
-            raise ConfigError(f"num_clusters must be >= 1, got {self.num_clusters}")
-        if self.iters < 1:
-            raise ConfigError(f"iters must be >= 1, got {self.iters}")
-        if self.global_rounds < 1:
-            raise ConfigError(
-                f"global_rounds must be >= 1, got {self.global_rounds}"
-            )
 
 
 @dataclass(frozen=True)
@@ -214,36 +193,40 @@ def server_round_loop(
 
 def run_fedspectral_plus(
     shards: list[ClientShard],
-    cfg: FedPlusConfig,
+    num_clusters: int,
+    seed: int,
     *,
+    iters: int = 1,
+    global_rounds: int = 1,
     normalize_rows: bool = False,
     diag: Diagnostics | None = None,
     on_round=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full protocol: random orthonormal start, rounds, final k-means.
 
-    The initial embedding is iid standard normal from the config seed,
+    The initial embedding is iid standard normal from ``seed``,
     orthonormalized once before round 1 so the first round is conditioned
     like every later one. Returns (labeling, final embedding); fully
-    deterministic for fixed (shards, cfg).
+    deterministic for fixed shards and arguments.
     """
+    for name, value in (
+        ("num_clusters", num_clusters),
+        ("iters", iters),
+        ("global_rounds", global_rounds),
+    ):
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
     n = shard_universe(shards)
-    if cfg.num_clusters > n:
-        raise ContractError(
-            f"num_clusters {cfg.num_clusters} exceeds node count {n}"
-        )
+    if num_clusters > n:
+        raise ContractError(f"num_clusters {num_clusters} exceeds node count {n}")
 
-    transports = [PowerIterationClient(sh, cfg.iters) for sh in shards]
-    rng = np.random.default_rng(embedding_seed(cfg.seed))
-    basis, _ = reduced_qr(rng.standard_normal((n, cfg.num_clusters)))
+    transports = [PowerIterationClient(sh, iters) for sh in shards]
+    rng = np.random.default_rng(embedding_seed(seed))
+    basis, _ = reduced_qr(rng.standard_normal((n, num_clusters)))
     basis = server_round_loop(
-        transports,
-        basis,
-        cfg.global_rounds,
-        diag=diag,
-        on_round=on_round,
+        transports, basis, global_rounds, diag=diag, on_round=on_round
     )
     labels = cluster_embedding_rows(
-        basis, cfg.num_clusters, kmeans_seed(cfg.seed), normalize_rows=normalize_rows
+        basis, num_clusters, kmeans_seed(seed), normalize_rows=normalize_rows
     )
     return labels, basis

@@ -55,27 +55,18 @@ def replication_count(overlap: float, num_clients: int) -> int:
 
 
 def distribute_edges(
-    g: Graph,
-    num_clients: int,
-    overlap: float,
-    seed: int,
-    *,
-    replication: int | None = None,
+    g: Graph, num_clients: int, overlap: float, seed: int
 ) -> list[ClientShard]:
     """Assign every edge to exactly r distinct clients chosen uniformly.
 
+    r = replication_count(overlap, C); overlap r / C gives any r in 1..C.
     The per-edge client subsets are sampled independently (no balancing);
     the union of all shards is the global edge set, and the output is
-    deterministic for a fixed seed. ``replication`` overrides the rounding
-    of overlap * C when given.
+    deterministic for a fixed seed.
     """
     if num_clients < 1:
         raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
-    r = replication_count(overlap, num_clients)  # validates overlap in every case
-    if replication is not None:
-        r = replication
-    if not 1 <= r <= num_clients:
-        raise ConfigError(f"replication must be in 1..{num_clients}, got {r}")
+    r = replication_count(overlap, num_clients)
 
     rng = np.random.default_rng(seed)
     num_edges = g.num_edges

@@ -15,7 +15,6 @@ from fedspectral.errors import RankError
 from fedspectral.experiment import ExperimentConfig, compute_reference, run_experiment, sweep
 from fedspectral.fedplus import (
     ClientReply,
-    FedPlusConfig,
     PowerIterationClient,
     run_fedspectral_plus,
     server_round_loop,
@@ -126,10 +125,9 @@ def test_single_client_equivalence():
         g = planted_graph(sizes, 0.85, 0.05, seed=400 + case)
         assert g.num_nodes <= 60
         shards = distribute_edges(g, 1, 1.0, seed=case)
-        cfg = FedPlusConfig(
-            num_clusters=blocks, iters=1, global_rounds=200, seed=500 + case
+        labels, _ = run_fedspectral_plus(
+            shards, num_clusters=blocks, seed=500 + case, iters=1, global_rounds=200
         )
-        labels, _ = run_fedspectral_plus(shards, cfg)
         expected = global_spectral_clustering(g, blocks, seed=500 + case)
         if not np.array_equal(labels, expected):
             failures.append(case)
@@ -142,12 +140,16 @@ def test_single_client_equivalence():
 
 def test_full_overlap_bitwise_reduction():
     g = planted_graph([20, 20], 0.8, 0.06, seed=600)
-    cfg = FedPlusConfig(num_clusters=2, iters=2, global_rounds=8, seed=601)
     per_round: dict[int, list[np.ndarray]] = {1: [], 3: []}
     for clients in (1, 3):
         shards = distribute_edges(g, clients, 1.0, seed=602)
         run_fedspectral_plus(
-            shards, cfg, on_round=lambda t, b: per_round[clients].append(b.copy())
+            shards,
+            num_clusters=2,
+            seed=601,
+            iters=2,
+            global_rounds=8,
+            on_round=lambda t, b: per_round[clients].append(b.copy()),
         )
     same = all(
         np.array_equal(a, b) for a, b in zip(per_round[1], per_round[3])

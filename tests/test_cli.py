@@ -118,6 +118,29 @@ def test_sweep_outputs(dataset_file, tmp_path):
     assert (tmp_path / "sweep.csv.summary.csv").exists()
 
 
+def test_sweep_summary_without_output(dataset_file, tmp_path, capsys):
+    summary = tmp_path / "s.csv"
+    argv = [
+        "sweep",
+        "--dataset", str(dataset_file),
+        "--clusters", "2",
+        "--clients", "2",
+        "--trials", "1",
+        "--axis", "global_rounds",
+        "--values", "1,2",
+    ]
+    assert main(argv + ["--summary", str(summary)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("axis,axis_value,dataset,")
+    assert len(captured.out.splitlines()) == 3
+    assert f"wrote {summary}" in captured.err
+    lines = summary.read_text().splitlines()
+    assert lines[0] == "axis,axis_value,num_trials,median,q1,q3,min,max"
+    assert [line.split(",")[1] for line in lines[1:]] == ["1", "2"]
+    assert main(argv) == 0
+    assert "wrote" not in capsys.readouterr().err
+
+
 def test_sweep_bad_axis(dataset_file, capsys):
     code = main(
         [
@@ -160,7 +183,6 @@ def test_flags_set_every_config_field():
             "--iters", "3",
             "--rounds", "7",
             "--overlap", "0.25",
-            "--replication", "2",
             "--seed", "11",
             "--trials", "9",
             "--normalize-rows",
@@ -176,7 +198,6 @@ def test_flags_set_every_config_field():
         iters=3,
         global_rounds=7,
         overlap=0.25,
-        replication=2,
         master_seed=11,
         num_trials=9,
         normalize_rows=True,
@@ -250,18 +271,16 @@ def test_verify_subcommand(dataset_file, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_partition_dump(dataset_file, tmp_path):
+def test_partition_dump(dataset_file, tmp_path, capsys):
     outdir = tmp_path / "shards"
-    code = main(
-        [
-            "partition-dump",
-            "--dataset", str(dataset_file),
-            "--clients", "3",
-            "--overlap", "0.5",
-            "--seed", "4",
-            "--outdir", str(outdir),
-        ]
-    )
+    argv = ["partition-dump", "--dataset", str(dataset_file), "--clients", "3"]
+    assert main(argv + ["--overlap", "7", "--outdir", str(outdir)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "overlap" in err
+    assert not outdir.exists()
+
+    code = main(argv + ["--overlap", "0.5", "--seed", "4", "--outdir", str(outdir)])
     assert code == 0
     files = sorted(p.name for p in outdir.iterdir())
     assert files == ["client_0.txt", "client_1.txt", "client_2.txt"]
@@ -275,25 +294,6 @@ def test_partition_dump(dataset_file, tmp_path):
         assert shard.num_nodes == g.num_nodes
         union |= {tuple(e) for e in shard.edges.tolist()}
     assert union == {tuple(e) for e in g.edges.tolist()}
-
-
-def test_partition_dump_rejects_overlap_with_replication(dataset_file, tmp_path, capsys):
-    outdir = tmp_path / "shards"
-    code = main(
-        [
-            "partition-dump",
-            "--dataset", str(dataset_file),
-            "--clients", "3",
-            "--overlap", "7",
-            "--replication", "2",
-            "--outdir", str(outdir),
-        ]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and len(err.splitlines()) == 1
-    assert "overlap" in err
-    assert not outdir.exists()
 
 
 def test_dump_client_labels(dataset_file, tmp_path):

@@ -24,7 +24,8 @@ from fedspectral.experiment import (
     write_sweep_summary_csv,
 )
 from fedspectral.graph import load_edge_list, serialize_edge_list
-from fedspectral.seeding import trial_seed
+from fedspectral.partition import distribute_edges
+from fedspectral.seeding import partition_seed, trial_seed
 
 from conftest import planted_graph, records_to_csv_text
 
@@ -61,8 +62,6 @@ class TestConfig:
             validate_config(make_cfg(dataset_file, overlap=0.0))
         with pytest.raises(ConfigError):
             validate_config(make_cfg(dataset_file, num_trials=0))
-        with pytest.raises(ConfigError):
-            validate_config(make_cfg(dataset_file, replication=9))
 
     def test_irrelevant_fields_warn(self, dataset_file):
         cfg = make_cfg(dataset_file, algo="global", iters=9)
@@ -117,7 +116,6 @@ class TestConfig:
             iters=3,
             global_rounds=7,
             overlap=0.25,
-            replication=2,
             master_seed=11,
             num_trials=9,
             normalize_rows=True,
@@ -136,27 +134,18 @@ class TestConfig:
         )
         assert dataclasses.replace(default, **parse_config_file(cfg_file)) == expected
 
-        cfg_file.write_text(
-            "replication = none\n"
-            "output_path = none\n"
-            "normalize_rows = no\n"
-        )
+        cfg_file.write_text("output_path = none\nnormalize_rows = no\n")
         assert dataclasses.replace(expected, **parse_config_file(cfg_file)) == (
-            dataclasses.replace(
-                expected,
-                replication=None,
-                output_path=None,
-                normalize_rows=False,
-            )
+            dataclasses.replace(expected, output_path=None, normalize_rows=False)
         )
 
     @pytest.mark.parametrize(
         "name, raw, value",
         [
-            ("replication", "", None),
-            ("replication", " None ", None),
-            ("replication", "3", 3),
             ("output_path", "", None),
+            ("output_path", " None ", None),
+            ("output_path", " out.csv ", "out.csv"),
+            ("num_clients", "3", 3),
             ("dataset_path", "none", "none"),
             ("algo", " global ", "global"),
             ("normalize_rows", "Yes", True),
@@ -175,7 +164,7 @@ class TestConfig:
         [
             ("iters", "abc", "iters must be an integer, got 'abc'"),
             ("iters", "2.5", "iters must be an integer, got '2.5'"),
-            ("replication", "two", "replication must be an integer, got 'two'"),
+            ("num_trials", "two", "num_trials must be an integer, got 'two'"),
             ("overlap", "x", "overlap must be a float, got 'x'"),
             (
                 "normalize_rows",
@@ -247,6 +236,34 @@ class TestRun:
         assert payload["algo"] == "fedspectral_plus"
         assert payload["similarity"] == records[0].similarity
 
+    def test_records_flag_empty_shards_in_client_order(self, tmp_path):
+        path = tmp_path / "six_nodes.txt"
+        path.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n")
+        cfg = ExperimentConfig(
+            dataset_path=str(path),
+            algo="fedspectral",
+            num_clients=10,
+            num_clusters=2,
+            overlap=0.1,
+            num_trials=2,
+        )
+        graph = load_edge_list(path)
+        for record in run_experiment(cfg, graph=graph):
+            shards = distribute_edges(graph, 10, 0.1, partition_seed(record.trial_seed))
+            empty = [sh.client_id for sh in shards if sh.num_edges == 0]
+            assert len(empty) >= 3  # 7 edges, each on one of 10 clients
+            assert record.flags == tuple(f"degenerate shard {c}: no edges" for c in empty)
+
+    @pytest.mark.parametrize("algo", ["global", "fedspectral_plus"])
+    def test_client_labels_dir_warns_without_baseline(self, dataset_file, tmp_path, algo):
+        cfg = ExperimentConfig(
+            dataset_path=str(dataset_file), algo=algo, num_clusters=3, num_trials=1
+        )
+        dump = tmp_path / "clients"
+        with pytest.warns(UserWarning, match=f"client_labels_dir is ignored by algo={algo}"):
+            run_experiment(cfg, client_labels_dir=dump)
+        assert not dump.exists()
+
     def test_labels_dir(self, dataset_file, tmp_path):
         cfg = make_cfg(dataset_file, num_trials=1)
         run_experiment(cfg, labels_dir=tmp_path)
@@ -270,7 +287,6 @@ class TestRecordFormat:
         iters=1,
         global_rounds=1,
         overlap=0.1 + 0.2,
-        replication=None,
         normalize_rows=False,
         master_seed=7,
         trial=3,
@@ -287,9 +303,9 @@ class TestRecordFormat:
     def test_csv_line(self):
         assert records_to_csv_text([self.RECORD]) == (
             "dataset,algo,num_clients,num_clusters,iters,global_rounds,"
-            "overlap,replication,normalize_rows,master_seed,trial,trial_seed,"
+            "overlap,normalize_rows,master_seed,trial,trial_seed,"
             "similarity,flags,round_drift,wallclock_ms\n"
-            "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,,"
+            "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,"
             "false,7,3,18446744073709551615,0.9123456789012345,"
             "degenerate shard 2: no edges;"
             "bottom_k: sweep cap 1000 reached (drift 5.000e-04),"
@@ -305,7 +321,7 @@ class TestRecordFormat:
             '"bottom_k: sweep cap 1000 reached (drift 5.000e-04)"], '
             '"global_rounds": 1, "iters": 1, "master_seed": 7, '
             '"normalize_rows": false, "num_clients": 5, "num_clusters": 42, '
-            '"overlap": 0.30000000000000004, "replication": null, '
+            '"overlap": 0.30000000000000004, '
             '"round_drift": [0.5, 1e-05], "similarity": 0.9123456789012345, '
             '"trial": 3, "trial_seed": 18446744073709551615, "wallclock_ms": 12.3456}\n'
         )
@@ -319,14 +335,14 @@ class TestRecordFormat:
     def test_sweep_csv_lines(self):
         buf = io.StringIO()
         write_sweep_csv(self.SWEEP_POINTS, "overlap", buf)
-        head = "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,,false,7,"
+        head = "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,false,7,"
         tail = (
             ",degenerate shard 2: no edges;"
             "bottom_k: sweep cap 1000 reached (drift 5.000e-04),0.5;1e-05,12.346\n"
         )
         assert buf.getvalue() == (
             "axis,axis_value,dataset,algo,num_clients,num_clusters,iters,"
-            "global_rounds,overlap,replication,normalize_rows,master_seed,trial,"
+            "global_rounds,overlap,normalize_rows,master_seed,trial,"
             "trial_seed,similarity,flags,round_drift,wallclock_ms\n"
             f"overlap,1,{head}3,18446744073709551615,0.9123456789012345{tail}"
             f"overlap,0.30000000000000004,{head}3,18446744073709551615,"

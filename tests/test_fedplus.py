@@ -8,7 +8,6 @@ from fedspectral.errors import ConfigError, ContractError, RankError
 from fedspectral.fedplus import (
     BroadcastMessage,
     ClientReply,
-    FedPlusConfig,
     PowerIterationClient,
     aggregate_round,
     decode_frame,
@@ -266,7 +265,7 @@ class TestServerLoop:
             checked.append(np.abs(basis.T @ basis - np.eye(2)).max())
 
         run_fedspectral_plus(
-            shards, FedPlusConfig(2, iters=3, global_rounds=6, seed=11), on_round=on_round
+            shards, 2, seed=11, iters=3, global_rounds=6, on_round=on_round
         )
         assert len(checked) == 6
         assert max(checked) <= 1e-10
@@ -303,19 +302,19 @@ class TestServerLoop:
 
 class TestProtocol:
     def test_config_validation(self):
+        shards = [path_shard()]
         with pytest.raises(ConfigError):
-            FedPlusConfig(num_clusters=0)
+            run_fedspectral_plus(shards, num_clusters=0, seed=0)
         with pytest.raises(ConfigError):
-            FedPlusConfig(num_clusters=2, iters=0)
+            run_fedspectral_plus(shards, num_clusters=2, seed=0, iters=0)
         with pytest.raises(ConfigError):
-            FedPlusConfig(num_clusters=2, global_rounds=0)
+            run_fedspectral_plus(shards, num_clusters=2, seed=0, global_rounds=0)
 
     def test_deterministic(self):
         g = planted_graph([10, 10], 0.8, 0.08, seed=18)
         shards = distribute_edges(g, 3, 0.5, seed=19)
-        cfg = FedPlusConfig(2, iters=2, global_rounds=4, seed=20)
-        la, va = run_fedspectral_plus(shards, cfg)
-        lb, vb = run_fedspectral_plus(shards, cfg)
+        la, va = run_fedspectral_plus(shards, 2, 20, iters=2, global_rounds=4)
+        lb, vb = run_fedspectral_plus(shards, 2, 20, iters=2, global_rounds=4)
         assert np.array_equal(la, lb)
         assert np.array_equal(va, vb)
 
@@ -324,7 +323,7 @@ class TestProtocol:
         shards = distribute_edges(g, 2, 0.5, seed=22)
         diag = Diagnostics()
         run_fedspectral_plus(
-            shards, FedPlusConfig(2, iters=1, global_rounds=7, seed=23), diag=diag
+            shards, 2, 23, iters=1, global_rounds=7, diag=diag
         )
         assert len(diag.round_drift) == 7
         assert all(np.isfinite(d) for d in diag.round_drift)
@@ -334,8 +333,7 @@ class TestProtocol:
     def test_single_client_converges_to_reference_subspace(self):
         g = planted_graph([12, 12, 12], 0.85, 0.04, seed=24)
         shards = distribute_edges(g, 1, 1.0, seed=25)
-        cfg = FedPlusConfig(3, iters=10, global_rounds=200, seed=26)
-        labels, basis = run_fedspectral_plus(shards, cfg)
+        labels, basis = run_fedspectral_plus(shards, 3, 26, iters=10, global_rounds=200)
         lap = normalized_laplacian(g)
         reference = bottom_k_eigenvectors(lap, 3, seed=1)
         assert principal_angles(basis, reference).max() < 1e-6
@@ -346,13 +344,12 @@ class TestProtocol:
         # exactly one QR'd block power step on the global multiplier
         g = planted_graph([10, 10], 0.8, 0.08, seed=27)
         shards = distribute_edges(g, 3, 1.0, seed=28)
-        cfg = FedPlusConfig(2, iters=1, global_rounds=30, seed=29)
-        _, basis = run_fedspectral_plus(shards, cfg)
+        _, basis = run_fedspectral_plus(shards, 2, 29, iters=1, global_rounds=30)
         mult = shard_multiplier(shards[0])
         dense = dense_multiplier(shards[0])
         from fedspectral.seeding import embedding_seed
 
-        rng = np.random.default_rng(embedding_seed(cfg.seed))
+        rng = np.random.default_rng(embedding_seed(29))
         manual, _ = reduced_qr(rng.standard_normal((20, 2)))
         oracle = manual
         for _ in range(30):
@@ -366,4 +363,4 @@ class TestProtocol:
         a = ClientShard(4, none, np.empty(0), client_id=0)
         b = ClientShard(5, none, np.empty(0), client_id=1)
         with pytest.raises(ContractError):
-            run_fedspectral_plus([a, b], FedPlusConfig(2))
+            run_fedspectral_plus([a, b], 2, 0)

@@ -38,6 +38,16 @@ class TestReplicationCount:
     def test_full(self):
         assert replication_count(1.0, 7) == 7
 
+    def test_every_count_reachable_from_its_fraction(self):
+        # overlap r / C selects r, so overlap alone sets every replication
+        misses = [
+            (r, c)
+            for c in range(1, 201)
+            for r in range(1, c + 1)
+            if replication_count(r / c, c) != r
+        ]
+        assert misses == []
+
     def test_invalid_overlap(self):
         with pytest.raises(ConfigError):
             replication_count(0.0, 5)
@@ -103,18 +113,6 @@ class TestDistributeEdges:
         sigma = np.sqrt(num_edges * p * (1 - p))
         for shard in shards:
             assert abs(shard.num_edges - num_edges * p) <= 3 * sigma
-
-    def test_replication_override(self):
-        g = gnp_graph(20, 0.3, 7)
-        shards = distribute_edges(g, 4, 0.9, seed=8, replication=1)
-        assert all(c == 1 for c in edge_multiplicity(g, shards).values())
-        with pytest.raises(ConfigError):
-            distribute_edges(g, 4, 0.9, seed=8, replication=5)
-
-    def test_overlap_checked_with_replication_override(self):
-        g = gnp_graph(20, 0.3, 7)
-        with pytest.raises(ConfigError, match="overlap"):
-            distribute_edges(g, 3, 7.0, seed=8, replication=2)
 
     def test_invalid_clients(self):
         g = gnp_graph(10, 0.3, 8)
