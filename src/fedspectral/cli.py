@@ -5,7 +5,7 @@ CSV plus a summary), metric (score two label CSVs), verify (dataset counts
 against expected values), partition-dump (write per-client shard files).
 Flag values override config-file values, which override defaults; the
 FEDSPECTRAL_DATA_DIR environment variable supplies the default dataset
-directory.
+directory. Errors and warnings print as one 'error:' or 'warning:' line.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 
@@ -87,7 +88,7 @@ def _cmd_run(args) -> int:
     records = run_experiment(
         cfg,
         labels_dir=args.labels_out,
-        client_labels_dir=args.dump_client_labels,
+        client_labels_dir=args.client_labels_dir,
         progress=lambda msg: print(msg, file=sys.stderr),
     )
     _emit_records(records, cfg, args.json)
@@ -164,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment_flags(run_p)
     run_p.add_argument("--json", action="store_true", help="emit JSON lines instead of CSV")
     run_p.add_argument("--labels-out", help="directory for reference/trial label CSVs")
-    run_p.add_argument("--dump-client-labels", dest="dump_client_labels",
+    run_p.add_argument("--dump-client-labels", dest="client_labels_dir",
                        help="directory for per-client baseline labelings (debugging)")
     run_p.set_defaults(func=_cmd_run)
 
@@ -187,25 +188,36 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--expect-edges", type=int, required=True)
     verify_p.set_defaults(func=_cmd_verify)
 
+    defaults = ExperimentConfig(dataset_path="")
     dump_p = sub.add_parser("partition-dump", help="write per-client shard files")
     dump_p.add_argument("--dataset", required=True)
-    dump_p.add_argument("--clients", type=int, required=True)
-    dump_p.add_argument("--overlap", type=float, default=0.4)
-    dump_p.add_argument("--seed", type=int, default=0)
+    dump_p.add_argument("--clients", type=int, default=defaults.num_clients)
+    dump_p.add_argument("--overlap", type=float, default=defaults.overlap)
+    dump_p.add_argument("--seed", type=int, default=defaults.master_seed)
     dump_p.add_argument("--outdir", required=True)
     dump_p.set_defaults(func=_cmd_partition_dump)
 
+    for command in sub.choices.values():
+        flags = {a.dest: a.option_strings[0] for a in command._actions if a.option_strings}
+        command.set_defaults(flags=flags)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except _USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
+
+    def show_warning(message, *_):
+        # one 'warning:' line; a leading config field name becomes its flag
+        field, sep, rest = str(message).partition(" ")
+        print(f"warning: {args.flags.get(field, field)}{sep}{rest}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show_warning
+        try:
+            return args.func(args)
+        except _USER_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

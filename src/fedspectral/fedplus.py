@@ -18,7 +18,8 @@ a frame is three little-endian int64 header words followed by the payload,
     cols    int64   K
     payload rows*cols little-endian float64, row-major
 
-encoded/decoded by encode_frame/decode_frame below.
+as encode_frame below writes it; a receiver reads the header with
+struct "<qqq" and the payload with np.frombuffer(frame, "<f8", offset=24).
 """
 
 from __future__ import annotations
@@ -40,16 +41,12 @@ __all__ = [
     "BroadcastMessage",
     "ClientReply",
     "encode_frame",
-    "decode_frame",
     "shard_multiplier",
     "PowerIterationClient",
     "aggregate_round",
     "server_round_loop",
     "run_fedspectral_plus",
 ]
-
-_HEADER = struct.Struct("<qqq")
-
 
 @dataclass(frozen=True)
 class BroadcastMessage:
@@ -72,16 +69,7 @@ def encode_frame(tag: int, embedding: np.ndarray) -> bytes:
     emb = np.ascontiguousarray(embedding, dtype="<f8")
     if emb.ndim != 2:
         raise ContractError("embedding frame must be 2-d")
-    return _HEADER.pack(tag, emb.shape[0], emb.shape[1]) + emb.tobytes(order="C")
-
-
-def decode_frame(data: bytes) -> tuple[int, np.ndarray]:
-    """Inverse of encode_frame."""
-    tag, rows, cols = _HEADER.unpack_from(data)
-    payload = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-    if payload.size != rows * cols:
-        raise ContractError("frame payload size disagrees with header")
-    return tag, payload.reshape(rows, cols).astype(np.float64)
+    return struct.pack("<qqq", tag, *emb.shape) + emb.tobytes(order="C")
 
 
 def shard_multiplier(shard: ClientShard) -> sparse.csr_array:

@@ -13,7 +13,7 @@ so results can be written back in source-file terms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -22,7 +22,6 @@ from .errors import ContractError, ParseError
 
 __all__ = [
     "Graph",
-    "scan_edge_text",
     "parse_arcs",
     "parse_edge_list",
     "load_edge_list",
@@ -31,9 +30,6 @@ __all__ = [
     "normalized_laplacian_from_adjacency",
     "laplacian_multiplier",
 ]
-
-TextSource = Union[str, bytes, Iterable[str]]
-
 
 @dataclass(frozen=True)
 class Graph:
@@ -142,48 +138,34 @@ def _int_pairs(lines: list[str]) -> np.ndarray | None:
     return arr if arr.shape[1] == 2 else None
 
 
-def scan_edge_text(text: TextSource) -> tuple[np.ndarray, list, list]:
-    """Split SNAP text into (arcs, their line numbers, [(line number, '#' line)]).
+def parse_arcs(text: str | Iterable[str]) -> np.ndarray:
+    """Raw (u, v) id pairs of SNAP edge-list text as an int64 (E, 2) array.
 
-    Arcs are the raw (u, v) ids of the data lines, int64 (E, 2); blank lines
-    are skipped. A data line is two whitespace-separated integers in the
-    int64 range, ASCII digits with an optional sign. Anything else (a third
+    ``text`` is a str or an iterable of lines, such as an open text file.
+    '#' lines and blank lines are skipped; nothing is deduplicated or
+    remapped. A data line is two whitespace-separated integers in the int64
+    range, ASCII digits with an optional sign. Anything else (a third
     token, an inline '# note', '1_0', '1.0', an id outside int64) raises
-    ParseError naming its 1-based line.
+    ParseError naming its 1-based line, as does input without data lines.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     lines = text.splitlines() if isinstance(text, str) else text
-    data, numbers, comments = [], [], []
+    data, numbers = [], []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if line.startswith("#"):
-            comments.append((lineno, line))
-        elif line:
+        if line and not line.startswith("#"):
             data.append(line)
             numbers.append(lineno)
-    arcs = _int_pairs(data) if data else np.empty((0, 2), dtype=np.int64)
+    if not data:
+        raise ParseError("empty edge list: no data lines")
+    arcs = _int_pairs(data)
     if arcs is None:
         bad = next(i for i, line in enumerate(data) if _int_pairs([line]) is None)
         msg = f"expected two integers in the int64 range, got {data[bad]!r}"
         raise ParseError(f"line {numbers[bad]}: {msg}")
-    return arcs, numbers, comments
-
-
-def parse_arcs(text: TextSource) -> np.ndarray:
-    """Raw (u, v) id pairs of SNAP edge-list text as an int64 (E, 2) array.
-
-    '#' lines and blank lines are skipped; nothing is deduplicated or
-    remapped. Raises ParseError, with the line number, on a malformed line
-    (see scan_edge_text) and on input without data lines.
-    """
-    arcs = scan_edge_text(text)[0]
-    if not len(arcs):
-        raise ParseError("empty edge list: no data lines")
     return arcs
 
 
-def parse_edge_list(text: TextSource) -> Graph:
+def parse_edge_list(text: str | Iterable[str]) -> Graph:
     """Parse whitespace-separated SNAP edge-list text into a Graph.
 
     Lines starting with '#' are comments. Node ids are remapped to a
@@ -191,8 +173,8 @@ def parse_edge_list(text: TextSource) -> Graph:
     universe includes every id that appears as an endpoint, even if only in
     self-loops. Self-loops and duplicate edges are dropped, and reciprocal
     arcs of a directed file merge into one undirected edge of weight 1, so
-    directed and undirected sources parse alike. ``text`` is a str, bytes
-    or an iterable of lines.
+    directed and undirected sources parse alike. ``text`` is a str or an
+    iterable of lines.
     """
     return Graph.from_arcs(parse_arcs(text))
 
@@ -207,8 +189,8 @@ def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
     """Render a graph back to SNAP text (contiguous ids, one edge per line).
 
     Isolated nodes have no representation in the format; callers that must
-    preserve the universe (shard files) add a '# nodes:' header and use a
-    reader that honors it.
+    record the universe (shard files) add a '# nodes:' header, which
+    parse_edge_list skips as a comment.
     """
     lines = [f"# {c}" for c in comments]
     lines.extend(f"{u} {v}" for u, v in g.edges)

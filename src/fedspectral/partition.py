@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ParseError
-from .graph import Graph, scan_edge_text, serialize_edge_list
+from .errors import ConfigError, ContractError
+from .graph import Graph, serialize_edge_list
 
 __all__ = [
     "ClientShard",
@@ -22,7 +22,6 @@ __all__ = [
     "replication_count",
     "distribute_edges",
     "write_shard",
-    "read_shard",
 ]
 
 
@@ -95,10 +94,11 @@ def distribute_edges(
 def write_shard(shard: ClientShard, path, seed: int | None = None) -> None:
     """Write a shard as SNAP edge-list text with a provenance header.
 
-    The '# nodes:' header preserves the full node universe, which the bare
-    edge list cannot represent for isolated nodes. The format has no weight
-    column, so a shard with any weight other than 1 raises ContractError
-    rather than being written lossily.
+    The '# nodes:' header records the full node universe, which the bare
+    edge list cannot represent for isolated nodes. The format is
+    write-only (nothing in the package reads shard files back) and has no
+    weight column, so a shard with any weight other than 1 raises
+    ContractError rather than being written lossily.
     """
     if (shard.weights != 1.0).any():
         raise ContractError("shard files store unit weights only")
@@ -108,41 +108,3 @@ def write_shard(shard: ClientShard, path, seed: int | None = None) -> None:
     comments.append(f"nodes: {shard.num_nodes}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_edge_list(shard, comments))
-
-
-def read_shard(path) -> ClientShard:
-    """Read a shard file written by write_shard.
-
-    Edge orientation and order are made canonical; malformed data lines, a
-    missing or non-integer '# client_id:'/'# nodes:' header, self-loops,
-    duplicate edges (in either orientation) and endpoints outside the
-    '# nodes:' universe raise ParseError, whose message starts with the path.
-    """
-    try:
-        return _parse_shard(path)
-    except (ParseError, ContractError) as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
-def _parse_shard(path) -> ClientShard:
-    """read_shard without the path in its error messages."""
-    with open(path, "r", encoding="utf-8") as fh:
-        arcs, numbers, comments = scan_edge_text(fh)
-    header = {}
-    for lineno, line in comments:
-        key, _, value = line[1:].strip().partition(":")
-        if key in ("client_id", "nodes"):
-            try:
-                header[key] = int(value)
-            except ValueError:
-                raise ParseError(f"line {lineno}: non-integer {key} header") from None
-    loops = np.flatnonzero(arcs[:, 0] == arcs[:, 1])
-    if len(loops):
-        u, v = arcs[loops[0]]
-        raise ParseError(f"line {numbers[loops[0]]}: self-loop {u} {v}")
-    if len(header) != 2:
-        raise ParseError("shard file is missing its client_id/nodes header")
-    g = Graph.from_edges(header["nodes"], arcs)
-    return ClientShard(
-        g.num_nodes, g.edges, g.weights, client_id=header["client_id"]
-    )

@@ -180,12 +180,10 @@ def dense_normalized_laplacian(a: np.ndarray) -> np.ndarray:
 def parse_arcs_loop(text) -> np.ndarray:
     """Per-line SNAP edge-list parser with Python ``int`` (test oracle).
 
-    Takes str, bytes or an iterable of lines, skips blank and '#' lines and
-    raises ParseError naming the line of a malformed one. Python ``int``
-    also accepts '1_0' and non-ASCII digits, which graph.parse_arcs rejects.
+    Takes str or an iterable of lines, skips blank and '#' lines and raises
+    ParseError naming the line of a malformed one. Python ``int`` also
+    accepts '1_0' and non-ASCII digits, which graph.parse_arcs rejects.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
     arcs = []
     for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
         line = raw.strip()

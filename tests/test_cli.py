@@ -7,7 +7,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from fedspectral import linalg
 from fedspectral.cli import _build_config, build_parser, main
 from fedspectral.experiment import ExperimentConfig
-from fedspectral.graph import load_edge_list, serialize_edge_list
+from fedspectral.graph import load_edge_list, parse_arcs, serialize_edge_list
 from fedspectral.metrics import write_labels_csv
 
 from conftest import planted_graph
@@ -95,6 +95,41 @@ def test_id_outside_int64_errors(command, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error:") and "line 3" in lines[0]
     assert "Traceback" not in captured.err
+
+
+# pytest's filterwarnings = error would raise these instead of showing them
+@pytest.mark.filterwarnings("default::UserWarning")
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["run", "--algo", "global", "--iters", "9", "--clients", "3"],
+            ["--clients is ignored by algo=global", "--iters is ignored by algo=global"],
+        ),
+        (
+            ["run", "--algo", "fedspectral_plus", "--dump-client-labels", "clients"],
+            ["--dump-client-labels is ignored by algo=fedspectral_plus"],
+        ),
+        (
+            ["sweep", "--algo", "global", "--iters", "9", "--axis", "num_clusters",
+             "--values", "2,3"],
+            ["--iters is ignored by algo=global"],
+        ),
+    ],
+)
+def test_warnings_are_one_line_naming_the_flag(dataset_file, tmp_path, capsys, argv, expected):
+    argv = argv + ["--dataset", str(dataset_file), "--clusters", "2", "--trials", "1",
+                   "--output", str(tmp_path / "out.csv")]
+    assert main([str(tmp_path / a) if a == "clients" else a for a in argv]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("warning:")] == [
+        f"warning: {message}" for message in expected
+    ]
+    # Python's own format is 'file.py:LINE: UserWarning: ...' plus the
+    # source line of the call, indented by two spaces
+    assert not any("Warning" in line or ".py:" in line for line in err), err
+    assert not any(line.startswith(" ") for line in err), err
+    assert not (tmp_path / "clients").exists()
 
 
 def test_sweep_outputs(dataset_file, tmp_path):
@@ -271,6 +306,14 @@ def test_verify_subcommand(dataset_file, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_partition_dump_defaults_are_the_config_defaults():
+    args = build_parser().parse_args(["partition-dump", "--dataset", "d", "--outdir", "o"])
+    default = ExperimentConfig(dataset_path="")
+    assert (args.clients, args.overlap, args.seed) == (
+        default.num_clients, default.overlap, default.master_seed
+    )
+
+
 def test_partition_dump(dataset_file, tmp_path, capsys):
     outdir = tmp_path / "shards"
     argv = ["partition-dump", "--dataset", str(dataset_file), "--clients", "3"]
@@ -285,14 +328,13 @@ def test_partition_dump(dataset_file, tmp_path, capsys):
     files = sorted(p.name for p in outdir.iterdir())
     assert files == ["client_0.txt", "client_1.txt", "client_2.txt"]
 
-    from fedspectral.partition import read_shard
-
     g = load_edge_list(dataset_file)
     union = set()
-    for name in files:
-        shard = read_shard(outdir / name)
-        assert shard.num_nodes == g.num_nodes
-        union |= {tuple(e) for e in shard.edges.tolist()}
+    for c, name in enumerate(files):
+        text = (outdir / name).read_text()
+        header = [f"# client_id: {c}", "# seed: 4", f"# nodes: {g.num_nodes}"]
+        assert text.splitlines()[:3] == header
+        union |= {tuple(e) for e in parse_arcs(text).tolist()}
     assert union == {tuple(e) for e in g.edges.tolist()}
 
 

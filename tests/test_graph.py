@@ -132,10 +132,10 @@ class TestParseAgainstOracle:
 
     @staticmethod
     def _sources(text, tmp_path):
-        """The same text as str, as bytes and as an open file handle."""
+        """The same text as str and as an open file handle."""
         path = tmp_path / "edges.txt"
         path.write_bytes(text.encode("utf-8"))
-        return [lambda: text, lambda: text.encode("utf-8"), lambda: open(path, encoding="utf-8")]
+        return [lambda: text, lambda: open(path, encoding="utf-8")]
 
     @staticmethod
     def _parse(parse, make):

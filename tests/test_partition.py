@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from fedspectral.errors import ConfigError, ContractError, ParseError
+from fedspectral.errors import ConfigError, ContractError
 from fedspectral.graph import (
     Graph,
     laplacian_multiplier,
     normalized_laplacian,
+    parse_arcs,
 )
 from fedspectral.partition import (
     ClientShard,
     distribute_edges,
-    read_shard,
     replication_count,
     shard_universe,
     write_shard,
@@ -126,11 +126,10 @@ class TestShardIO:
         shard = distribute_edges(g, 3, 0.4, seed=10)[1]
         path = tmp_path / "client_1.txt"
         write_shard(shard, path, seed=10)
-        again = read_shard(path)
-        assert again.client_id == shard.client_id
-        assert again.num_nodes == shard.num_nodes
-        assert np.array_equal(again.edges, shard.edges)
-        assert np.array_equal(again.weights, shard.weights)
+        text = path.read_text()
+        header = [line for line in text.splitlines() if line.startswith("#")]
+        assert header == ["# client_id: 1", "# seed: 10", f"# nodes: {g.num_nodes}"]
+        assert np.array_equal(parse_arcs(text), shard.edges)
 
     def test_rejects_non_unit_weights(self, tmp_path):
         shard = ClientShard(
@@ -158,46 +157,6 @@ class TestShardIO:
         assert head[0] == "# client_id: 0"
         assert head[1] == "# seed: 11"
         assert head[2] == f"# nodes: {g.num_nodes}"
-
-    def test_canonicalizes_orientation_and_order(self, tmp_path):
-        path = tmp_path / "shard.txt"
-        path.write_text("# client_id: 2\n# nodes: 4\n3 1\n0 2\n1 0\n")
-        shard = read_shard(path)
-        assert shard.client_id == 2
-        assert shard.edges.tolist() == [[0, 1], [0, 2], [1, 3]]
-        assert shard.weights.tolist() == [1.0, 1.0, 1.0]
-
-    @pytest.mark.parametrize(
-        "body, match",
-        [
-            ("0 1\n2 2\n", "line 4: self-loop"),
-            ("0 1\n1 0\n0 1\n", "duplicate edge"),
-            ("0 1\n1 2\n", "outside"),
-            ("0 1\n99999999999999999999 1\n", "line 4: expected two integers"),
-            ("0 1\n\n1 0 # again\n", "line 5: expected two integers"),
-        ],
-    )
-    def test_rejects_bad_edges(self, tmp_path, body, match):
-        path = tmp_path / "shard.txt"
-        path.write_text("# client_id: 0\n# nodes: 2\n" + body)
-        with pytest.raises(ParseError, match=match) as excinfo:
-            read_shard(path)
-        assert str(excinfo.value).startswith(f"{path}: ")
-
-    @pytest.mark.parametrize(
-        "text, match",
-        [
-            ("# client_id: 0\n# nodes: x\n0 1\n", "line 2: non-integer nodes"),
-            ("# client_id: zero\n# nodes: 2\n0 1\n", "line 1: non-integer client_id"),
-            ("# nodes: 2\n0 1\n", "missing"),
-        ],
-    )
-    def test_rejects_bad_headers(self, tmp_path, text, match):
-        path = tmp_path / "shard.txt"
-        path.write_text(text)
-        with pytest.raises(ParseError, match=match) as excinfo:
-            read_shard(path)
-        assert str(excinfo.value).startswith(f"{path}: ")
 
 
 class TestClientShardInvariants:
