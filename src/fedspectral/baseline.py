@@ -1,28 +1,33 @@
 """Label-aggregation protocol (the baseline).
 
-Every client spectrally clusters its private shard and ships only the
-length-N label vector; the server fuses the labelings into a co-membership
-similarity Graph and spectrally re-clusters that. Clients and server run
-the one pipeline, linalg.global_spectral_clustering, on their graphs.
+Every client spectrally clusters its private shard with
+linalg.global_spectral_clustering and ships only the length-N label
+vector. The server's similarity graph weights each node pair by the
+fraction of clients that co-label it, so it sees a node only through its
+label signature: nodes with one signature are twins. The server solves
+that graph's normalized Laplacian exactly on the m twin classes (an m x m
+quotient plus closed-form within-class eigenpairs), lifts the bottom-K
+embedding to the N nodes and runs the pipeline's k-means on its rows.
+Nothing on the server is N x N.
 """
 
 from __future__ import annotations
 
 import os
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from .errors import ContractError
-from .graph import Graph
 # no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
 from .graph import normalized_laplacian_from_adjacency  # noqa: F401
-from .linalg import global_spectral_clustering
+from .linalg import bottom_k_eigenvectors, cluster_embedding_rows, global_spectral_clustering
 from .metrics import write_labels_csv
 from .partition import ClientShard, shard_universe
-from .seeding import client_seed, derive_seed
+from .seeding import client_seed, derive_seed, embedding_seed, kmeans_seed
 
-__all__ = ["get_client_labels", "build_similarity_graph", "fedspectral_server"]
+__all__ = ["get_client_labels", "TwinQuotient", "build_similarity_graph", "fedspectral_server"]
 
 
 def get_client_labels(
@@ -45,14 +50,29 @@ def get_client_labels(
     )
 
 
-def build_similarity_graph(labelings, num_clients: int) -> Graph:
-    """Co-membership Graph of per-client labelings.
+class TwinQuotient(NamedTuple):
+    """Co-membership similarity of per-client labelings, on twin classes.
 
-    Nodes i < j share an edge when some client puts them in one cluster,
-    weighted by the fraction of clients that do: the entries above the
-    diagonal of H H^T / C, where the sparse N x sum(k_c) matrix H stacks
-    the clients' one-hot labelings side by side. Labelings must be 1-D
-    arrays of non-negative integers, all of one non-zero length.
+    Nodes whose labels agree on every client (one label signature) are
+    twins. ``classes[i]`` is the class of node i, numbered by first
+    appearance, so a lower class holds a lower node; ``sizes[a]`` is the
+    class size n_a; ``agreement`` is the canonical m x m CSR S, S_ab the
+    fraction of clients on which the signatures of a and b agree. The
+    co-membership weight of distinct nodes i and j is
+    S[classes[i], classes[j]].
+    """
+
+    classes: np.ndarray
+    sizes: np.ndarray
+    agreement: sparse.csr_array
+
+
+def build_similarity_graph(labelings, num_clients: int) -> TwinQuotient:
+    """Twin-class quotient of the co-membership similarity of labelings.
+
+    S is the one-hot of the m class signatures times its transpose,
+    multiplied by 1/C. Labelings must be 1-D arrays of non-negative
+    integers, all of one non-zero length.
     """
     labelings = [np.asarray(lab) for lab in labelings]
     if num_clients < 1 or len(labelings) != num_clients:
@@ -63,17 +83,94 @@ def build_similarity_graph(labelings, num_clients: int) -> Graph:
     ):
         raise ContractError("need 1-D non-negative integer labelings of one non-zero length")
 
-    offsets = np.cumsum([0] + [int(lab.max()) + 1 for lab in labelings])
-    cols = np.concatenate(labelings).astype(np.int64) + np.repeat(offsets[:-1], n)
-    rows = np.tile(np.arange(n), num_clients)
-    onehot = sparse.csr_array((np.ones(len(cols)), (rows, cols)), shape=(n, offsets[-1]))
-    counts = onehot @ onehot.T
-    counts.sort_indices()
-    rows = np.repeat(np.arange(n), np.diff(counts.indptr))
-    upper = counts.indices > rows
-    edges = np.stack([rows[upper], counts.indices[upper]], axis=1)
-    # count * (1/C) is what scipy's sparse H H^T / C computes: 3 * (1/5) != 3 / 5
-    return Graph(n, edges, counts.data[upper] * (1 / num_clients))
+    key = np.zeros(n, dtype=np.int64)
+    dense, widths = [], [0]
+    for lab in labelings:
+        values, codes = np.unique(lab, return_inverse=True)
+        dense.append(codes)
+        widths.append(len(values))
+        # key and codes are below n, so the mixed-radix key fits in int64
+        _, first, key = np.unique(
+            key * len(values) + codes, return_index=True, return_inverse=True
+        )
+    lowest = np.sort(first)  # each class's lowest node, in order of first appearance
+    classes = np.searchsorted(lowest, first[key])
+
+    m = len(lowest)
+    offsets = np.cumsum(widths)
+    cols = np.concatenate([codes[lowest] for codes in dense]) + np.repeat(offsets[:-1], m)
+    rows = np.tile(np.arange(m), num_clients)
+    onehot = sparse.csr_array((np.ones(len(cols)), (rows, cols)), shape=(m, offsets[-1]))
+    agreement = onehot @ onehot.T
+    agreement.sort_indices()
+    # count * (1/C), not count / C, the bits of the tests' N-node oracle: 3 * (1/5) != 3 / 5
+    agreement.data *= 1 / num_clients
+    return TwinQuotient(classes, np.bincount(classes), agreement)
+
+
+def _twin_embedding(q: TwinQuotient, k: int, seed: int) -> np.ndarray:
+    """Bottom-k eigenvectors of the co-membership graph's normalized Laplacian.
+
+    With self weight s_a = S_aa and degree d_a = sum_b n_b S_ab - s_a, the
+    Laplacian splits exactly over the twin classes, an equitable partition:
+    - class-constant vectors x_i = z_a / sqrt(n_a), where z is an
+      eigenvector of the m x m quotient
+      delta_ab - (sqrt(n_a n_b) S_ab - delta_ab s_a) / sqrt(d_a d_b),
+      whose rows and columns are zero for an isolated singleton (d_a = 0);
+    - zero-sum vectors within class a, eigenvalue 1 + s_a / d_a with
+      multiplicity n_a - 1, given in the Helmert basis of the class's
+      nodes in ascending order.
+    The quotient's bottom min(k, m) pairs come from bottom_k_eigenvectors;
+    a within-class pair joins only below the k-th of them, or when m < k,
+    ties going to the quotient and then to the lower class.
+    """
+    s = q.agreement
+    m = s.shape[0]
+    rows = np.repeat(np.arange(m), np.diff(s.indptr))
+    diag = rows == s.indices
+    self_weight = s.diagonal()
+    degree = s @ q.sizes - self_weight
+    inv_sqrt = np.zeros(m)
+    linked = degree > 0
+    inv_sqrt[linked] = 1.0 / np.sqrt(degree[linked])
+    root = np.sqrt(q.sizes)
+    vals = s.data * (root[rows] * root[s.indices])
+    vals[diag] -= self_weight  # every class agrees with itself: one diagonal entry a row
+    vals *= -(inv_sqrt[rows] * inv_sqrt[s.indices])
+    vals[diag & linked[rows]] += 1.0
+    lap = sparse.csr_array((vals, s.indices, s.indptr), shape=(m, m))
+
+    z = bottom_k_eigenvectors(lap, min(k, m), seed)
+    lifted = z[q.classes]
+    lifted /= root[q.classes, None]
+    # bottom_k_eigenvectors orders its columns; Rayleigh quotients can undo
+    # that by an ulp, so the sort keys keep the order
+    quotient_vals = np.maximum.accumulate(np.einsum("ij,ij->j", z, lap @ z))
+    twins = np.flatnonzero(q.sizes > 1)
+    within = 1.0 + self_weight[twins] / degree[twins]
+    if m >= k:
+        below = within < quotient_vals[-1]
+        twins, within = twins[below], within[below]
+    if not len(twins):
+        return lifted
+
+    # the first min(n_a - 1, k) Helmert vectors of each class, as (eigenvalue, class, t)
+    pairs = sorted(
+        (value, a, t)
+        for a, value in zip(twins, within)
+        for t in range(1, min(q.sizes[a] - 1, k) + 1)
+    )
+    keys = np.concatenate([quotient_vals, [value for value, _, _ in pairs]])
+    basis = np.zeros((len(q.classes), k))
+    for col, pick in enumerate(np.argsort(keys, kind="stable")[:k]):
+        if pick < z.shape[1]:
+            basis[:, col] = lifted[:, pick]
+            continue
+        _, a, t = pairs[pick - z.shape[1]]
+        members = np.flatnonzero(q.classes == a)[: t + 1]
+        basis[members, col] = 1.0 / np.sqrt(t * (t + 1.0))
+        basis[members[t], col] = -t / np.sqrt(t * (t + 1.0))
+    return basis
 
 
 def fedspectral_server(
@@ -87,12 +184,14 @@ def fedspectral_server(
     """Aggregate per-client labelings into a global clustering.
 
     Collects every client's labels (each client seeded by
-    hash(master_seed, client_id)), builds the co-membership Graph
-    (build_similarity_graph) and clusters it with
-    global_spectral_clustering, the pipeline of the clients and of the
-    reference, seeded by hash(master_seed, "server"). The result is
-    independent of shard ordering and deterministic for fixed shards and
-    seed. ``dump_dir`` optionally writes each client labeling as CSV.
+    hash(master_seed, client_id)), builds their twin-class quotient
+    (build_similarity_graph), takes the bottom-K eigenvectors of the
+    similarity graph's normalized Laplacian from it (_twin_embedding) and
+    clusters their N rows with k-means, with the seeds that
+    global_spectral_clustering derives from hash(master_seed, "server").
+    The server reads only the labelings. The result is independent of
+    shard ordering and deterministic for fixed shards and seed.
+    ``dump_dir`` optionally writes each client labeling as CSV.
     """
     shard_universe(shards)
     by_id = sorted(shards, key=lambda sh: sh.client_id)
@@ -112,7 +211,9 @@ def fedspectral_server(
                 os.path.join(dump_dir, f"client_{sh.client_id}_labels.csv"), lab
             )
 
-    graph = build_similarity_graph(labelings, len(shards))
-    return global_spectral_clustering(
-        graph, num_clusters, derive_seed(seed, "server"), normalize_rows=normalize_rows
+    quotient = build_similarity_graph(labelings, len(shards))
+    server = derive_seed(seed, "server")
+    embedding = _twin_embedding(quotient, num_clusters, embedding_seed(server))
+    return cluster_embedding_rows(
+        embedding, num_clusters, kmeans_seed(server), normalize_rows=normalize_rows
     )

@@ -4,8 +4,9 @@ Covers SNAP-style edge-list ingestion, canonical in-memory representation,
 and the symmetric normalized Laplacian L and the multiplier I - L, both as
 scipy CSR matrices of O(edges) memory built from one body. Every runtime
 graph is a Graph (a client shard, partition.ClientShard, is a Graph with a
-client id; the baseline server's co-membership graph is one too), so the
-Laplacian of an adjacency matrix is only a test oracle. Node ids are
+client id; the baseline server builds no graph, only the twin-class
+quotient of its similarity graph), so the Laplacian of an adjacency
+matrix is only a test oracle. Node ids are
 contiguous 0..num_nodes-1 after remapping, with the original ids retained
 so results can be written back in source-file terms.
 """

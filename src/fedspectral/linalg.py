@@ -5,7 +5,8 @@ pinned sign conventions), the bottom-K eigensolver of a sparse or dense
 Laplacian (ARPACK through scipy's eigsh, per connected component), Lloyd's
 k-means with k-means++ seeding, and the one spectral clustering pipeline
 of a graph: it gives the reference labeling that every experiment scores
-against, and the baseline's client and server labelings.
+against and the baseline's client labelings; the baseline server runs its
+two halves on the twin-class quotient of the client labelings.
 
 Everything is float64 and deterministic for fixed seeds. The
 factorizations are followed by sign fixes (non-negative R diagonal;
@@ -282,11 +283,12 @@ def cluster_embedding_rows(
 def global_spectral_clustering(
     g: Graph, k: int, seed: int, *, normalize_rows: bool = False
 ) -> np.ndarray:
-    """Spectral clustering of a graph: the reference (the whole graph), each
-    baseline client (its shard) and the baseline server (the co-membership
-    graph) all call this one pipeline. Bottom-K eigenvectors of the sparse
-    normalized Laplacian, then k-means on the node rows, both seeded from
-    ``seed`` by role; deterministic for fixed (g, k, seed).
+    """Spectral clustering of a graph: the reference (the whole graph) and
+    each baseline client (its shard) call this one pipeline. Bottom-K
+    eigenvectors of the sparse normalized Laplacian, then k-means on the
+    node rows, both seeded from ``seed`` by role; deterministic for fixed
+    (g, k, seed). The baseline server takes the same two steps, and the
+    same seeds, on its twin-class quotient instead of a Graph.
     """
     embedding = bottom_k_eigenvectors(normalized_laplacian(g), k, embedding_seed(seed))
     return cluster_embedding_rows(

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from fedspectral.errors import ParseError
 from fedspectral.experiment import write_records_csv
@@ -159,6 +160,30 @@ def dense_adjacency(g: Graph) -> np.ndarray:
     a[g.edges[:, 0], g.edges[:, 1]] = g.weights
     a[g.edges[:, 1], g.edges[:, 0]] = g.weights
     return a
+
+
+def comembership_graph(labelings, num_clients: int) -> Graph:
+    """Co-membership similarity graph of per-client labelings on all N nodes
+    (test oracle of baseline.build_similarity_graph's twin-class quotient).
+
+    Nodes i < j share an edge when some client puts them in one cluster,
+    weighted by the fraction of clients that do: the entries above the
+    diagonal of H H^T / C, where the sparse N x sum(k_c) matrix H stacks
+    the clients' one-hot labelings side by side. The input is not checked.
+    """
+    labelings = [np.asarray(lab) for lab in labelings]
+    n = labelings[0].size
+    offsets = np.cumsum([0] + [int(lab.max()) + 1 for lab in labelings])
+    cols = np.concatenate(labelings).astype(np.int64) + np.repeat(offsets[:-1], n)
+    rows = np.tile(np.arange(n), num_clients)
+    onehot = sparse.csr_array((np.ones(len(cols)), (rows, cols)), shape=(n, offsets[-1]))
+    counts = onehot @ onehot.T
+    counts.sort_indices()
+    rows = np.repeat(np.arange(n), np.diff(counts.indptr))
+    upper = counts.indices > rows
+    edges = np.stack([rows[upper], counts.indices[upper]], axis=1)
+    # count * (1/C) is what scipy's sparse H H^T / C computes: 3 * (1/5) != 3 / 5
+    return Graph(n, edges, counts.data[upper] * (1 / num_clients))
 
 
 def dense_normalized_laplacian(a: np.ndarray) -> np.ndarray:

@@ -1,29 +1,27 @@
 import numpy as np
 import pytest
-from scipy import sparse
+from scipy.linalg import subspace_angles
 
-from fedspectral import baseline
+from fedspectral import baseline, linalg
 from fedspectral.baseline import (
+    TwinQuotient,
     build_similarity_graph,
     fedspectral_server,
     get_client_labels,
 )
 from fedspectral.errors import ContractError
-from fedspectral.graph import (
-    Graph,
-    normalized_laplacian,
-    normalized_laplacian_from_adjacency,
-)
+from fedspectral.graph import Graph, normalized_laplacian
 from fedspectral.linalg import (
     bottom_k_eigenvectors,
     cluster_embedding_rows,
     global_spectral_clustering,
+    symmetric_eig_reference,
 )
 from fedspectral.metrics import cluster_similarity
 from fedspectral.partition import ClientShard, distribute_edges
 from fedspectral.seeding import derive_seed, embedding_seed, kmeans_seed
 
-from conftest import dense_adjacency, planted_graph
+from conftest import comembership_graph, dense_adjacency, planted_graph
 
 
 def shard_from_graph(g, client_id=0):
@@ -62,30 +60,39 @@ class TestClientLabels:
             get_client_labels(empty_shard(n=3), 4, seed=0)
 
 
+def comembership_matrix(q):
+    """Dense N x N co-membership H H^T / C of a twin quotient, diagonal included."""
+    return q.agreement.toarray()[np.ix_(q.classes, q.classes)]
+
+
 class TestSimilarityGraph:
     def test_two_client_entries(self):
         both = build_similarity_graph([[0, 0, 1], [1, 1, 0]], 2)
-        assert dense_adjacency(both)[0, 1] == 1.0
+        assert comembership_matrix(both)[0, 1] == 1.0
         one = build_similarity_graph([[0, 0, 1], [0, 1, 1]], 2)
-        assert dense_adjacency(one)[0, 1] == 0.5
+        assert comembership_matrix(one)[0, 1] == 0.5
 
     def test_unanimous_clients_give_comembership_blocks(self):
         labels = np.array([0, 0, 1, 1, 2])
         sim = build_similarity_graph([labels, labels, labels], 3)
         expected = (labels[:, None] == labels[None, :]).astype(float)
-        assert np.array_equal(dense_adjacency(sim) + np.eye(5), expected)
+        assert np.array_equal(comembership_matrix(sim), expected)
+        assert np.array_equal(sim.classes, labels)
+        assert np.array_equal(sim.sizes, [2, 2, 1])
 
     def test_diagonal_is_exactly_one_and_grid_valued(self):
-        # the co-membership diagonal is one by definition; the Graph stores
-        # no self-loops, by design, so its adjacency diagonal is zero
+        # every class agrees with itself on every client, so S stores its
+        # diagonal, C * (1/C), which is exactly one for C = 4
         rng = np.random.default_rng(5)
         labelings = [rng.integers(0, 3, 12) for _ in range(4)]
         sim = build_similarity_graph(labelings, 4)
-        assert isinstance(sim, Graph) and sim.num_nodes == 12
-        assert (sim.edges[:, 0] < sim.edges[:, 1]).all()
-        assert not np.diagonal(dense_adjacency(sim)).any()
-        assert ((sim.weights > 0) & (sim.weights <= 1)).all()
-        scaled = sim.weights * 4
+        m = len(sim.sizes)
+        assert isinstance(sim, TwinQuotient) and sim.classes.shape == (12,)
+        assert np.array_equal(sim.sizes, np.bincount(sim.classes, minlength=m))
+        assert sim.agreement.shape == (m, m) and sim.agreement.has_canonical_format
+        assert np.array_equal(sim.agreement.diagonal(), np.ones(m))
+        assert ((sim.agreement.data > 0) & (sim.agreement.data <= 1)).all()
+        scaled = sim.agreement.data * 4
         assert np.abs(scaled - np.round(scaled)).max() < 1e-12
 
     def test_matches_bruteforce_oracle(self):
@@ -97,14 +104,25 @@ class TestSimilarityGraph:
         unanimous = [random[0]] * num_clients
         for labelings in (random, unequal, unanimous):
             sim = build_similarity_graph(labelings, num_clients)
-            assert isinstance(sim, Graph)
             brute = np.zeros((n, n))
             for lab in labelings:
                 for i in range(n):
                     for j in range(n):
                         if lab[i] == lab[j]:
                             brute[i, j] += 1 / num_clients
-            assert np.abs(dense_adjacency(sim) + np.eye(n) - brute).max() < 1e-12
+            assert np.abs(comembership_matrix(sim) - brute).max() < 1e-12
+            oracle = comembership_graph(labelings, num_clients)
+            assert np.abs(dense_adjacency(oracle) + np.eye(n) - brute).max() < 1e-12
+            signature = np.stack(labelings, axis=1)
+            twins = (signature[:, None] == signature[None, :]).all(axis=2)
+            assert np.array_equal(sim.classes[:, None] == sim.classes[None, :], twins)
+
+    def test_classes_numbered_by_first_appearance(self):
+        # signatures (2, 1), (0, 1), (2, 1), (1, 0), (0, 1)
+        sim = build_similarity_graph([[2, 0, 2, 1, 0], [1, 1, 1, 0, 1]], 2)
+        assert np.array_equal(sim.classes, [0, 1, 0, 2, 1])
+        assert np.array_equal(sim.sizes, [2, 2, 1])
+        assert np.array_equal(sim.agreement.toarray(), [[1, 0.5, 0], [0.5, 1, 0], [0, 0, 1]])
 
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(7)
@@ -112,8 +130,12 @@ class TestSimilarityGraph:
         base = build_similarity_graph(labelings, 3)
         perm = rng.permutation(4)
         relabeled = build_similarity_graph([perm[lab] for lab in labelings], 3)
-        assert np.array_equal(base.edges, relabeled.edges)
-        assert np.array_equal(base.weights, relabeled.weights)
+        assert np.array_equal(base.classes, relabeled.classes)
+        assert np.array_equal(base.sizes, relabeled.sizes)
+        for field in ("indptr", "indices", "data"):
+            assert np.array_equal(
+                getattr(base.agreement, field), getattr(relabeled.agreement, field)
+            )
 
     def test_contracts(self):
         with pytest.raises(ContractError):
@@ -131,11 +153,6 @@ class TestSimilarityGraph:
             build_similarity_graph([[0, -1]], 1)
 
 
-def comembership_counts(labelings):
-    """Integer N x N count of the clients that co-label each pair."""
-    return sum((lab[:, None] == lab[None, :]).astype(np.int64) for lab in labelings)
-
-
 def oracle_labelings(case, rng, n, num_clients):
     if case == "random":
         return [rng.integers(0, rng.integers(1, 8), n) for _ in range(num_clients)]
@@ -143,44 +160,139 @@ def oracle_labelings(case, rng, n, num_clients):
         return [rng.integers(0, k, n) for k in (1, 9, 2, 5, 3, 12, 4)[:num_clients]]
     if case == "unanimous":
         return [rng.integers(0, 4, n)] * num_clients
+    if case == "isolated":
+        # the last node is alone on every client: a class with d_a = 0
+        return [np.append(rng.integers(0, 3, n - 1), 3) for _ in range(num_clients)]
+    if case == "k_above_m":
+        # at most four classes, fewer than the N >= 8 nodes
+        return [rng.integers(0, 2, n) for _ in range(2)]
     # near-singleton: k close to N leaves most nodes alone or in pairs
     return [rng.integers(0, n - 2, n) for _ in range(num_clients)]
 
 
-class TestServerOracle:
-    """The server equals the pipeline it replaced, which clustered the
-    Laplacian of the adjacency H H^T / C - I with the server's seeds."""
+def spy_on(monkeypatch, module, name, calls):
+    """Wrap module.name so each call's first argument is appended to calls."""
+    real = getattr(module, name)
 
-    @pytest.mark.parametrize("case", ["random", "unequal", "unanimous", "singletons"])
+    def spy(first, *args, **kwargs):
+        calls.append(first)
+        return real(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+
+
+def serve(monkeypatch, labelings, k, seed, **kwargs):
+    """fedspectral_server over clients that return the given labelings."""
+    monkeypatch.setattr(
+        baseline, "get_client_labels", lambda sh, *a, **kw: labelings[sh.client_id]
+    )
+    n = len(labelings[0])
+    shards = [empty_shard(n, c) for c in range(len(labelings))]
+    return fedspectral_server(shards, k, seed, **kwargs)
+
+
+class TestServerOracle:
+    """The server equals the N-node pipeline it replaced: the normalized
+    Laplacian of conftest.comembership_graph, solved by bottom_k_eigenvectors
+    and clustered with the server's seeds."""
+
+    @pytest.mark.parametrize(
+        "case", ["random", "unequal", "unanimous", "singletons", "isolated", "k_above_m"]
+    )
     def test_laplacian_and_labels_match_adjacency_pipeline(self, monkeypatch, case):
         rng = np.random.default_rng(len(case))
+        embeddings = []
+        spy_on(monkeypatch, baseline, "cluster_embedding_rows", embeddings)
         for trial in range(8):
             # 1 / C is inexact for C = 3, 5, 6, 7, where the rounding shows
             n, num_clients = int(rng.integers(8, 40)), int(rng.integers(2, 8))
             labelings = oracle_labelings(case, rng, n, num_clients)
-            # scipy divides a sparse matrix by C as count * (1/C), whose bits
-            # differ from count / C (3 * (1/5) != 3 / 5), so divide the CSR
-            counts = sparse.csr_array(comembership_counts(labelings))
-            identity = sparse.eye_array(n, format="csr")
-            old_lap = normalized_laplacian_from_adjacency(counts / num_clients - identity)
-            lap = normalized_laplacian(build_similarity_graph(labelings, num_clients))
-            assert lap.shape == old_lap.shape
-            assert np.array_equal(lap.indptr, old_lap.indptr)
-            assert np.array_equal(lap.indices, old_lap.indices)
-            assert np.array_equal(lap.data, old_lap.data)
+            sizes = build_similarity_graph(labelings, len(labelings)).sizes
+            m = len(sizes)
+            if case == "k_above_m":
+                k = int(rng.integers(m + 1, min(n, m + 4) + 1))
+            elif case == "unanimous" and trial % 2:
+                # every zero and the lowest within-class eigenspace, that of
+                # the largest class: a gap unless two classes tie for largest
+                k = m + int(sizes.max()) - 1
+            else:
+                k = int(rng.integers(1, min(n, 8) + 1))
+            seed, rows = 100 + trial, trial % 2 == 1
+            labels = serve(monkeypatch, labelings, k, seed, normalize_rows=rows)
+            embedding = embeddings.pop()
 
-            monkeypatch.setattr(
-                baseline, "get_client_labels", lambda sh, *a, **kw: labelings[sh.client_id]
-            )
-            shards = [empty_shard(n, c) for c in range(num_clients)]
-            k, seed, rows = int(rng.integers(1, min(n, 8) + 1)), 100 + trial, trial % 2 == 1
+            lap = normalized_laplacian(comembership_graph(labelings, len(labelings)))
+            vals, vecs = symmetric_eig_reference(lap.toarray())
+            rayleigh = np.einsum("ij,ij->j", embedding, lap @ embedding)
+            assert np.abs(embedding.T @ embedding - np.eye(k)).max() < 1e-12
+            assert np.abs(np.sort(rayleigh) - vals[:k]).max() < 1e-12
+            assert np.abs(lap @ embedding - embedding * rayleigh).max() < 1e-10
+            if k == n or vals[k] - vals[k - 1] <= 1e-6:
+                continue
+            assert np.sin(subspace_angles(embedding, vecs[:, :k]).max()) <= 1e-9
+            # a repeated eigenvalue's basis is each solver's own, and k-means
+            # can break ties between the rotated rows either way
+            if np.diff(vals[: k + 1]).min() <= 1e-6:
+                continue
             server = derive_seed(seed, "server")
-            embedding = bottom_k_eigenvectors(old_lap, k, embedding_seed(server))
+            oracle = bottom_k_eigenvectors(lap, k, embedding_seed(server))
             expected = cluster_embedding_rows(
-                embedding, k, kmeans_seed(server), normalize_rows=rows
+                oracle, k, kmeans_seed(server), normalize_rows=rows
             )
-            labels = fedspectral_server(shards, k, seed, normalize_rows=rows)
             assert np.array_equal(labels, expected)
+
+    def test_within_class_pairs_in_helmert_basis(self, monkeypatch):
+        # unanimous clients, m = 2 < K = 4: the quotient gives two zero
+        # eigenvalues, class 0 (n = 3, d = 2) two at 1.5, class 1 two at 2
+        embeddings = []
+        spy_on(monkeypatch, baseline, "cluster_embedding_rows", embeddings)
+        labels = np.array([0, 0, 0, 1, 1])
+        serve(monkeypatch, [labels, labels], 4, seed=3)
+        (embedding,) = embeddings
+        helmert = np.array([[1, -1, 0, 0, 0], [1, 1, -2, 0, 0]]) / np.sqrt([[2], [6]])
+        assert np.abs(embedding[:, 2:].T - helmert).max() < 1e-15
+        # the two zero eigenvalues span the class indicators, in either order
+        indicators = np.eye(2)[labels] / np.sqrt([3, 2])
+        projector = embedding[:, :2] @ embedding[:, :2].T
+        assert np.abs(projector - indicators @ indicators.T).max() < 1e-15
+
+    def test_within_class_pair_below_a_quotient_eigenvalue(self, monkeypatch):
+        # classes {0..9}, {10}, {11} (m = K = 3): the quotient's eigenvalues
+        # are 0, 0 and 2 (nodes 10 and 11 agree on one client of two), so
+        # the first within-class pair of class 0, at 1 + 1/9, takes the third
+        # column
+        embeddings = []
+        spy_on(monkeypatch, baseline, "cluster_embedding_rows", embeddings)
+        labelings = [np.array([0] * 10 + [1, 1]), np.array([0] * 10 + [1, 2])]
+        serve(monkeypatch, labelings, 3, seed=4)
+        (embedding,) = embeddings
+        assert np.abs(embedding[:, 2] - np.r_[1, -1, [0] * 10] / np.sqrt(2)).max() < 1e-15
+        lap = normalized_laplacian(comembership_graph(labelings, 2))
+        vals, _ = symmetric_eig_reference(lap.toarray())
+        rayleigh = np.einsum("ij,ij->j", embedding, lap @ embedding)
+        assert np.abs(rayleigh - vals[:3]).max() < 1e-12
+        assert abs(vals[2] - (1 + 1 / 9)) < 1e-12
+
+    def test_solves_only_the_twin_quotient(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        n = 60
+        labelings = [rng.integers(0, 3, n) for _ in range(4)]
+        m = len(np.unique(np.stack(labelings, axis=1), axis=0))
+        assert m < n
+        shapes = []
+        real = linalg.bottom_k_eigenvectors
+
+        def spy(lap, k, seed):
+            shapes.append(lap.shape)
+            return real(lap, k, seed)
+
+        # where the server looks the solver up, and where the N-node pipeline
+        # (global_spectral_clustering) would
+        monkeypatch.setattr(baseline, "bottom_k_eigenvectors", spy, raising=False)
+        monkeypatch.setattr(linalg, "bottom_k_eigenvectors", spy)
+        labels = serve(monkeypatch, labelings, 3, seed=5)
+        assert labels.shape == (n,)
+        assert shapes == [(m, m)]
 
 
 class TestServer:

@@ -255,9 +255,11 @@ class TestBottomK:
         assert np.array_equal(bottom_k_eigenvectors(edgeless, 2, seed=0), expected)
 
     def test_clique_blocks_fall_back_to_dense(self):
-        # unanimous clients give a co-membership graph of cliques; a clique's
-        # repeated eigenvalue straddles the K boundary, and from this seed's
-        # start vector ARPACK stops with error 3 ("no shifts could be applied")
+        # a graph of disjoint cliques (the N-node co-membership graph of
+        # unanimous clients, which the baseline server no longer builds); a
+        # clique's repeated eigenvalue straddles the K boundary, and from this
+        # seed's start vector ARPACK stops with error 3 ("no shifts could be
+        # applied")
         labels = np.repeat(np.arange(8), [100] * 5 + [1] * 3)
         similarity = (labels[:, None] == labels[None, :]).astype(np.float64)
         np.fill_diagonal(similarity, 0.0)
