@@ -168,6 +168,18 @@ class ResultRecord:
     wallclock_ms: float
 
 
+def _subspace_drift(previous: np.ndarray, basis: np.ndarray) -> float:
+    """Spectral norm of the part of ``basis`` outside span(``previous``).
+
+    One N x K residual R = Q - B (B^T Q), then K x K work: the largest
+    singular value of R is the square root of the largest eigenvalue of
+    its Gram matrix R^T R.
+    """
+    residual = basis - previous @ (previous.T @ basis)
+    top = np.linalg.eigvalsh(residual.T @ residual)[-1]
+    return float(np.sqrt(max(top, 0.0)))
+
+
 def run_single_trial(
     graph: Graph,
     reference: np.ndarray,
@@ -180,7 +192,10 @@ def run_single_trial(
 
     Returns (similarity, labels, diagnostics, wallclock_ms); the similarity
     depends only on (graph, cfg shape, seed), which is what makes records
-    reproducible from their recorded trial_seed alone.
+    reproducible from their recorded trial_seed alone. A FedSpectral+ trial
+    records each round's subspace drift (_subspace_drift of the broadcast
+    and the aggregated basis) in ``diagnostics.round_drift`` through the
+    protocol's round observer.
     """
     diagnostics = Diagnostics()
     start = time.perf_counter()
@@ -209,7 +224,9 @@ def run_single_trial(
                 iters=cfg.iters,
                 global_rounds=cfg.global_rounds,
                 normalize_rows=cfg.normalize_rows,
-                diag=diagnostics,
+                on_round=lambda _, previous, basis: diagnostics.round_drift.append(
+                    _subspace_drift(previous, basis)
+                ),
             )
     wallclock_ms = (time.perf_counter() - start) * 1000.0
     similarity = cluster_similarity(reference, labels)

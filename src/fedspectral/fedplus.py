@@ -4,7 +4,9 @@ Each round the server broadcasts the current N x K embedding, every client
 applies ``iters`` local multiplications by its shard multiplier M = I - L
 (identity on shard-isolated nodes), and the server averages the replies in
 ascending client-id order and re-orthonormalizes with a reduced QR. The
-only payloads crossing the client boundary are embeddings.
+only payloads crossing the client boundary are embeddings. Per-round
+telemetry is the caller's: one observer, ``on_round``, sees each round's
+broadcast and aggregated bases.
 
 M is a scipy CSR matrix built once per client from the shard's edge
 arrays: O(N + shard edges) memory, and O(shard edges * K) work per local
@@ -30,7 +32,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .diagnostics import Diagnostics
 from .errors import ConfigError, ContractError, ConvergenceError, RankError
 from .graph import laplacian_multiplier
 from .linalg import cluster_embedding_rows, reduced_qr
@@ -130,11 +131,16 @@ def aggregate_round(client_outputs, *, round_index: int | None = None) -> np.nda
     if any(o.shape != shape for o in outputs):
         raise ContractError("client outputs have mismatched shapes")
 
+    # anchor + (sum of (out - anchor)) / C operation for operation, so the
+    # bits stay those of the reduction order above, in two buffers
     anchor = outputs[0]
-    acc = np.zeros_like(anchor)
+    mean = np.zeros_like(anchor)
+    diff = np.empty_like(anchor)
     for out in outputs[1:]:
-        acc += out - anchor
-    mean = anchor + acc / len(outputs)
+        np.subtract(out, anchor, out=diff)
+        mean += diff
+    mean /= len(outputs)
+    mean += anchor
     try:
         q, _ = reduced_qr(mean)
     except RankError as exc:
@@ -148,7 +154,6 @@ def server_round_loop(
     initial_basis: np.ndarray,
     global_rounds: int,
     *,
-    diag: Diagnostics | None = None,
     on_round=None,
 ) -> np.ndarray:
     """Run the broadcast/iterate/aggregate rounds over client transports.
@@ -156,8 +161,10 @@ def server_round_loop(
     The transports are anything with a ``run_round(BroadcastMessage) ->
     ClientReply`` method; this loop never touches shard data. Replies are
     aggregated in ascending client-id order, so the result is independent
-    of transport order. ``on_round(round_index, basis)`` observes each
-    post-aggregation basis.
+    of transport order. ``on_round(round_index, previous, basis)`` observes
+    each round: ``previous`` is the basis the round broadcast (the initial
+    basis at round 0) and ``basis`` the aggregated one. The observer must
+    not modify either.
     """
     basis = np.asarray(initial_basis, dtype=np.float64)
     for round_index in range(global_rounds):
@@ -169,13 +176,9 @@ def server_round_loop(
         )
         if not np.isfinite(candidate).all():
             raise ConvergenceError(f"round {round_index}: non-finite embedding")
-        if diag is not None:
-            residual = candidate - basis @ (basis.T @ candidate)
-            # largest singular value: the spectral norm, without norm's moveaxis
-            diag.round_drift.append(float(np.linalg.svd(residual, compute_uv=False)[0]))
-        basis = candidate
         if on_round is not None:
-            on_round(round_index, basis)
+            on_round(round_index, basis, candidate)
+        basis = candidate
     return basis
 
 
@@ -187,15 +190,16 @@ def run_fedspectral_plus(
     iters: int = 1,
     global_rounds: int = 1,
     normalize_rows: bool = False,
-    diag: Diagnostics | None = None,
     on_round=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full protocol: random orthonormal start, rounds, final k-means.
 
     The initial embedding is iid standard normal from ``seed``,
     orthonormalized once before round 1 so the first round is conditioned
-    like every later one. Returns (labeling, final embedding); fully
-    deterministic for fixed shards and arguments.
+    like every later one. ``on_round`` is server_round_loop's observer; its
+    first call sees that orthonormalized start as ``previous``. Returns
+    (labeling, final embedding); fully deterministic for fixed shards and
+    arguments.
     """
     for name, value in (
         ("num_clusters", num_clusters),
@@ -211,9 +215,7 @@ def run_fedspectral_plus(
     transports = [PowerIterationClient(sh, iters) for sh in shards]
     rng = np.random.default_rng(embedding_seed(seed))
     basis, _ = reduced_qr(rng.standard_normal((n, num_clusters)))
-    basis = server_round_loop(
-        transports, basis, global_rounds, diag=diag, on_round=on_round
-    )
+    basis = server_round_loop(transports, basis, global_rounds, on_round=on_round)
     labels = cluster_embedding_rows(
         basis, num_clusters, kmeans_seed(seed), normalize_rows=normalize_rows
     )

@@ -1,12 +1,13 @@
 """Numerical kernels.
 
-Reduced QR and the dense reference eigensolver (numpy's LAPACK, under
-pinned sign conventions), the bottom-K eigensolver of a sparse or dense
-Laplacian (ARPACK through scipy's eigsh, per connected component), Lloyd's
-k-means with k-means++ seeding, and the one spectral clustering pipeline
-of a graph: it gives the reference labeling that every experiment scores
-against and the baseline's client labelings; the baseline server runs its
-two halves on the twin-class quotient of the client labelings.
+Reduced QR (LAPACK geqrf/orgqr through scipy) and the dense reference
+eigensolver (numpy's LAPACK eigh) under pinned sign conventions, the
+bottom-K eigensolver of a sparse or dense Laplacian (ARPACK through
+scipy's eigsh, per connected component), Lloyd's k-means with k-means++
+seeding, and the one spectral clustering pipeline of a graph: it gives
+the reference labeling that every experiment scores against and the
+baseline's client labelings; the baseline server runs its two halves on
+the twin-class quotient of the client labelings.
 
 Everything is float64 and deterministic for fixed seeds. The
 factorizations are followed by sign fixes (non-negative R diagonal;
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 
@@ -37,14 +39,17 @@ __all__ = [
 RANK_TOL = 1e-12
 SYMMETRY_TOL = 1e-10
 KMEANS_MAX_ITER = 300
+# LAPACK work per column: room for the blocked QR path at block sizes up to 64
+_QR_WORK_PER_COLUMN = 64
 
 
 def reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR of an N x K matrix, N >= K.
 
-    Returns (q, r) with a = q @ r, q orthonormal columns, r upper
-    triangular with non-negative diagonal (the sign convention that makes
-    the factorization unique and runs deterministic).
+    Returns (q, r) with a = q @ r, q C-contiguous with orthonormal columns,
+    r upper triangular with non-negative diagonal (the sign convention that
+    makes the factorization unique and runs deterministic). The routines
+    are LAPACK's Householder geqrf and orgqr, the ones np.linalg.qr calls.
 
     Raises
     ------
@@ -60,7 +65,18 @@ def reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n < k:
         raise ContractError(f"reduced_qr needs N >= K, got {n} x {k}")
 
-    q, r = np.linalg.qr(a, mode="reduced")
+    if k == 0:  # LAPACK rejects a leading dimension of 0
+        return np.zeros((n, 0)), np.zeros((0, 0))
+
+    # np.linalg.qr's routines without its wrapper copies and workspace
+    # queries; Q goes to C order, which scipy's CSR product takes uncopied
+    lwork = _QR_WORK_PER_COLUMN * k
+    packed, tau, _, info = lapack.dgeqrf(a, lwork=lwork)
+    r = np.triu(packed[:k])
+    q, _, info_q = lapack.dorgqr(packed, tau, lwork=lwork, overwrite_a=1)
+    if info or info_q:
+        raise ContractError(f"LAPACK QR failed (geqrf info {info}, orgqr info {info_q})")
+    q = np.ascontiguousarray(q)
     flip = np.diagonal(r) < 0
     if flip.any():
         r[flip, :] *= -1.0
@@ -156,9 +172,10 @@ def bottom_k_eigenvectors(lap, k: int, seed: int) -> np.ndarray:
     a repeated eigenvalue. So each component gives its bottom min(K, size)
     pairs (_bottom_of_component; an isolated node, a zero row, is a 1 x 1
     block) and the K smallest pairs are kept, ties going to the component
-    with the lowest node. Columns come in ascending eigenvalue order, each
-    with its first nonzero component positive, and repeat bit for bit for
-    fixed (lap, k, seed).
+    with the lowest node (each component's zero keyed as exactly 0.0, so
+    that rule, not rounding, orders the zeros). Columns come in ascending
+    eigenvalue order, each with its first nonzero component positive, and
+    repeat bit for bit for fixed (lap, k, seed).
 
     Raises
     ------
@@ -184,6 +201,8 @@ def bottom_k_eigenvectors(lap, k: int, seed: int) -> np.ndarray:
         nodes = np.flatnonzero(component == label)
         block = lap if count == 1 else lap[nodes][:, nodes]
         vals, vecs = _bottom_of_component(block, min(k, len(nodes)), rng)
+        # every component of L_sym has exactly one zero eigenvalue
+        vals[np.argmin(vals)] = 0.0
         pairs += [(val, nodes[0], nodes, vec) for val, vec in zip(vals[:k], vecs.T)]
     pairs.sort(key=lambda pair: pair[:2])
 

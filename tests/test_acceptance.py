@@ -149,7 +149,7 @@ def test_full_overlap_bitwise_reduction():
             seed=601,
             iters=2,
             global_rounds=8,
-            on_round=lambda t, b: per_round[clients].append(b.copy()),
+            on_round=lambda t, previous, b: per_round[clients].append(b.copy()),
         )
     same = all(
         np.array_equal(a, b) for a, b in zip(per_round[1], per_round[3])

@@ -260,10 +260,10 @@ class TestServerOracle:
         (embedding,) = embeddings
         helmert = np.array([[1, -1, 0, 0, 0], [1, 1, -2, 0, 0]]) / np.sqrt([[2], [6]])
         assert np.abs(embedding[:, 2:].T - helmert).max() < 1e-15
-        # the two zero eigenvalues span the class indicators, in either order
+        # the two zero eigenvalues give the class indicators, the class with
+        # the lower node first
         indicators = np.eye(2)[labels] / np.sqrt([3, 2])
-        projector = embedding[:, :2] @ embedding[:, :2].T
-        assert np.abs(projector - indicators @ indicators.T).max() < 1e-15
+        assert np.abs(embedding[:, :2] - indicators).max() < 1e-15
 
     def test_within_class_pair_below_a_quotient_eigenvalue(self, monkeypatch):
         # classes {0..9}, {10}, {11} (m = K = 3): the quotient's eigenvalues

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fedspectral import experiment
 from fedspectral.errors import ConfigError
 from fedspectral.experiment import (
     ExperimentConfig,
@@ -205,6 +206,32 @@ class TestRun:
             assert 0.0 < r.similarity <= 1.0
             assert r.wallclock_ms > 0
             assert len(r.round_drift) == cfg.global_rounds
+
+    def test_round_drift_matches_svd_over_200_rounds(self, dataset_file, monkeypatch):
+        # the drift is the largest singular value of the residual of each
+        # aggregated basis against the broadcast one; the trial's observer
+        # takes it from the K x K Gram matrix
+        svd_drift = []
+        real = experiment.run_fedspectral_plus
+
+        def spy(*args, on_round, **kwargs):
+            def both(t, previous, basis):
+                residual = basis - previous @ (previous.T @ basis)
+                svd_drift.append(np.linalg.svd(residual, compute_uv=False)[0])
+                on_round(t, previous, basis)
+
+            return real(*args, on_round=both, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_fedspectral_plus", spy)
+        cfg = make_cfg(dataset_file, iters=1, global_rounds=200, num_trials=1)
+        graph = load_edge_list(dataset_file)
+        _, _, diagnostics, _ = run_single_trial(
+            graph, compute_reference(graph, cfg), cfg, trial_seed(cfg.master_seed, 0)
+        )
+        drift = np.array(diagnostics.round_drift)
+        assert len(drift) == len(svd_drift) == 200
+        assert (np.abs(drift - svd_drift) <= 1e-12 * np.array(svd_drift) + 1e-15).all()
+        assert drift[-1] < 1e-6 < drift[0]
 
     def test_similarity_reproducible_from_trial_seed(self, dataset_file):
         cfg = make_cfg(

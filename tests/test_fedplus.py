@@ -4,8 +4,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fedspectral.diagnostics import Diagnostics
 from fedspectral.errors import ConfigError, ContractError, RankError
+from fedspectral import fedplus
 from fedspectral.fedplus import (
     BroadcastMessage,
     ClientReply,
@@ -179,6 +179,32 @@ class TestAggregateRound:
         q, _ = reduced_qr(x)
         assert np.array_equal(aggregate_round([x]), q)
 
+    def test_mean_is_bitwise_the_anchored_expression(self, monkeypatch):
+        means = []
+
+        def spy_on_qr(a):
+            means.append(a.copy())
+            return reduced_qr(a)
+
+        monkeypatch.setattr(fedplus, "reduced_qr", spy_on_qr)
+        rng = np.random.default_rng(31)
+        for clients in (1, 2, 3, 5, 8):
+            for _ in range(4):
+                shape = (int(rng.integers(10, 200)), int(rng.integers(1, 10)))
+                outputs = [
+                    rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9)
+                    for _ in range(clients)
+                ]
+                q = aggregate_round(outputs)
+                # the expression the mean was computed with before it used buffers
+                anchor = outputs[0]
+                acc = np.zeros_like(anchor)
+                for out in outputs[1:]:
+                    acc += out - anchor
+                oracle = anchor + acc / len(outputs)
+                assert np.array_equal(means[-1], oracle)
+                assert np.array_equal(q, reduced_qr(oracle)[0])
+
     def test_contracts(self):
         with pytest.raises(ContractError):
             aggregate_round([])
@@ -257,7 +283,7 @@ class TestServerLoop:
         shards = distribute_edges(g, 4, 0.5, seed=10)
         checked = []
 
-        def on_round(_, basis):
+        def on_round(_, previous, basis):
             checked.append(np.abs(basis.T @ basis - np.eye(2)).max())
 
         run_fedspectral_plus(
@@ -317,14 +343,24 @@ class TestProtocol:
     def test_round_drift_recorded(self):
         g = planted_graph([10, 10], 0.8, 0.08, seed=21)
         shards = distribute_edges(g, 2, 0.5, seed=22)
-        diag = Diagnostics()
-        run_fedspectral_plus(
-            shards, 2, 23, iters=1, global_rounds=7, diag=diag
+        drift, seen = [], []
+
+        def on_round(t, previous, basis):
+            seen.append((t, previous, basis))
+            drift.append(np.linalg.norm(basis - previous @ (previous.T @ basis), 2))
+
+        _, final = run_fedspectral_plus(
+            shards, 2, 23, iters=1, global_rounds=7, on_round=on_round
         )
-        assert len(diag.round_drift) == 7
-        assert all(np.isfinite(d) for d in diag.round_drift)
+        assert [t for t, _, _ in seen] == list(range(7))
+        # round 0 sees the orthonormalized start; each later round sees the
+        # basis the round before produced
+        assert np.abs(seen[0][1].T @ seen[0][1] - np.eye(2)).max() < 1e-12
+        assert all(np.array_equal(b, p) for (_, _, b), (_, p, _) in zip(seen, seen[1:]))
+        assert np.array_equal(seen[-1][2], final)
+        assert all(np.isfinite(d) for d in drift)
         # the iteration settles: late drift is smaller than early drift
-        assert diag.round_drift[-1] < diag.round_drift[0]
+        assert drift[-1] < drift[0]
 
     def test_single_client_converges_to_reference_subspace(self):
         g = planted_graph([12, 12, 12], 0.85, 0.04, seed=24)

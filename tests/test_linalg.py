@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -30,6 +32,25 @@ from conftest import (
 
 def two_triangles():
     return Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+
+
+def numpy_reduced_qr(a):
+    """Oracle for reduced_qr: np.linalg.qr plus the same sign fix and checks."""
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ContractError("reduced_qr expects a 2-d matrix")
+    n, k = a.shape
+    if n < k:
+        raise ContractError(f"reduced_qr needs N >= K, got {n} x {k}")
+    q, r = np.linalg.qr(a, mode="reduced")
+    flip = np.diagonal(r) < 0
+    r[flip, :] *= -1.0
+    q[:, flip] *= -1.0
+    small = np.abs(np.diagonal(r)) < linalg.RANK_TOL
+    if small.any():
+        j = int(np.argmax(small))
+        raise RankError(f"rank-deficient input at column {j} (|r[{j},{j}]| < {linalg.RANK_TOL})")
+    return q, r
 
 
 class TestReducedQR:
@@ -73,6 +94,31 @@ class TestReducedQR:
     def test_shape_contract(self):
         with pytest.raises(ContractError):
             reduced_qr(np.ones((2, 3)))
+
+    # numpy and scipy may bundle different OpenBLAS builds, so the two agree
+    # to rounding, not necessarily bit for bit
+    @pytest.mark.parametrize("k", [1, 10, 20, 130])
+    def test_agrees_with_numpy_and_q_is_c_contiguous(self, k):
+        rng = np.random.default_rng(k)
+        for scale in (1e-3, 1.0, 1e3):
+            a = rng.standard_normal((2 * k + 7, k)) * scale
+            q, r = reduced_qr(a)
+            q_ref, r_ref = numpy_reduced_qr(a)
+            assert q.flags.c_contiguous
+            assert np.abs(q - q_ref).max() < 1e-13
+            assert np.abs(r - r_ref).max() < 1e-13 * np.abs(r_ref).max()
+
+    @pytest.mark.parametrize("k", [1, 10, 20, 130])
+    def test_same_errors_as_numpy(self, k):
+        rng = np.random.default_rng(100 + k)
+        a = rng.standard_normal((2 * k + 7, k))
+        a[:, k // 2] = 0.0  # rank deficient at column k // 2
+        cases = [a, np.zeros((k + 1, k)), np.ones((k, k + 1)), np.ones(k)]
+        for case in cases:
+            with pytest.raises((ContractError, RankError)) as expected:
+                numpy_reduced_qr(case)
+            with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+                reduced_qr(case)
 
 
 class TestReferenceEig:
@@ -268,6 +314,30 @@ class TestBottomK:
         vals, _ = symmetric_eig_reference(lap)
         assert np.abs(np.diagonal(basis.T @ lap @ basis) - vals[:10]).max() < 1e-12
         assert np.abs(basis.T @ basis - np.eye(10)).max() < 1e-12
+
+    def test_zero_eigenvalue_ties_go_to_the_lowest_node(self):
+        # more components than K: every component has one zero eigenvalue,
+        # so the K columns are the null vectors sqrt(d)/|sqrt(d)| of the K
+        # components with the lowest nodes, in that order
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            sizes = rng.integers(3, 40, int(rng.integers(3, 8)))
+            order = rng.permutation(int(sizes.sum()))  # interleave the components
+            components = np.split(order, np.cumsum(sizes)[:-1])
+            edges = []
+            for nodes in components:
+                # a random spanning tree, then random extra edges
+                edges += [(nodes[rng.integers(i)], nodes[i]) for i in range(1, len(nodes))]
+                edges += [tuple(rng.choice(nodes, 2, replace=False)) for _ in range(len(nodes))]
+            base = Graph.from_edges(len(order), sorted({(min(e), max(e)) for e in edges}))
+            g = Graph(base.num_nodes, base.edges, rng.uniform(0.1, 3.0, base.num_edges))
+            k = int(rng.integers(1, len(sizes)))
+            basis = bottom_k_eigenvectors(normalized_laplacian(g), k, seed=trial)
+            root = np.sqrt(g.degrees())
+            expected = np.zeros_like(basis)
+            for col, nodes in enumerate(sorted(components, key=min)[:k]):
+                expected[nodes, col] = root[nodes] / np.linalg.norm(root[nodes])
+            assert np.abs(basis - expected).max() < 1e-10, trial
 
     def test_arpack_no_convergence_is_convergence_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):
