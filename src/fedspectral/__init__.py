@@ -7,7 +7,6 @@ experiment runner with reproducible seeds.
 """
 
 from .baseline import build_similarity_graph, fedspectral_server, get_client_labels
-from .diagnostics import Diagnostics
 from .errors import (
     ConfigError,
     ContractError,
@@ -67,7 +66,6 @@ __all__ = [
     "sweep",
     "verify_dataset",
     "derive_seed",
-    "Diagnostics",
     "ParseError",
     "ConfigError",
     "ContractError",

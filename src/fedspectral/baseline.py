@@ -13,7 +13,6 @@ Nothing on the server is N x N.
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +23,6 @@ from .errors import ContractError
 # no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
 from .graph import normalized_laplacian_from_adjacency  # noqa: F401
 from .linalg import cluster_embedding_rows, global_spectral_clustering
-from .metrics import write_labels_csv
 from .partition import ClientShard, shard_universe
 from .seeding import client_seed, derive_seed, embedding_seed, kmeans_seed
 
@@ -181,8 +179,7 @@ def fedspectral_server(
     seed: int,
     *,
     normalize_rows: bool = False,
-    dump_dir=None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Aggregate per-client labelings into a global clustering.
 
     Collects every client's labels (each client seeded by
@@ -193,10 +190,11 @@ def fedspectral_server(
     global_spectral_clustering derives from hash(master_seed, "server").
     The server reads only the labelings. The result is independent of
     shard ordering and deterministic for fixed shards and seed.
-    ``dump_dir`` optionally writes each client labeling as CSV.
+
+    Returns (labels, client labelings in ascending client-id order), the
+    shape of run_fedspectral_plus's (labels, embedding).
     """
     shard_universe(shards)
-    by_id = sorted(shards, key=lambda sh: sh.client_id)
     labelings = [
         get_client_labels(
             sh,
@@ -204,18 +202,12 @@ def fedspectral_server(
             client_seed(seed, sh.client_id),
             normalize_rows=normalize_rows,
         )
-        for sh in by_id
+        for sh in sorted(shards, key=lambda sh: sh.client_id)
     ]
-    if dump_dir is not None:
-        os.makedirs(dump_dir, exist_ok=True)
-        for sh, lab in zip(by_id, labelings):
-            write_labels_csv(
-                os.path.join(dump_dir, f"client_{sh.client_id}_labels.csv"), lab
-            )
-
     quotient = build_similarity_graph(labelings, len(shards))
     server = derive_seed(seed, "server")
     embedding = _twin_embedding(quotient, num_clusters, embedding_seed(server))
-    return cluster_embedding_rows(
+    labels = cluster_embedding_rows(
         embedding, num_clusters, kmeans_seed(server), normalize_rows=normalize_rows
     )
+    return labels, labelings

@@ -166,7 +166,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--json", action="store_true", help="emit JSON lines instead of CSV")
     run_p.add_argument("--labels-out", help="directory for reference/trial label CSVs")
     run_p.add_argument("--dump-client-labels", dest="client_labels_dir",
-                       help="directory for per-client baseline labelings (debugging)")
+                       help="directory for per-client baseline label CSVs, keyed "
+                       "by original node ids (debugging)")
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a one-axis parameter sweep")

@@ -2,9 +2,11 @@
 
 A run parses the dataset, computes the fixed global reference labeling
 (seeded per dataset by a documented rule), then scores one federated run
-per trial against it. Records serialize to long-format CSV (or JSON lines)
-whose bytes are reproducible for a fixed config and master seed, modulo
-the wallclock column.
+per trial against it. ``run_single_trial`` turns one trial into all of
+its outputs: its ``ResultRecord`` and, when asked, its label files keyed
+by the dataset's node ids. Records serialize to long-format CSV (or JSON
+lines) whose bytes are reproducible for a fixed config and master seed,
+modulo the wallclock column.
 
 The two dataclasses are the schema. Config-file keys are the
 ``ExperimentConfig`` field names, and each value is parsed by its field's
@@ -30,7 +32,6 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import fedspectral_server
-from .diagnostics import Diagnostics
 from .errors import ConfigError
 from .fedplus import run_fedspectral_plus
 from .graph import Graph, load_edge_list, parse_arcs
@@ -180,41 +181,55 @@ def _subspace_drift(previous: np.ndarray, basis: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+# ResultRecord fields copied from the config of the same name; ``dataset``
+# is the config's ``dataset_path``.
+_RECORD_CONFIG_FIELDS = tuple(
+    f.name for f in dataclasses.fields(ResultRecord) if f.name in _CONFIG_TYPES
+)
+
+
 def run_single_trial(
     graph: Graph,
     reference: np.ndarray,
     cfg: ExperimentConfig,
     seed: int,
     *,
+    trial: int = 0,
+    labels_dir=None,
     client_labels_dir=None,
-) -> tuple[float, np.ndarray, Diagnostics, float]:
+) -> tuple[float, np.ndarray, ResultRecord, float]:
     """Run one federated (or global) trial from an explicit trial seed.
 
-    Returns (similarity, labels, diagnostics, wallclock_ms); the similarity
-    depends only on (graph, cfg shape, seed), which is what makes records
-    reproducible from their recorded trial_seed alone. A FedSpectral+ trial
-    records each round's subspace drift (_subspace_drift of the broadcast
-    and the aggregated basis) in ``diagnostics.round_drift`` through the
-    protocol's round observer.
+    Returns (similarity, labels, record, wallclock_ms); ``record`` is the
+    trial's ResultRecord, numbered ``trial``, and carries the similarity
+    and wallclock too. The similarity depends only on (graph, cfg shape,
+    seed), so replaying a record's trial_seed and trial returns that
+    record apart from its wallclock_ms. A baseline trial notes each
+    edgeless client shard in ``record.flags``; a FedSpectral+ trial records
+    each round's subspace drift (_subspace_drift of the broadcast and the
+    aggregated basis) in ``record.round_drift`` through the protocol's
+    round observer.
+
+    ``labels_dir`` receives ``trial_<trial>_labels.csv``, and, for the
+    baseline, ``client_labels_dir`` receives each client's labeling as
+    ``trial_<trial>/client_<id>_labels.csv``; every file is a (node_id,
+    label) CSV keyed by ``graph.node_ids``. Missing directories are
+    created. The wallclock covers the protocol, not the files.
     """
-    diagnostics = Diagnostics()
+    flags, round_drift, client_labelings = [], [], []
     start = time.perf_counter()
     if cfg.algo == "global":
         labels = reference
     else:
         shards = distribute_edges(graph, cfg.num_clients, cfg.overlap, partition_seed(seed))
         if cfg.algo == "fedspectral":
-            diagnostics.flags.extend(
+            flags = [
                 f"degenerate shard {sh.client_id}: no edges"
                 for sh in shards
                 if sh.num_edges == 0
-            )
-            labels = fedspectral_server(
-                shards,
-                cfg.num_clusters,
-                seed,
-                normalize_rows=cfg.normalize_rows,
-                dump_dir=client_labels_dir,
+            ]
+            labels, client_labelings = fedspectral_server(
+                shards, cfg.num_clusters, seed, normalize_rows=cfg.normalize_rows
             )
         else:
             labels, _ = run_fedspectral_plus(
@@ -224,20 +239,36 @@ def run_single_trial(
                 iters=cfg.iters,
                 global_rounds=cfg.global_rounds,
                 normalize_rows=cfg.normalize_rows,
-                on_round=lambda _, previous, basis: diagnostics.round_drift.append(
+                on_round=lambda _, previous, basis: round_drift.append(
                     _subspace_drift(previous, basis)
                 ),
             )
     wallclock_ms = (time.perf_counter() - start) * 1000.0
     similarity = cluster_similarity(reference, labels)
-    return similarity, labels, diagnostics, wallclock_ms
-
-
-# ResultRecord fields copied from the config of the same name; ``dataset``
-# is the config's ``dataset_path``.
-_RECORD_CONFIG_FIELDS = tuple(
-    f.name for f in dataclasses.fields(ResultRecord) if f.name in _CONFIG_TYPES
-)
+    record = ResultRecord(
+        dataset=cfg.dataset_path,
+        **{name: getattr(cfg, name) for name in _RECORD_CONFIG_FIELDS},
+        trial=trial,
+        trial_seed=seed,
+        similarity=similarity,
+        flags=tuple(flags),
+        round_drift=tuple(round_drift),
+        wallclock_ms=wallclock_ms,
+    )
+    files = []
+    if labels_dir is not None:
+        files.append((os.path.join(labels_dir, f"trial_{trial}_labels.csv"), labels))
+    if client_labels_dir is not None:
+        # distribute_edges numbers the clients 0..C-1
+        client_dir = os.path.join(client_labels_dir, f"trial_{trial}")
+        files += [
+            (os.path.join(client_dir, f"client_{c}_labels.csv"), lab)
+            for c, lab in enumerate(client_labelings)
+        ]
+    for path, lab in files:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_labels_csv(path, lab, node_ids=graph.node_ids)
+    return similarity, labels, record, wallclock_ms
 
 
 def run_experiment(
@@ -255,8 +286,8 @@ def run_experiment(
     (sweeps, tests); ``labels_dir`` writes the reference and per-trial
     labelings as (node_id, label) CSVs keyed by original node ids, and
     ``client_labels_dir`` additionally dumps each baseline client's local
-    labeling under a per-trial subdirectory; other algorithms have no
-    client labelings, so they warn and write none.
+    labeling, keyed the same way, under a per-trial subdirectory; other
+    algorithms have no client labelings, so they warn and write none.
     """
     validate_config(cfg)
     if client_labels_dir is not None and cfg.algo != "fedspectral":
@@ -285,44 +316,16 @@ def run_experiment(
 
 
 def _run_trials(
-    cfg: ExperimentConfig,
-    graph: Graph,
-    reference: np.ndarray,
-    *,
-    labels_dir=None,
-    client_labels_dir=None,
-    progress=None,
+    cfg: ExperimentConfig, graph: Graph, reference: np.ndarray, *, progress=None, **dirs
 ) -> list[ResultRecord]:
-    """The trial loop of an already validated config."""
+    """The trial loop of an already validated config; ``dirs`` go to each trial."""
     records = []
     for trial in range(cfg.num_trials):
         seed = trial_seed(cfg.master_seed, trial)
-        trial_dump = (
-            os.path.join(client_labels_dir, f"trial_{trial}")
-            if client_labels_dir is not None
-            else None
+        similarity, _, record, wallclock_ms = run_single_trial(
+            graph, reference, cfg, seed, trial=trial, **dirs
         )
-        similarity, labels, diagnostics, wallclock_ms = run_single_trial(
-            graph, reference, cfg, seed, client_labels_dir=trial_dump
-        )
-        if labels_dir is not None:
-            write_labels_csv(
-                os.path.join(labels_dir, f"trial_{trial}_labels.csv"),
-                labels,
-                node_ids=graph.node_ids,
-            )
-        records.append(
-            ResultRecord(
-                dataset=cfg.dataset_path,
-                **{name: getattr(cfg, name) for name in _RECORD_CONFIG_FIELDS},
-                trial=trial,
-                trial_seed=seed,
-                similarity=similarity,
-                flags=tuple(diagnostics.flags),
-                round_drift=tuple(diagnostics.round_drift),
-                wallclock_ms=wallclock_ms,
-            )
-        )
+        records.append(record)
         if progress is not None:
             progress(
                 f"{cfg.algo} trial {trial}: similarity={similarity:.4f} "
@@ -341,9 +344,9 @@ def sweep(
 ) -> list[tuple[object, list[ResultRecord]]]:
     """Run the base experiment once per axis value, sharing the dataset.
 
-    Every point is validated before any runs, so a bad value fails fast.
-    The reference labeling is recomputed only when the axis changes it
-    (num_clusters). Returns [(value, records), ...] in the given order.
+    Every point is validated, and each distinct reference labeling (one
+    per num_clusters) computed, before any runs, so a bad value fails
+    fast. Returns [(value, records), ...] in the given order.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; must be one of {SWEEP_AXES}")
@@ -357,10 +360,11 @@ def sweep(
         graph = load_dataset(base_cfg)
 
     references: dict[int, np.ndarray] = {}
-    points = []
-    for value, cfg in zip(values, cfgs):
+    for cfg in cfgs:
         if cfg.num_clusters not in references:
             references[cfg.num_clusters] = compute_reference(graph, cfg)
+    points = []
+    for value, cfg in zip(values, cfgs):
         if progress is not None:
             progress(f"sweep {axis}={value}")
         records = _run_trials(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from fedspectral import experiment
-from fedspectral.errors import ConfigError
+from fedspectral.errors import ConfigError, ContractError
 from fedspectral.experiment import (
     ExperimentConfig,
     ResultRecord,
@@ -25,6 +25,7 @@ from fedspectral.experiment import (
     write_sweep_summary_csv,
 )
 from fedspectral.graph import load_edge_list, serialize_edge_list
+from fedspectral.metrics import read_labels_csv
 from fedspectral.partition import distribute_edges
 from fedspectral.seeding import partition_seed, trial_seed
 
@@ -225,10 +226,10 @@ class TestRun:
         monkeypatch.setattr(experiment, "run_fedspectral_plus", spy)
         cfg = make_cfg(dataset_file, iters=1, global_rounds=200, num_trials=1)
         graph = load_edge_list(dataset_file)
-        _, _, diagnostics, _ = run_single_trial(
+        _, _, record, _ = run_single_trial(
             graph, compute_reference(graph, cfg), cfg, trial_seed(cfg.master_seed, 0)
         )
-        drift = np.array(diagnostics.round_drift)
+        drift = np.array(record.round_drift)
         assert len(drift) == len(svd_drift) == 200
         assert (np.abs(drift - svd_drift) <= 1e-12 * np.array(svd_drift) + 1e-15).all()
         assert drift[-1] < 1e-6 < drift[0]
@@ -240,8 +241,13 @@ class TestRun:
         graph = load_edge_list(dataset_file)
         reference = compute_reference(graph, cfg)
         records = run_experiment(cfg, graph=graph, reference=reference)
-        again, _, _, _ = run_single_trial(graph, reference, cfg, records[1].trial_seed)
+        again, _, record, _ = run_single_trial(
+            graph, reference, cfg, records[1].trial_seed, trial=1
+        )
         assert again == records[1].similarity
+        assert dataclasses.replace(record, wallclock_ms=0.0) == dataclasses.replace(
+            records[1], wallclock_ms=0.0
+        )
 
     def test_csv_byte_identical_modulo_wallclock(self, dataset_file):
         cfg = make_cfg(dataset_file)
@@ -290,6 +296,25 @@ class TestRun:
         with pytest.warns(UserWarning, match=f"client_labels_dir is ignored by algo={algo}"):
             run_experiment(cfg, client_labels_dir=dump)
         assert not dump.exists()
+
+    def test_client_label_dump(self, tmp_path):
+        # node ids 10..15, so row positions are not the dataset's ids
+        path = tmp_path / "six_nodes.txt"
+        path.write_text("10 11\n10 12\n11 12\n13 14\n13 15\n14 15\n12 13\n")
+        cfg = ExperimentConfig(
+            dataset_path=str(path),
+            algo="fedspectral",
+            num_clients=2,
+            num_clusters=2,
+            num_trials=1,
+        )
+        labels, clients = tmp_path / "labels", tmp_path / "clients"
+        run_experiment(cfg, labels_dir=labels, client_labels_dir=clients)
+        reference_ids, _ = read_labels_csv(labels / "reference_labels.csv")
+        assert reference_ids.tolist() == list(range(10, 16))
+        for c in range(2):
+            ids, _ = read_labels_csv(clients / "trial_0" / f"client_{c}_labels.csv")
+            assert np.array_equal(ids, reference_ids)
 
     def test_labels_dir(self, dataset_file, tmp_path):
         cfg = make_cfg(dataset_file, num_trials=1)
@@ -441,15 +466,15 @@ class TestSweep:
         ] * 2
 
     def test_bad_value_fails_before_any_point_runs(self, dataset_file):
-        ran = []
-        with pytest.raises(ConfigError, match="overlap must be in"):
-            sweep(
-                make_cfg(dataset_file, num_trials=1),
-                "overlap",
-                [0.5, 7.0],
-                progress=ran.append,
-            )
-        assert ran == []
+        for axis, values, error in [
+            ("overlap", [0.5, 7.0], "overlap must be in"),
+            # 91 clusters on the 90-node dataset: no reference labeling
+            ("num_clusters", [2, 91], "got 91"),
+        ]:
+            ran = []
+            with pytest.raises((ConfigError, ContractError), match=error):
+                sweep(make_cfg(dataset_file, num_trials=1), axis, values, progress=ran.append)
+            assert ran == []
 
 
 class TestVerify:
