@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import fedspectral_server
-from .errors import ConfigError
+from .errors import ConfigError, _read_text
 from .fedplus import run_fedspectral_plus
 from .graph import Graph, load_edge_list, parse_arcs
 from .linalg import global_spectral_clustering
@@ -461,11 +461,14 @@ def parse_config_value(name: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    """Parse a key = value config file into typed ExperimentConfig values."""
+    """Parse a key = value config file into typed ExperimentConfig values.
+
+    A byte that is not UTF-8 raises ParseError naming the file and line.
+    """
     values = {}
     first_line = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_read_text(fh).split("\n"), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

@@ -13,13 +13,15 @@ so results can be written back in source-file terms.
 
 from __future__ import annotations
 
+import io
+import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, _read_text
 
 __all__ = [
     "Graph",
@@ -139,17 +141,58 @@ def _int_pairs(lines: list[str]) -> np.ndarray | None:
     return arr if arr.shape[1] == 2 else None
 
 
-def parse_arcs(text: str | Iterable[str]) -> np.ndarray:
-    """Raw (u, v) id pairs of SNAP edge-list text as an int64 (E, 2) array.
+# the line breaks of str.splitlines that loadtxt reads as whitespace
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
-    ``text`` is a str or an iterable of lines, such as an open text file.
-    '#' lines and blank lines are skipped; nothing is deduplicated or
+
+def parse_arcs(text: str | Iterable[str]) -> np.ndarray:
+    r"""Raw (u, v) id pairs of SNAP edge-list text as an int64 (E, 2) array.
+
+    ``text`` is a str, an open text file, which is read whole, or another
+    iterable of lines, one element a line. A str breaks into lines as
+    str.splitlines does; a file at '\n', '\r\n' and '\r', as iterating it
+    does. '#' lines and blank lines are skipped; nothing is deduplicated or
     remapped. A data line is two whitespace-separated integers in the int64
     range, ASCII digits with an optional sign. Anything else (a third
     token, an inline '# note', '1_0', '1.0', an id outside int64) raises
     ParseError naming its 1-based line, as does input without data lines.
     """
-    lines = text.splitlines() if isinstance(text, str) else text
+    if isinstance(text, str):
+        if any(c in text for c in _OTHER_BREAKS):
+            text = "\n".join(text.splitlines())
+    elif hasattr(text, "read"):
+        text = _read_text(text)
+        if "\r" in text:  # a file opened with newline=""
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+    else:
+        return _parse_lines(text)
+    arcs = _whole_text_arcs(text)
+    return _parse_lines(text.split("\n")) if arcs is None else arcs
+
+
+def _whole_text_arcs(text: str) -> np.ndarray | None:
+    r"""The arcs of '\n'-broken text in one loadtxt pass, or None when the
+    per-line rule must decide: an inline '#', a malformed line, no data."""
+    # loadtxt would cut '0 1 # note' to a valid row; the rule rejects it
+    pos = text.find("#")
+    while pos >= 0:
+        start = text.rfind("\n", 0, pos) + 1
+        if text[start:pos].strip():
+            return None
+        end = text.find("\n", pos)
+        pos = -1 if end < 0 else text.find("#", end)
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            arcs = np.loadtxt(io.StringIO(text), dtype=np.int64, comments="#", ndmin=2)
+    except ValueError:
+        return None
+    return arcs if len(arcs) and arcs.shape[1] == 2 else None
+
+
+def _parse_lines(lines: Iterable[str]) -> np.ndarray:
+    """parse_arcs over one line per element, skipping blank and '#' lines
+    in Python; raises the ParseError that names a malformed line."""
     data, numbers = [], []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -174,8 +217,8 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     universe includes every id that appears as an endpoint, even if only in
     self-loops. Self-loops and duplicate edges are dropped, and reciprocal
     arcs of a directed file merge into one undirected edge of weight 1, so
-    directed and undirected sources parse alike. ``text`` is a str or an
-    iterable of lines.
+    directed and undirected sources parse alike. ``text`` is what
+    parse_arcs takes.
     """
     return Graph.from_arcs(parse_arcs(text))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ParseError
+from .errors import ContractError, ParseError, _read_text
 
 __all__ = ["cluster_similarity", "write_labels_csv", "read_labels_csv"]
 
@@ -68,13 +68,13 @@ def write_labels_csv(path, labels, node_ids=None) -> None:
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a (node_id, label) CSV; returns (node_ids, labels) sorted by id.
 
-    Raises ParseError, naming the file and the line, on a malformed line
-    and on a node id listed twice.
+    Raises ParseError, naming the file and the line, on a malformed line,
+    on a node id listed twice and on a byte that is not UTF-8.
     """
     first_line = {}
     labels = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+        for lineno, raw in enumerate(_read_text(fh).split("\n"), start=1):
             line = raw.strip()
             if not line or (lineno == 1 and line.lower().startswith("node_id")):
                 continue

@@ -97,6 +97,40 @@ def test_id_outside_int64_errors(command, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "command", ["verify", "run", "sweep", "partition-dump", "metric", "config"]
+)
+def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
+    # one reader a case: verify_dataset, load_edge_list (run, sweep and
+    # partition-dump), read_labels_csv (metric) and parse_config_file (config)
+    bad = tmp_path / "latin1.txt"
+    good_labels = tmp_path / "good.csv"
+    write_labels_csv(good_labels, [0, 1])
+    content = {
+        "metric": b"node_id,label\n0,0\n\xff,1\n",
+        "config": b"algo = global\n\r\n# caf\xe9\n",
+    }.get(command, b"0 1\n\xff 2\n")
+    bad.write_bytes(content)
+    dataset = ["--dataset", str(bad)]
+    argv = {
+        "verify": ["verify", *dataset, "--expect-nodes", "2", "--expect-edges", "1"],
+        "run": ["run", *dataset, "--clusters", "2"],
+        "sweep": ["sweep", *dataset, "--clusters", "2", "--axis", "global_rounds",
+                  "--values", "1"],
+        "partition-dump": ["partition-dump", *dataset, "--outdir", str(tmp_path / "shards")],
+        "metric": ["metric", str(good_labels), str(bad)],
+        "config": ["run", "--config", str(bad), "--dataset", str(dataset_file)],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    line = 3 if command in ("metric", "config") else 2
+    byte = "0xe9" if command == "config" else "0xff"
+    assert lines == [f"error: {bad}: line {line}: not UTF-8 text (byte {byte})"]
+    assert "Traceback" not in captured.err
+
+
 # pytest's filterwarnings = error would raise these instead of showing them
 @pytest.mark.filterwarnings("default::UserWarning")
 @pytest.mark.parametrize(

@@ -7,6 +7,7 @@ from scipy import sparse
 from fedspectral.errors import ContractError, ParseError
 from fedspectral.graph import (
     Graph,
+    load_edge_list,
     normalized_laplacian,
     normalized_laplacian_from_adjacency,
     parse_arcs,
@@ -97,13 +98,20 @@ class TestParse:
         assert (report.num_nodes, report.num_edges, report.undirected_edges) == (2, 3, 1)
 
 
+# every line break of str.splitlines; a text file breaks at the first three only
+_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# Unicode blanks that str.strip and str.split take as whitespace
+_PADS = ["", " ", "\t", "  ", "\u00a0", "\u3000", " \u3000"]
+
+
 def _random_snap_text(rng, malformed: bool) -> str:
-    """SNAP text mixing comments, blanks, whitespace, CRLF and arc kinds."""
-    spaces = [" ", "\t", "  ", " \t "]
+    """SNAP text mixing comments, blanks, Unicode whitespace, every
+    str.splitlines line break and arc kinds."""
+    spaces = [" ", "\t", "  ", " \t ", "\u00a0", "\u3000", "\t\u00a0"]
     lines, arcs = [], []
     for _ in range(rng.integers(1, 30)):
         kind = rng.integers(6)
-        pad = str(rng.choice(["", " ", "\t", "  "]))
+        pad = str(rng.choice(_PADS))
         if kind == 0:
             lines.append(pad + "# comment 1 2")
         elif kind == 1:
@@ -116,15 +124,37 @@ def _random_snap_text(rng, malformed: bool) -> str:
             else:
                 u, v = (int(x) for x in rng.integers(-5, 40, size=2))
             arcs.append((u, v))
-            tail = str(rng.choice(["", " ", "\t"]))
+            tail = str(rng.choice(_PADS))
             lines.append(f"{pad}{u}{rng.choice(spaces)}{v}{tail}")
     if not arcs:
         lines.append(f"{rng.integers(40)} {rng.integers(40)}")
     if malformed:
         bad = str(rng.choice(["0 1 2", "7", "0 x", "0 1 # note", "1.5 2", "-", "3 4 5 6"]))
         lines.insert(int(rng.integers(len(lines) + 1)), bad)
-    newline = str(rng.choice(["\n", "\r\n"]))
-    return newline.join(lines) + (newline if rng.random() < 0.5 else "")
+    # half the texts use one file line break throughout, half mix all of them
+    if rng.random() < 0.5:
+        breaks = [str(rng.choice(_BREAKS[:3]))]
+    else:
+        breaks = _BREAKS
+    ends = [str(rng.choice(breaks)) for _ in lines]
+    if rng.random() < 0.5:
+        ends[-1] = ""  # no final line break
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def _outcome(parse, make):
+    """The arcs ``parse`` gives for a fresh source, or the start of its
+    ParseError: 'line N:' or 'empty edge list'."""
+    source = make()
+    try:
+        arcs = parse(source)
+    except ParseError as exc:
+        return re.match(r"line \d+:|empty edge list", str(exc)).group(0)
+    finally:
+        if hasattr(source, "close"):
+            source.close()
+    assert arcs.dtype == np.int64 and arcs.ndim == 2 and arcs.shape[1] == 2
+    return arcs.tolist()
 
 
 class TestParseAgainstOracle:
@@ -132,39 +162,66 @@ class TestParseAgainstOracle:
 
     @staticmethod
     def _sources(text, tmp_path):
-        """The same text as str and as an open file handle."""
+        """The same text as str, as a file opened with universal newlines
+        and as one opened with newline="" (lines still break at '\r')."""
         path = tmp_path / "edges.txt"
         path.write_bytes(text.encode("utf-8"))
-        return [lambda: text, lambda: open(path, encoding="utf-8")]
-
-    @staticmethod
-    def _parse(parse, make):
-        source = make()
-        try:
-            return parse(source)
-        finally:
-            if hasattr(source, "close"):
-                source.close()
+        return [
+            lambda: text,
+            lambda: open(path, encoding="utf-8"),
+            lambda: open(path, encoding="utf-8", newline=""),
+        ]
 
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_oracle(self, seed, tmp_path):
         rng = np.random.default_rng(seed)
         text = _random_snap_text(rng, malformed=False)
-        for make in self._sources(text, tmp_path):
-            arcs = self._parse(parse_arcs, make)
-            expected = self._parse(parse_arcs_loop, make)
-            assert arcs.dtype == np.int64 and arcs.shape == expected.shape
-            assert np.array_equal(arcs, expected)
+        str_source, *file_sources = self._sources(text, tmp_path)
+        # a str breaks at every line break, so all its lines are well formed
+        assert isinstance(_outcome(parse_arcs_loop, str_source), list)
+        for make in [str_source, *file_sources]:
+            assert _outcome(parse_arcs, make) == _outcome(parse_arcs_loop, make)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_malformed_line_number_matches_oracle(self, seed, tmp_path):
         text = _random_snap_text(np.random.default_rng(1000 + seed), malformed=True)
         for make in self._sources(text, tmp_path):
-            with pytest.raises(ParseError) as oracle:
-                self._parse(parse_arcs_loop, make)
-            line = re.match(r"line \d+:", str(oracle.value)).group(0)
-            with pytest.raises(ParseError, match=f"^{line}"):
-                self._parse(parse_arcs, make)
+            expected = _outcome(parse_arcs_loop, make)
+            assert expected.startswith("line ")
+            assert _outcome(parse_arcs, make) == expected
+
+    @pytest.mark.parametrize(
+        "text, arcs",
+        [
+            # loadtxt reads '\r' and '\x0c' as blanks, not line breaks
+            ("# c\r1 2\n", [[1, 2]]),
+            ("1 2\x0c3 4\n", [[1, 2], [3, 4]]),
+            ("\u3000# c\u2028\u00a01\u30002\u00a0\n", [[1, 2]]),
+        ],
+    )
+    def test_line_breaks_loadtxt_does_not_honour(self, text, arcs, tmp_path):
+        assert parse_arcs(text).tolist() == arcs
+        for make in self._sources(text, tmp_path):
+            assert _outcome(parse_arcs, make) == _outcome(parse_arcs_loop, make)
+
+    def test_large_input(self, tmp_path):
+        # SNAP-scale text: a '#' header, tab-separated arcs, ids up to 10^6
+        rng = np.random.default_rng(18)
+        arcs = rng.integers(0, 10**6, size=(90_000, 2))
+        header = "# Directed graph: large.txt\n# Nodes: ? Edges: 90000\n# FromNodeId\tToNodeId\n"
+        text = header + "".join(f"{u}\t{v}\n" for u, v in arcs.tolist())
+        path = tmp_path / "large.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = parse_arcs_loop(text)
+        assert np.array_equal(expected, arcs)
+        assert np.array_equal(parse_arcs(text), expected)
+        with open(path, encoding="utf-8") as fh:
+            assert np.array_equal(parse_arcs(fh), expected)
+        loaded, parsed = load_edge_list(path), parse_edge_list(text)
+        assert loaded.num_nodes == parsed.num_nodes
+        assert np.array_equal(loaded.edges, parsed.edges)
+        assert np.array_equal(loaded.weights, parsed.weights)
+        assert np.array_equal(loaded.node_ids, parsed.node_ids)
 
     @pytest.mark.parametrize(
         "text, line",
