@@ -203,9 +203,18 @@ def _parse_lines(lines: Iterable[str]) -> np.ndarray:
         raise ParseError("empty edge list: no data lines")
     arcs = _int_pairs(data)
     if arcs is None:
-        bad = next(i for i, line in enumerate(data) if _int_pairs([line]) is None)
-        msg = f"expected two integers in the int64 range, got {data[bad]!r}"
-        raise ParseError(f"line {numbers[bad]}: {msg}")
+        # a run of lines parses exactly when each of its lines does, so halve
+        # the failing run [lo, hi) down to its first bad line; every line
+        # before lo is good
+        lo, hi = 0, len(data)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _int_pairs(data[lo:mid]) is None:
+                hi = mid
+            else:
+                lo = mid
+        msg = f"expected two integers in the int64 range, got {data[lo]!r}"
+        raise ParseError(f"line {numbers[lo]}: {msg}")
     return arcs
 
 

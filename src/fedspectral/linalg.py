@@ -21,7 +21,7 @@ import numpy as np
 from scipy import sparse
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, LinearOperator, eigsh
 
 from .errors import ContractError, ConvergenceError, RankError
 from .graph import Graph, normalized_laplacian
@@ -90,16 +90,15 @@ def reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _fix_column_signs(vectors: np.ndarray) -> None:
-    """Flip columns in place so each one's first nonzero component is positive."""
-    for j in range(vectors.shape[1]):
-        col = vectors[:, j]
-        mags = np.abs(col)
-        top = mags.max()
-        if top == 0.0:
-            continue
-        first = int(np.argmax(mags > 1e-12 * top))
-        if col[first] < 0:
-            col *= -1.0
+    """Flip columns in place so each one's first nonzero component is positive.
+
+    A component counts as nonzero above 1e-12 times its column's largest
+    magnitude; an all-zero column is left as it is.
+    """
+    mags = np.abs(vectors)
+    first = np.argmax(mags > 1e-12 * mags.max(axis=0), axis=0)
+    lead = vectors[first, np.arange(vectors.shape[1])]
+    np.negative(vectors, out=vectors, where=lead < 0)
 
 
 def symmetric_eig_reference(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,8 +150,11 @@ def _bottom_of_component(
     """
     if k < block.shape[0]:
         try:
+            # the block's own product: scipy's wrapper of a sparse matrix
+            # reaches the same csr_matvec through matmat and reshapes
+            op = LinearOperator(block.shape, matvec=block.__matmul__, dtype=np.float64)
             vals, vecs = eigsh(
-                block, k, which="SA", v0=rng.standard_normal(block.shape[0]), rng=rng
+                op, k, which="SA", v0=rng.standard_normal(block.shape[0]), rng=rng
             )
             if (np.diff(np.sort(vals)) > 1e-9).all():
                 return vals, vecs
@@ -227,38 +229,57 @@ def kmeans(
     reassigning the point farthest from its current centroid (ties break to
     the lowest index). Never fails on degenerate geometry: with fewer than
     k distinct rows, duplicates simply share labels.
+
+    Each centre is the mean of its cluster's rows. One bincount gives all
+    k x d sums, adding each cluster's rows in ascending order, which is
+    the order of numpy's axis-0 mean of two or more columns, so the centres
+    are those means bit for bit. numpy sums a single column pairwise, so
+    for d = 1 a centre can differ from the mean in its last bits; the
+    spectral pipeline never clusters one column unless k = 1.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ContractError("kmeans expects a 2-d matrix of row points")
-    n = points.shape[0]
+    n, d = points.shape
     if not 1 <= k <= n:
         raise ContractError(f"need 1 <= k <= {n}, got {k}")
 
     rng = np.random.default_rng(seed)
-    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    centers = np.empty((k, d), dtype=np.float64)
     centers[0] = points[rng.integers(n)]
-    dist_sq = ((points - centers[0]) ** 2).sum(axis=1)
+    diff = np.empty_like(points)
+    near = np.empty(n, dtype=np.float64)
+    dist_sq = np.square(np.subtract(points, centers[0], out=diff), out=diff).sum(axis=1)
     for c in range(1, k):
         total = float(dist_sq.sum())
         if total <= 0.0:
             idx = int(rng.integers(n))
         else:
             threshold = rng.random() * total
-            idx = min(int(np.searchsorted(np.cumsum(dist_sq), threshold)), n - 1)
+            idx = min(int(np.searchsorted(np.cumsum(dist_sq, out=near), threshold)), n - 1)
         centers[c] = points[idx]
-        dist_sq = np.minimum(dist_sq, ((points - centers[c]) ** 2).sum(axis=1))
+        np.square(np.subtract(points, centers[c], out=diff), out=diff).sum(axis=1, out=near)
+        np.minimum(dist_sq, near, out=dist_sq)
+    del diff, near, dist_sq  # the Lloyd buffers below take their place
 
+    flat = points.ravel()
+    point_sq = (points * points).sum(axis=1)[:, None]
+    rows, offsets = np.arange(n), np.arange(d)
+    sq = np.empty((n, k), dtype=np.float64)
+    # the cross products and the centre-sum slots are never live together,
+    # so they share one buffer and the loop holds two N x max(k, d) arrays
+    work = np.empty(n * max(k, d), dtype=np.float64)
+    cross = work[: n * k].reshape(n, k)
+    slots = work[: n * d].view(np.int64).reshape(n, d)
     labels = None
     for _ in range(KMEANS_MAX_ITER):
-        sq = (
-            (points * points).sum(axis=1)[:, None]
-            + (centers * centers).sum(axis=1)[None, :]
-            - 2.0 * (points @ centers.T)
-        )
+        np.matmul(points, centers.T, out=cross)
+        cross *= 2.0
+        np.add(point_sq, (centers * centers).sum(axis=1), out=sq)
+        sq -= cross
         np.maximum(sq, 0.0, out=sq)
         new_labels = np.argmin(sq, axis=1)
-        assigned = sq[np.arange(n), new_labels].copy()
+        assigned = sq[rows, new_labels]
 
         counts = np.bincount(new_labels, minlength=k)
         while (counts == 0).any():
@@ -276,9 +297,11 @@ def kmeans(
         if labels is not None and np.array_equal(new_labels, labels):
             break
         labels = new_labels
-        for c in range(k):
-            members = labels == c
-            centers[c] = points[members].mean(axis=0)
+        # slot of (row i, column j) is labels[i] * d + j
+        np.multiply(labels[:, None], d, out=slots)
+        slots += offsets
+        sums = np.bincount(slots.ravel(), weights=flat, minlength=k * d)
+        np.divide(sums.reshape(k, d), counts[:, None], out=centers)
     return labels
 
 

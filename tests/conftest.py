@@ -202,6 +202,72 @@ def dense_normalized_laplacian(a: np.ndarray) -> np.ndarray:
     return lap
 
 
+def kmeans_loop(points, k: int, seed: int, objective_history=None) -> np.ndarray:
+    """Lloyd's k-means with k-means++ seeding, each centre the axis-0 mean
+    of its cluster's rows by a mask per cluster (test oracle for
+    linalg.kmeans, which takes the same steps with one bincount of sums)."""
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    centers = np.empty((k, points.shape[1]), dtype=np.float64)
+    centers[0] = points[rng.integers(n)]
+    dist_sq = ((points - centers[0]) ** 2).sum(axis=1)
+    for c in range(1, k):
+        total = float(dist_sq.sum())
+        if total <= 0.0:
+            idx = int(rng.integers(n))
+        else:
+            threshold = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(dist_sq), threshold)), n - 1)
+        centers[c] = points[idx]
+        dist_sq = np.minimum(dist_sq, ((points - centers[c]) ** 2).sum(axis=1))
+
+    labels = None
+    for _ in range(300):
+        sq = (
+            (points * points).sum(axis=1)[:, None]
+            + (centers * centers).sum(axis=1)[None, :]
+            - 2.0 * (points @ centers.T)
+        )
+        np.maximum(sq, 0.0, out=sq)
+        new_labels = np.argmin(sq, axis=1)
+        assigned = sq[np.arange(n), new_labels].copy()
+
+        counts = np.bincount(new_labels, minlength=k)
+        while (counts == 0).any():
+            empty = int(np.argmax(counts == 0))
+            movable = counts[new_labels] >= 2
+            candidates = np.where(movable, assigned, -np.inf)
+            mover = int(np.argmax(candidates))
+            counts[new_labels[mover]] -= 1
+            new_labels[mover] = empty
+            counts[empty] += 1
+            assigned[mover] = 0.0
+
+        if objective_history is not None:
+            objective_history.append(float(assigned.sum()))
+        if labels is not None and np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        for c in range(k):
+            centers[c] = points[labels == c].mean(axis=0)
+    return labels
+
+
+def fix_column_signs_loop(vectors: np.ndarray) -> None:
+    """Column by column: flip each column whose first component above
+    1e-12 times its largest magnitude is negative (test oracle)."""
+    for j in range(vectors.shape[1]):
+        col = vectors[:, j]
+        mags = np.abs(col)
+        top = mags.max()
+        if top == 0.0:
+            continue
+        first = int(np.argmax(mags > 1e-12 * top))
+        if col[first] < 0:
+            col *= -1.0
+
+
 def parse_arcs_loop(text) -> np.ndarray:
     """Per-line SNAP edge-list parser with Python ``int`` (test oracle).
 

@@ -224,6 +224,39 @@ class TestParseAgainstOracle:
         assert np.array_equal(loaded.node_ids, parsed.node_ids)
 
     @pytest.mark.parametrize(
+        "bad",
+        [
+            {0: "1 2 3"},  # the first data line
+            {45_000: "1 2 3"},  # the middle one
+            {89_999: "1 2 3"},  # the last one
+            {30_000: "7", 30_001: "0 x", 60_000: "1 2 3", 89_999: "5 6 7"},
+            {70_000: "9223372036854775808 1"},  # outside int64
+            {20_000: "3 4 # note"},  # inline comment
+        ],
+    )
+    def test_large_input_names_the_first_bad_line(self, bad, tmp_path):
+        # 90,000 tab-separated arcs under a 3-line '#' header, data lines
+        # replaced by ``bad``; the error names the first of them exactly
+        rng = np.random.default_rng(19)
+        header = ["# Directed graph: large.txt", "# Nodes: ? Edges: 90000", "# FromNodeId\tToNodeId"]
+        lines = [f"{u}\t{v}" for u, v in rng.integers(0, 10**6, size=(90_000, 2)).tolist()]
+        for index, line in bad.items():
+            lines[index] = line
+        text = "\n".join(header + lines) + "\n"
+        first = min(bad)
+        expected = (
+            f"line {len(header) + first + 1}: "
+            f"expected two integers in the int64 range, got {bad[first]!r}"
+        )
+        path = tmp_path / "large.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as from_str:
+            parse_arcs(text)
+        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError) as from_file:
+            parse_arcs(fh)
+        assert str(from_str.value) == str(from_file.value) == expected
+
+    @pytest.mark.parametrize(
         "text, line",
         [
             ("0 1\n# c\n2 3\n0 1 2\n", 4),  # a third token after valid lines

@@ -1,4 +1,6 @@
+import gc
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,8 +25,10 @@ from fedspectral.seeding import kmeans_seed
 
 from conftest import (
     dense_adjacency,
+    fix_column_signs_loop,
     gnp_graph,
     is_connected,
+    kmeans_loop,
     planted_graph,
     principal_angles,
 )
@@ -393,6 +397,126 @@ class TestKMeans:
         # normalization maps rows onto the unit circle, merging scale outliers
         assert normed[1] == normed[2]
         assert raw.shape == normed.shape == (4,)
+
+
+def _kmeans_case(rng) -> tuple[np.ndarray, int]:
+    """Seeded k-means input with at least 2 columns: Gaussian or gridded
+    points (ties, duplicate rows), few distinct rows (the empty-cluster
+    repair), zero and -0.0 rows, wide scales or separated blobs."""
+    n, d = int(rng.integers(1, 120)), int(rng.integers(2, 12))
+    kind = rng.integers(6)
+    if kind == 0:
+        pts = rng.standard_normal((n, d))
+    elif kind == 1:
+        pts = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    elif kind == 2:
+        distinct = rng.standard_normal((int(rng.integers(1, 4)), d))
+        pts = distinct[rng.integers(0, len(distinct), n)]
+    elif kind == 3:
+        pts = rng.standard_normal((n, d))
+        pts[rng.random(n) < 0.3] = 0.0
+        pts[rng.random(n) < 0.3] = -0.0
+    elif kind == 4:
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-8, 8, size=(1, d))
+    else:
+        pts = rng.standard_normal((n, d)) + 8.0 * rng.integers(0, 4, size=(n, 1))
+    k = int(rng.choice([1, n, int(rng.integers(1, n + 1))]))
+    return pts, k
+
+
+def _assert_same_run(points, k, seed):
+    """linalg.kmeans and the per-cluster-mask loop give equal labels and
+    objective histories, bit for bit."""
+    history, oracle_history = [], []
+    labels = kmeans(points, k, seed, objective_history=history)
+    expected = kmeans_loop(points, k, seed, objective_history=oracle_history)
+    assert np.array_equal(labels, expected)
+    assert np.array(history).tobytes() == np.array(oracle_history).tobytes()
+
+
+class TestKMeansAgainstLoop:
+    """linalg.kmeans against conftest.kmeans_loop, which takes each centre
+    as the axis-0 mean of its cluster's rows."""
+
+    def test_random_cases(self):
+        rng = np.random.default_rng(19)
+        for case in range(320):
+            pts, k = _kmeans_case(rng)
+            try:
+                _assert_same_run(pts, k, seed=case)
+            except AssertionError:
+                raise AssertionError(f"case {case}: shape {pts.shape}, k={k}") from None
+
+    @pytest.mark.parametrize(
+        "points, k",
+        [
+            (np.zeros((6, 3)), 4),  # all zero: every cluster but one repaired
+            (np.full((5, 2), -0.0), 2),
+            (np.array([[1.0, 2.0]] * 4 + [[-0.0, 0.0]] * 3), 5),  # two distinct rows
+            (np.arange(12.0).reshape(6, 2), 6),  # k = n
+            (np.arange(12.0).reshape(6, 2), 1),
+        ],
+    )
+    def test_degenerate_inputs(self, points, k):
+        _assert_same_run(points, k, seed=3)
+
+    def test_pipeline_shapes(self):
+        # a baseline client's shape (500 x 20, k = 20) from a real embedding
+        g = planted_graph([50] * 10, 0.3, 0.02, seed=19)
+        embedding = bottom_k_eigenvectors(normalized_laplacian(g), 20, seed=1)
+        _assert_same_run(embedding, 20, seed=2)
+        # the facebook reference's shape (4039 x 10, k = 10), raw and row-normalized
+        rng = np.random.default_rng(20)
+        blobs = rng.standard_normal((10, 10))[rng.integers(0, 10, 4039)]
+        blobs += 0.3 * rng.standard_normal((4039, 10))
+        _assert_same_run(blobs, 10, seed=4)
+        _assert_same_run(blobs / np.linalg.norm(blobs, axis=1)[:, None], 10, seed=5)
+
+    def test_one_column_well_separated(self):
+        # one column: numpy's mean sums pairwise, the bincount in order, so
+        # only the labels of well-separated points are compared
+        rng = np.random.default_rng(21)
+        pts = (100.0 * rng.integers(0, 4, 300) + rng.random(300))[:, None]
+        assert np.array_equal(kmeans(pts, 4, seed=6), kmeans_loop(pts, 4, seed=6))
+
+    def test_peak_memory_within_the_loops(self):
+        # kmeans_loop (linalg.kmeans before the bincount update) peaked
+        # 1,025,728-1,027,225 bytes above its input on this input at seeds
+        # 0-2 (tracemalloc, numpy 2.4.6)
+        bound = 1_027_225
+        pts = np.random.default_rng(0).standard_normal((2000, 20))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            kmeans(pts, 20, seed=0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+
+
+class TestColumnSigns:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+        vectors = rng.standard_normal((n, k))
+        for j in range(k):
+            kind = rng.integers(4)
+            if kind == 0:  # zero column, some of it -0.0
+                vectors[:, j] = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+            elif kind == 1:  # leading entries at or below the 1e-12 * max cut
+                top = np.abs(vectors[:, j]).max()
+                lead = int(rng.integers(0, n))
+                small = [1e-12 * top, -(1e-12 * top), 0.5e-12 * top, -0.0, 0.0]
+                vectors[:lead, j] = rng.choice(small, lead)
+            elif kind == 2:  # leading entry just above the cut
+                vectors[0, j] = -2e-12 * np.abs(vectors[:, j]).max()
+        expected = vectors.copy()
+        fix_column_signs_loop(expected)
+        linalg._fix_column_signs(vectors)
+        assert vectors.tobytes() == expected.tobytes()
 
 
 class TestGlobalClustering:
