@@ -34,7 +34,7 @@ import numpy as np
 from .baseline import fedspectral_server
 from .errors import ConfigError, _read_text
 from .fedplus import run_fedspectral_plus
-from .graph import Graph, load_edge_list, parse_arcs
+from .graph import Graph, load_edge_list, read_arcs
 from .linalg import global_spectral_clustering
 from .metrics import cluster_similarity, write_labels_csv
 from .partition import distribute_edges
@@ -181,6 +181,14 @@ def _subspace_drift(previous: np.ndarray, basis: np.ndarray) -> float:
     return float(np.sqrt(max(top, 0.0)))
 
 
+def _hand_over(shards: list):
+    """Yield the items of ``shards``, dropping the list's reference to each
+    as it goes, so each shard lives only as long as its consumer holds it."""
+    for index in range(len(shards)):
+        shard, shards[index] = shards[index], None
+        yield shard
+
+
 # ResultRecord fields copied from the config of the same name; ``dataset``
 # is the config's ``dataset_path``.
 _RECORD_CONFIG_FIELDS = tuple(
@@ -208,7 +216,8 @@ def run_single_trial(
     edgeless client shard in ``record.flags``; a FedSpectral+ trial records
     each round's subspace drift (_subspace_drift of the broadcast and the
     aggregated basis) in ``record.round_drift`` through the protocol's
-    round observer.
+    round observer, and hands the protocol its shards one at a time, so
+    each dies once its client is built.
 
     ``labels_dir`` receives ``trial_<trial>_labels.csv``, and, for the
     baseline, ``client_labels_dir`` receives each client's labeling as
@@ -233,7 +242,7 @@ def run_single_trial(
             )
         else:
             labels, _ = run_fedspectral_plus(
-                shards,
+                _hand_over(shards),
                 cfg.num_clusters,
                 seed,
                 iters=cfg.iters,
@@ -405,8 +414,7 @@ def verify_dataset(
     undirected count after symmetrization is always reported.
     """
     resolved = resolve_dataset_path(str(path))
-    with open(resolved, "r", encoding="utf-8") as fh:
-        arcs = parse_arcs(fh)
+    arcs = read_arcs(resolved)
     g = Graph.from_arcs(arcs)
     # distinct arcs counted by the scalar key u * N + v of remapped ids
     arc_keys = np.searchsorted(g.node_ids, arcs) @ np.array([g.num_nodes, 1])

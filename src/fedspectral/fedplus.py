@@ -2,11 +2,11 @@
 
 Each round the server broadcasts the current N x K embedding, every client
 applies ``iters`` local multiplications by its shard multiplier M = I - L
-(identity on shard-isolated nodes), and the server averages the replies in
-ascending client-id order and re-orthonormalizes with a reduced QR. The
-only payloads crossing the client boundary are embeddings. Per-round
-telemetry is the caller's: one observer, ``on_round``, sees each round's
-broadcast and aggregated bases.
+(identity on shard-isolated nodes), and the server folds the replies into
+their mean as they arrive, in ascending client-id order, and
+re-orthonormalizes it with a reduced QR. The only payloads crossing the
+client boundary are embeddings. Per-round telemetry is the caller's: one
+observer, ``on_round``, sees each round's broadcast and aggregated bases.
 
 M is a scipy CSR matrix built once per client from the shard's edge
 arrays: O(N + shard edges) memory, and O(shard edges * K) work per local
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
@@ -35,7 +36,7 @@ from scipy import sparse
 from .errors import ConfigError, ContractError, ConvergenceError, RankError
 from .graph import laplacian_multiplier
 from .linalg import cluster_embedding_rows, reduced_qr
-from .partition import ClientShard, shard_universe
+from .partition import ClientShard, same_universe
 from .seeding import embedding_seed, kmeans_seed
 
 __all__ = [
@@ -102,9 +103,13 @@ class PowerIterationClient:
     def client_id(self) -> int:
         return self._client_id
 
+    @property
+    def num_nodes(self) -> int:
+        return self._multiplier.shape[0]
+
     def run_round(self, message: BroadcastMessage) -> ClientReply:
         v = np.asarray(message.embedding, dtype=np.float64)
-        n = self._multiplier.shape[0]
+        n = self.num_nodes
         if v.ndim != 2 or v.shape[0] != n:
             raise ContractError(f"embedding must be {n} x K, got {v.shape}")
         for _ in range(self._iters):
@@ -115,31 +120,38 @@ class PowerIterationClient:
 def aggregate_round(client_outputs, *, round_index: int | None = None) -> np.ndarray:
     """Average client embeddings and re-orthonormalize.
 
-    The mean is accumulated in ascending client-id order, anchored at the
+    ``client_outputs`` is any iterable, consumed once and in order, which
+    the caller makes ascending client-id order. The mean is anchored at the
     first output (v0 + sum(vi - v0)/C): a fixed reduction order that is
     bitwise exact when all clients agree, so full replication reduces the
-    protocol exactly to single-client execution. Returns the Q factor of
+    protocol exactly to single-client execution. Each later output is
+    folded in as it arrives and then dropped, so only the anchor, the
+    running sum and the current output are held. Returns the Q factor of
     the reduced QR (non-negative diagonal convention).
 
     Raises RankError, tagged with the round index when given, if the
     average is rank deficient (e.g. sign-flipped client outputs cancel).
     """
-    outputs = [np.asarray(o, dtype=np.float64) for o in client_outputs]
-    if not outputs:
-        raise ContractError("no client outputs to aggregate")
-    shape = outputs[0].shape
-    if any(o.shape != shape for o in outputs):
-        raise ContractError("client outputs have mismatched shapes")
+    outputs = iter(client_outputs)
+    try:
+        anchor = np.asarray(next(outputs), dtype=np.float64)
+    except StopIteration:
+        raise ContractError("no client outputs to aggregate") from None
 
     # anchor + (sum of (out - anchor)) / C operation for operation, so the
     # bits stay those of the reduction order above, in two buffers
-    anchor = outputs[0]
     mean = np.zeros_like(anchor)
     diff = np.empty_like(anchor)
-    for out in outputs[1:]:
+    count = 1
+    for out in outputs:
+        out = np.asarray(out, dtype=np.float64)
+        if out.shape != anchor.shape:
+            raise ContractError("client outputs have mismatched shapes")
         np.subtract(out, anchor, out=diff)
         mean += diff
-    mean /= len(outputs)
+        count += 1
+        del out  # not held while the next output is computed
+    mean /= count
     mean += anchor
     try:
         q, _ = reduced_qr(mean)
@@ -147,6 +159,18 @@ def aggregate_round(client_outputs, *, round_index: int | None = None) -> np.nda
         where = "" if round_index is None else f"round {round_index}: "
         raise RankError(f"{where}aggregated embedding is rank deficient ({exc})") from exc
     return q
+
+
+def _reply_embedding(transport, message: BroadcastMessage) -> np.ndarray:
+    """The embedding ``transport`` returns for ``message``; ContractError
+    when the reply names another client than the transport."""
+    reply = transport.run_round(message)
+    if reply.client_id != transport.client_id:
+        raise ContractError(
+            f"round {message.round_index}: client {transport.client_id} "
+            f"replied as client {reply.client_id}"
+        )
+    return reply.embedding
 
 
 def server_round_loop(
@@ -158,21 +182,23 @@ def server_round_loop(
 ) -> np.ndarray:
     """Run the broadcast/iterate/aggregate rounds over client transports.
 
-    The transports are anything with a ``run_round(BroadcastMessage) ->
-    ClientReply`` method; this loop never touches shard data. Replies are
-    aggregated in ascending client-id order, so the result is independent
-    of transport order. ``on_round(round_index, previous, basis)`` observes
-    each round: ``previous`` is the basis the round broadcast (the initial
-    basis at round 0) and ``basis`` the aggregated one. The observer must
-    not modify either.
+    The transports are anything with a ``client_id`` and a
+    ``run_round(BroadcastMessage) -> ClientReply`` method; this loop never
+    touches shard data. The transports are sorted by client id once, and
+    each round asks them in that order, folding each reply into the mean
+    as it arrives, so the result is independent of transport order; a
+    reply naming another client than its transport is a ContractError.
+    ``on_round(round_index, previous, basis)`` observes each round:
+    ``previous`` is the basis the round broadcast (the initial basis at
+    round 0) and ``basis`` the aggregated one. The observer must not
+    modify either.
     """
+    transports = sorted(transports, key=lambda t: t.client_id)
     basis = np.asarray(initial_basis, dtype=np.float64)
     for round_index in range(global_rounds):
         message = BroadcastMessage(round_index, basis)
-        replies = [t.run_round(message) for t in transports]
-        replies.sort(key=lambda reply: reply.client_id)
         candidate = aggregate_round(
-            [reply.embedding for reply in replies], round_index=round_index
+            (_reply_embedding(t, message) for t in transports), round_index=round_index
         )
         if not np.isfinite(candidate).all():
             raise ConvergenceError(f"round {round_index}: non-finite embedding")
@@ -183,7 +209,7 @@ def server_round_loop(
 
 
 def run_fedspectral_plus(
-    shards: list[ClientShard],
+    shards: Iterable[ClientShard],
     num_clusters: int,
     seed: int,
     *,
@@ -200,6 +226,11 @@ def run_fedspectral_plus(
     first call sees that orthonormalized start as ``previous``. Returns
     (labeling, final embedding); fully deterministic for fixed shards and
     arguments.
+
+    ``shards`` is any iterable, consumed once: each shard becomes its
+    client as it arrives, and no reference to it is kept, so a shard that
+    its producer also lets go dies once its multiplier is built. The node
+    universe is checked on the way, with shard_universe's errors.
     """
     for name, value in (
         ("num_clusters", num_clusters),
@@ -208,11 +239,11 @@ def run_fedspectral_plus(
     ):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
-    n = shard_universe(shards)
+    transports = [PowerIterationClient(sh, iters) for sh in same_universe(shards)]
+    n = transports[0].num_nodes
     if num_clusters > n:
         raise ContractError(f"num_clusters {num_clusters} exceeds node count {n}")
 
-    transports = [PowerIterationClient(sh, iters) for sh in shards]
     rng = np.random.default_rng(embedding_seed(seed))
     basis, _ = reduced_qr(rng.standard_normal((n, num_clusters)))
     basis = server_round_loop(transports, basis, global_rounds, on_round=on_round)

@@ -26,6 +26,7 @@ from .errors import ContractError, ParseError, _read_text
 __all__ = [
     "Graph",
     "parse_arcs",
+    "read_arcs",
     "parse_edge_list",
     "load_edge_list",
     "serialize_edge_list",
@@ -162,12 +163,28 @@ def parse_arcs(text: str | Iterable[str]) -> np.ndarray:
             text = "\n".join(text.splitlines())
     elif hasattr(text, "read"):
         text = _read_text(text)
-        if "\r" in text:  # a file opened with newline=""
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
     else:
         return _parse_lines(text)
+    return _text_arcs(text)
+
+
+def _text_arcs(text: str) -> np.ndarray:
+    r"""parse_arcs of text whose lines break at '\n', '\r\n' and '\r'."""
+    if "\r" in text:  # a file opened with newline=""
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     arcs = _whole_text_arcs(text)
     return _parse_lines(text.split("\n")) if arcs is None else arcs
+
+
+def read_arcs(path) -> np.ndarray:
+    """parse_arcs over the contents of a file path; each ParseError names
+    the file once, as ``<path>: line N: ...``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = _read_text(fh)  # names the file on a byte that is not UTF-8
+    try:
+        return _text_arcs(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _whole_text_arcs(text: str) -> np.ndarray | None:
@@ -233,9 +250,9 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
 
 
 def load_edge_list(path) -> Graph:
-    """parse_edge_list over the contents of a file path."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh)
+    """parse_edge_list over the contents of a file path; a ParseError names
+    the file."""
+    return Graph.from_arcs(read_arcs(path))
 
 
 def serialize_edge_list(g: Graph, comments: Iterable[str] = ()) -> str:
@@ -290,7 +307,15 @@ def laplacian_multiplier(g: Graph) -> sparse.csr_array:
 
 def _scaled_adjacency(g: Graph, *, laplacian: bool) -> sparse.csr_array:
     """L (``laplacian``) or I - L, whose off-diagonal entries are negations;
-    the diagonal 1s go to nodes with edges in L, to isolated nodes in I - L."""
+    the diagonal 1s go to nodes with edges in L, to isolated nodes in I - L.
+
+    The entries are listed so that each row's come in ascending column
+    order: the (v, u) entries of the sorted edges, then the diagonal, then
+    the (u, v) entries. The COO to CSR step keeps the listed order within
+    a row, so the matrix comes out canonical and scipy skips its index
+    sort. The indices stay int64, as scipy picks them for int64 input:
+    int32 CSR products were 5-10% slower at N = 4039.
+    """
     d = g.degrees()
     inv_sqrt = np.zeros(g.num_nodes, dtype=np.float64)
     positive = d > 0
@@ -300,8 +325,8 @@ def _scaled_adjacency(g: Graph, *, laplacian: bool) -> sparse.csr_array:
     if laplacian:
         np.negative(vals, out=vals)
     unit = np.flatnonzero(positive == laplacian)
-    rows = np.concatenate([u, v, unit])
-    cols = np.concatenate([v, u, unit])
-    vals = np.concatenate([vals, vals, np.ones(len(unit))])
+    rows = np.concatenate([v, unit, u])
+    cols = np.concatenate([u, unit, v])
+    vals = np.concatenate([vals, np.ones(len(unit)), vals])
     n = g.num_nodes
     return sparse.csr_array((vals, (rows, cols)), shape=(n, n))

@@ -19,6 +19,7 @@ from .graph import Graph, serialize_edge_list
 __all__ = [
     "ClientShard",
     "shard_universe",
+    "same_universe",
     "replication_count",
     "distribute_edges",
     "write_shard",
@@ -34,12 +35,24 @@ class ClientShard(Graph):
 
 def shard_universe(shards) -> int:
     """Node count shared by every shard; ContractError if none or they differ."""
-    if not shards:
+    for _ in same_universe(shards):
+        pass
+    return shards[0].num_nodes
+
+
+def same_universe(shards):
+    """Yield the shards of any iterable as they come, checking them on the
+    way: shard_universe's ContractError once a shard disagrees with the
+    first on the node universe, or at the end if there was none."""
+    n = None
+    for shard in shards:
+        if n is None:
+            n = shard.num_nodes
+        elif shard.num_nodes != n:
+            raise ContractError("shards disagree on the node universe")
+        yield shard
+    if n is None:
         raise ContractError("need at least one shard")
-    n = shards[0].num_nodes
-    if any(sh.num_nodes != n for sh in shards):
-        raise ContractError("shards disagree on the node universe")
-    return n
 
 
 def replication_count(overlap: float, num_clients: int) -> int:
@@ -77,8 +90,11 @@ def distribute_edges(
             # the r smallest of C iid uniform keys form a uniform r-subset;
             # stable argsort keeps the draw reproducible across versions
             keys = rng.random((num_edges, num_clients))
-            chosen = np.argsort(keys, axis=1, kind="stable")[:, :r]
-            member[np.arange(num_edges)[:, None], chosen] = True
+            order = np.argsort(keys, axis=1, kind="stable")
+            # the E x C keys and order are freed before the shards are built
+            del keys
+            member[np.arange(num_edges)[:, None], order[:, :r]] = True
+            del order
 
     return [
         ClientShard(

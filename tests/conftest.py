@@ -202,6 +202,26 @@ def dense_normalized_laplacian(a: np.ndarray) -> np.ndarray:
     return lap
 
 
+def scaled_adjacency_sorted_by_scipy(g: Graph, *, laplacian: bool) -> sparse.csr_array:
+    """Oracle for graph._scaled_adjacency: L (``laplacian``) or I - L from
+    the entries listed as (u, v) pairs, then (v, u) pairs, then the
+    diagonal, which leaves scipy's COO to CSR step to sort each row."""
+    d = g.degrees()
+    inv_sqrt = np.zeros(g.num_nodes, dtype=np.float64)
+    positive = d > 0
+    inv_sqrt[positive] = 1.0 / np.sqrt(d[positive])
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    vals = g.weights * (inv_sqrt[u] * inv_sqrt[v])
+    if laplacian:
+        np.negative(vals, out=vals)
+    unit = np.flatnonzero(positive == laplacian)
+    rows = np.concatenate([u, v, unit])
+    cols = np.concatenate([v, u, unit])
+    vals = np.concatenate([vals, vals, np.ones(len(unit))])
+    n = g.num_nodes
+    return sparse.csr_array((vals, (rows, cols)), shape=(n, n))
+
+
 def kmeans_loop(points, k: int, seed: int, objective_history=None) -> np.ndarray:
     """Lloyd's k-means with k-means++ seeding, each centre the axis-0 mean
     of its cluster's rows by a mask per cluster (test oracle for

@@ -131,6 +131,27 @@ def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["verify", "run", "sweep", "partition-dump"])
+def test_malformed_edge_line_error_names_the_file_once(command, tmp_path, capsys):
+    # verify_dataset and load_edge_list (run, sweep and partition-dump)
+    bad = tmp_path / "malformed.txt"
+    bad.write_text("0 1\n# c\n2 3 4\n")
+    dataset = ["--dataset", str(bad)]
+    argv = {
+        "verify": ["verify", *dataset, "--expect-nodes", "2", "--expect-edges", "1"],
+        "run": ["run", *dataset, "--clusters", "2"],
+        "sweep": ["sweep", *dataset, "--clusters", "2", "--axis", "global_rounds",
+                  "--values", "1"],
+        "partition-dump": ["partition-dump", *dataset, "--outdir", str(tmp_path / "shards")],
+    }[command]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {bad}: line 3: expected two integers in the int64 range, got '2 3 4'"
+    ]
+
+
 # pytest's filterwarnings = error would raise these instead of showing them
 @pytest.mark.filterwarnings("default::UserWarning")
 @pytest.mark.parametrize(

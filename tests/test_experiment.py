@@ -1,11 +1,12 @@
 import dataclasses
 import io
 import json
+import weakref
 
 import numpy as np
 import pytest
 
-from fedspectral import experiment
+from fedspectral import experiment, fedplus
 from fedspectral.errors import ConfigError, ContractError
 from fedspectral.experiment import (
     ExperimentConfig,
@@ -233,6 +234,33 @@ class TestRun:
         assert len(drift) == len(svd_drift) == 200
         assert (np.abs(drift - svd_drift) <= 1e-12 * np.array(svd_drift) + 1e-15).all()
         assert drift[-1] < 1e-6 < drift[0]
+
+    def test_shards_are_dead_when_the_rounds_start(self, dataset_file, monkeypatch):
+        # the trial hands each shard to its client, so once every client is
+        # built no shard from distribute_edges is left alive
+        cfg = make_cfg(dataset_file, num_trials=1)
+        graph = load_edge_list(dataset_file)
+        reference = compute_reference(graph, cfg)
+        seed = trial_seed(cfg.master_seed, 0)
+        expected = run_single_trial(graph, reference, cfg, seed)
+        refs = []
+        real_distribute, real_loop = experiment.distribute_edges, fedplus.server_round_loop
+
+        def distribute(*args, **kwargs):
+            shards = real_distribute(*args, **kwargs)
+            refs.extend(weakref.ref(shard) for shard in shards)
+            return shards
+
+        def loop(*args, **kwargs):
+            assert len(refs) == cfg.num_clients
+            assert [ref() for ref in refs] == [None] * cfg.num_clients
+            return real_loop(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "distribute_edges", distribute)
+        monkeypatch.setattr(fedplus, "server_round_loop", loop)
+        got = run_single_trial(graph, reference, cfg, seed)
+        assert np.array_equal(got[1], expected[1])
+        assert got[2].round_drift == expected[2].round_drift
 
     def test_similarity_reproducible_from_trial_seed(self, dataset_file):
         cfg = make_cfg(

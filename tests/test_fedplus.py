@@ -1,4 +1,5 @@
 import struct
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ from fedspectral.fedplus import (
 )
 from fedspectral.graph import Graph, normalized_laplacian
 from fedspectral.linalg import bottom_k_eigenvectors, global_spectral_clustering, reduced_qr
-from fedspectral.partition import ClientShard, distribute_edges
+from fedspectral.partition import ClientShard, distribute_edges, shard_universe
 
 from conftest import dense_adjacency, planted_graph, principal_angles
 
@@ -196,6 +197,8 @@ class TestAggregateRound:
                     for _ in range(clients)
                 ]
                 q = aggregate_round(outputs)
+                # a generator is folded as it arrives, to the same bits
+                assert np.array_equal(aggregate_round(out for out in outputs), q)
                 # the expression the mean was computed with before it used buffers
                 anchor = outputs[0]
                 acc = np.zeros_like(anchor)
@@ -206,10 +209,12 @@ class TestAggregateRound:
                 assert np.array_equal(q, reduced_qr(oracle)[0])
 
     def test_contracts(self):
-        with pytest.raises(ContractError):
-            aggregate_round([])
-        with pytest.raises(ContractError):
-            aggregate_round([np.ones((2, 2)), np.ones((3, 2))])
+        for outputs in ([], [np.ones((2, 2)), np.ones((3, 2))]):
+            with pytest.raises(ContractError) as from_list:
+                aggregate_round(outputs)
+            with pytest.raises(ContractError) as from_generator:
+                aggregate_round(out for out in outputs)
+            assert str(from_generator.value) == str(from_list.value)
 
 
 class TestWireFormat:
@@ -313,6 +318,44 @@ class TestServerLoop:
         assert np.isfinite(out).all()
         assert max(peaks) <= 1.0 + 1e-9
 
+    def test_holds_only_the_anchor_and_the_current_reply(self):
+        # each reply is a fresh array; when a client is asked, the replies
+        # asked for before it are dead, apart from this round's anchor
+        rng = np.random.default_rng(33)
+        issued, seen = [], []
+
+        class Fresh:
+            def __init__(self, client_id):
+                self.client_id = client_id
+
+            def run_round(self, message):
+                alive = [(t, c) for t, c, ref in issued if ref() is not None]
+                seen.append((message.round_index, self.client_id, alive))
+                reply = rng.standard_normal((12, 3))
+                issued.append((message.round_index, self.client_id, weakref.ref(reply)))
+                return ClientReply(self.client_id, reply)
+
+        transports = [Fresh(c) for c in (3, 0, 4, 1, 2)]
+        v0, _ = reduced_qr(rng.standard_normal((12, 3)))
+        server_round_loop(transports, v0, 3)
+        assert [(t, c) for t, c, _ in seen] == [(t, c) for t in range(3) for c in range(5)]
+        for t, c, alive in seen:
+            assert alive == ([] if c == 0 else [(t, 0)])
+        assert all(ref() is None for _, _, ref in issued)
+
+    def test_reply_from_another_client_is_a_contract_error(self):
+        rng = np.random.default_rng(34)
+        x = rng.standard_normal((6, 2))
+
+        class Impostor(FakeTransport):
+            def run_round(self, message):
+                return ClientReply(self.client_id + 1, self._reply)
+
+        transports = [FakeTransport(0, x), Impostor(1, x)]
+        v0, _ = reduced_qr(rng.standard_normal((6, 2)))
+        with pytest.raises(ContractError, match="round 0: client 1 replied as client 2"):
+            server_round_loop(transports, v0, 2)
+
     def test_rank_error_carries_round_index(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((6, 2))
@@ -396,3 +439,37 @@ class TestProtocol:
         b = ClientShard(5, none, np.empty(0), client_id=1)
         with pytest.raises(ContractError):
             run_fedspectral_plus([a, b], 2, 0)
+
+    def test_shard_iterators_raise_shard_universe_errors(self):
+        none = np.empty((0, 2), dtype=np.int64)
+        a = ClientShard(4, none, np.empty(0), client_id=0)
+        b = ClientShard(4, none, np.empty(0), client_id=1)
+        c = ClientShard(5, none, np.empty(0), client_id=2)
+        for shards in ([], [a, c], [a, b, c], [c, a]):
+            with pytest.raises(ContractError) as expected:
+                shard_universe(shards)
+            with pytest.raises(ContractError) as got:
+                run_fedspectral_plus(iter(shards), 2, 0)
+            assert str(got.value) == str(expected.value)
+
+    def test_shard_iterator_matches_list_and_keeps_no_shard(self, monkeypatch):
+        g = planted_graph([10, 10], 0.8, 0.08, seed=35)
+        args = (g, 3, 0.5, 36)
+        la, va = run_fedspectral_plus(distribute_edges(*args), 2, 37, iters=2, global_rounds=4)
+        refs = []
+
+        def fresh_shards():
+            for shard in distribute_edges(*args):
+                refs.append(weakref.ref(shard))
+                yield shard
+
+        real = fedplus.server_round_loop
+
+        def check_dead(*loop_args, **kwargs):
+            assert len(refs) == 3 and all(ref() is None for ref in refs)
+            return real(*loop_args, **kwargs)
+
+        monkeypatch.setattr(fedplus, "server_round_loop", check_dead)
+        lb, vb = run_fedspectral_plus(fresh_shards(), 2, 37, iters=2, global_rounds=4)
+        assert np.array_equal(la, lb)
+        assert np.array_equal(va, vb)

@@ -7,6 +7,7 @@ from scipy import sparse
 from fedspectral.errors import ContractError, ParseError
 from fedspectral.graph import (
     Graph,
+    _scaled_adjacency,
     load_edge_list,
     normalized_laplacian,
     normalized_laplacian_from_adjacency,
@@ -23,6 +24,7 @@ from conftest import (
     dense_normalized_laplacian,
     gnp_graph,
     parse_arcs_loop,
+    scaled_adjacency_sorted_by_scipy,
 )
 
 
@@ -398,6 +400,26 @@ class TestLaplacian:
             sparse.csr_array(dense_adjacency(triangle()))
         )
         assert np.array_equal(lap.toarray(), normalized_laplacian(triangle()).toarray())
+
+    def test_row_ordered_entries_match_scipy_sorted_oracle(self):
+        # the entries are listed in row order, so scipy's index sort is
+        # skipped; L and I - L keep every bit, dtype and index of the matrices
+        # that scipy sorted
+        rng = np.random.default_rng(20)
+        for trial in range(300):
+            # the last 0-4 nodes, and any node gnp leaves alone, are isolated
+            n = int(rng.integers(1, 60))
+            base = gnp_graph(n - int(rng.integers(0, min(n, 5))), rng.uniform(0.0, 0.5), trial)
+            g = Graph(n, base.edges, rng.uniform(0.1, 5.0, base.num_edges))
+            for laplacian in (True, False):
+                got = _scaled_adjacency(g, laplacian=laplacian)
+                want = scaled_adjacency_sorted_by_scipy(g, laplacian=laplacian)
+                assert isinstance(got, sparse.csr_array) and got.shape == want.shape
+                assert got.has_canonical_format and want.has_canonical_format
+                for a, b in ((got.data, want.data), (got.indices, want.indices),
+                             (got.indptr, want.indptr)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert got.indices.dtype == np.int64
 
     def test_adjacency_laplacian_matches_dense_oracle(self):
         rng = np.random.default_rng(8)
