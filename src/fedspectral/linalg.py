@@ -7,7 +7,9 @@ scipy's eigsh, per connected component), Lloyd's k-means with k-means++
 seeding, and the one spectral clustering pipeline of a graph: it gives
 the reference labeling that every experiment scores against and the
 baseline's client labelings; the baseline server runs its two halves on
-the twin-class quotient of the client labelings.
+the twin-class quotient of the client labelings. ``one_blas_thread``
+holds the OpenBLAS builds bundled with numpy and scipy at one thread for
+the length of a ``with`` block.
 
 Everything is float64 and deterministic for fixed seeds. The
 factorizations are followed by sign fixes (non-negative R diagonal;
@@ -17,7 +19,13 @@ unique and runs repeat bit for bit.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+from contextlib import contextmanager
+
 import numpy as np
+import scipy
 from scipy import sparse
 from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
@@ -28,6 +36,7 @@ from .graph import Graph, normalized_laplacian
 from .seeding import embedding_seed, kmeans_seed
 
 __all__ = [
+    "one_blas_thread",
     "reduced_qr",
     "symmetric_eig_reference",
     "bottom_k_eigenvectors",
@@ -41,6 +50,61 @@ SYMMETRY_TOL = 1e-10
 KMEANS_MAX_ITER = 300
 # LAPACK work per column: room for the blocked QR path at block sizes up to 64
 _QR_WORK_PER_COLUMN = 64
+# (package, thread-count getter, setter) of the OpenBLAS each wheel bundles
+# under <package>.libs; numpy's is the 64-bit-integer build
+_BUNDLED_OPENBLAS = (
+    (np, "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    (scipy, "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each bundled OpenBLAS found;
+    empty where the packages bundle none or it exports neither symbol."""
+    controls = []
+    for package, get_name, set_name in _BUNDLED_OPENBLAS:
+        site = os.path.dirname(os.path.dirname(package.__file__))
+        libs = os.path.join(site, f"{package.__name__}.libs")
+        try:
+            names = sorted(os.listdir(libs))
+        except OSError:  # the package bundles no libraries
+            continue
+        for name in names:
+            if "openblas" not in name:
+                continue
+            try:
+                lib = ctypes.CDLL(os.path.join(libs, name))
+                get, set_ = lib[get_name], lib[set_name]
+            except (OSError, AttributeError):  # not loadable, or no such symbol
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+    return tuple(controls)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's and scipy's bundled OpenBLAS at one thread
+    each, and restore their thread counts when it ends, also on an error.
+
+    OpenBLAS spin-waits on its pool after each call, so small N x K calls
+    on a second thread cost more than they save and hold a core that
+    concurrent work could use. Does nothing where no bundled OpenBLAS
+    exports the thread-count functions. The thread count is not meant to
+    change a result: OpenBLAS splits a matrix product's output entries,
+    not the sums that make each one, between its threads.
+    """
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)
 
 
 def reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,6 @@
 import struct
+import sys
+import threading
 import weakref
 from dataclasses import dataclass
 
@@ -6,7 +8,8 @@ import numpy as np
 import pytest
 
 from fedspectral.errors import ConfigError, ContractError, RankError
-from fedspectral import fedplus
+from fedspectral import fedplus, linalg
+from fedspectral.experiment import ExperimentConfig, compute_reference, run_single_trial
 from fedspectral.fedplus import (
     BroadcastMessage,
     ClientReply,
@@ -66,6 +69,20 @@ def ordered_row_sums(shard, v):
 def client_step(shard, iters, embedding):
     client = PowerIterationClient(shard, iters)
     return client.run_round(BroadcastMessage(0, embedding)).embedding
+
+
+def force_schedule(monkeypatch, schedule, cores=2):
+    """Make run_fedspectral_plus run its clients on a pool of ``cores``
+    threads ("pooled") or one after another ("serial"), whatever the work."""
+    work = 0 if schedule == "pooled" else float("inf")
+    monkeypatch.setattr(fedplus, "POOL_MIN_WORK", work)
+    monkeypatch.setattr(fedplus, "_usable_cores", lambda: cores)
+
+
+@pytest.fixture(params=["serial", "pooled"])
+def schedule(request, monkeypatch):
+    force_schedule(monkeypatch, request.param)
+    return request.param
 
 
 def random_weighted_shard(n, num_edges, isolated, seed):
@@ -375,7 +392,7 @@ class TestProtocol:
         with pytest.raises(ConfigError):
             run_fedspectral_plus(shards, num_clusters=2, seed=0, global_rounds=0)
 
-    def test_deterministic(self):
+    def test_deterministic(self, schedule):
         g = planted_graph([10, 10], 0.8, 0.08, seed=18)
         shards = distribute_edges(g, 3, 0.5, seed=19)
         la, va = run_fedspectral_plus(shards, 2, 20, iters=2, global_rounds=4)
@@ -405,7 +422,7 @@ class TestProtocol:
         # the iteration settles: late drift is smaller than early drift
         assert drift[-1] < drift[0]
 
-    def test_single_client_converges_to_reference_subspace(self):
+    def test_single_client_converges_to_reference_subspace(self, schedule):
         g = planted_graph([12, 12, 12], 0.85, 0.04, seed=24)
         shards = distribute_edges(g, 1, 1.0, seed=25)
         labels, basis = run_fedspectral_plus(shards, 3, 26, iters=10, global_rounds=200)
@@ -414,7 +431,7 @@ class TestProtocol:
         assert principal_angles(basis, reference).max() < 1e-6
         assert np.array_equal(labels, global_spectral_clustering(g, 3, seed=26))
 
-    def test_full_overlap_matches_raw_orthogonal_iteration(self):
+    def test_full_overlap_matches_raw_orthogonal_iteration(self, schedule):
         # every client holds the whole graph: one round of the protocol is
         # exactly one QR'd block power step on the global multiplier
         g = planted_graph([10, 10], 0.8, 0.08, seed=27)
@@ -473,3 +490,236 @@ class TestProtocol:
         lb, vb = run_fedspectral_plus(fresh_shards(), 2, 37, iters=2, global_rounds=4)
         assert np.array_equal(la, lb)
         assert np.array_equal(va, vb)
+
+
+def run_threads(monkeypatch):
+    """Record the thread each PowerIterationClient round runs on."""
+    idents = []
+    real = PowerIterationClient.run_round
+
+    def recorded(client, message):
+        idents.append(threading.get_ident())
+        return real(client, message)
+
+    monkeypatch.setattr(PowerIterationClient, "run_round", recorded)
+    return idents
+
+
+class TestPooledRounds:
+    """The clients of a round on a thread pool: same bits, same errors, and
+    nothing left running."""
+
+    def trial(self, monkeypatch, schedule, cores=2, clients=3):
+        force_schedule(monkeypatch, schedule, cores)
+        g = planted_graph([12, 12, 12], 0.7, 0.05, seed=40)
+        cfg = ExperimentConfig(
+            dataset_path="planted", num_clients=clients, num_clusters=3,
+            iters=3, global_rounds=8, overlap=0.5,
+        )
+        _, labels, record, _ = run_single_trial(g, compute_reference(g, cfg), cfg, 41)
+        return labels, record.round_drift
+
+    def test_pooled_trial_is_bitwise_the_serial_trial(self, monkeypatch):
+        g = planted_graph([12, 12, 12], 0.7, 0.05, seed=42)
+        shards = distribute_edges(g, 4, 0.5, seed=43)
+        runs = {}
+        for schedule in ("serial", "pooled"):
+            force_schedule(monkeypatch, schedule)
+            runs[schedule] = run_fedspectral_plus(shards, 3, 44, iters=3, global_rounds=8)
+        (ls, bs), (lp, bp) = runs["serial"], runs["pooled"]
+        assert np.array_equal(ls, lp)
+        assert np.array_equal(bs, bp)
+        serial, pooled = self.trial(monkeypatch, "serial"), self.trial(monkeypatch, "pooled")
+        assert np.array_equal(serial[0], pooled[0])
+        assert serial[1] == pooled[1] and len(pooled[1]) == 8
+
+    def test_serial_with_one_core_or_one_client(self, monkeypatch):
+        main = threading.get_ident()
+        for cores, clients, on_pool in ((2, 3, True), (1, 3, False), (2, 1, False)):
+            idents = run_threads(monkeypatch)
+            self.trial(monkeypatch, "pooled", cores=cores, clients=clients)
+            assert idents and all((i != main) == on_pool for i in idents)
+            monkeypatch.undo()
+
+    def test_pool_follows_the_smallest_client_round(self, monkeypatch):
+        g = planted_graph([10, 10], 0.8, 0.08, seed=45)
+        shards = distribute_edges(g, 3, 0.5, seed=46)
+        smallest = min(fedplus.shard_multiplier(sh).nnz for sh in shards)
+        main = threading.get_ident()
+        for threshold, on_pool in ((smallest * 2 * 3, True), (smallest * 2 * 3 + 1, False)):
+            monkeypatch.setattr(fedplus, "_usable_cores", lambda: 2)
+            monkeypatch.setattr(fedplus, "POOL_MIN_WORK", threshold)
+            idents = run_threads(monkeypatch)
+            run_fedspectral_plus(shards, 2, 47, iters=3, global_rounds=2)
+            assert idents and all((i != main) == on_pool for i in idents)
+            monkeypatch.undo()
+
+    def test_observer_runs_on_the_calling_thread(self, monkeypatch):
+        force_schedule(monkeypatch, "pooled")
+        idents = run_threads(monkeypatch)
+        observed = []
+        g = planted_graph([10, 10], 0.8, 0.08, seed=48)
+        shards = distribute_edges(g, 3, 0.5, seed=49)
+        run_fedspectral_plus(
+            shards, 2, 50, iters=2, global_rounds=3,
+            on_round=lambda *_: observed.append(threading.get_ident()),
+        )
+        assert observed == [threading.get_ident()] * 3
+        assert len(idents) == 9 and threading.get_ident() not in idents
+
+    def test_worker_contract_error_reaches_the_caller(self):
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal((6, 2))
+
+        class Impostor(FakeTransport):
+            def run_round(self, message):
+                return ClientReply(self.client_id + 1, self._reply)
+
+        transports = [FakeTransport(0, x), Impostor(1, x), FakeTransport(2, x)]
+        v0, _ = reduced_qr(rng.standard_normal((6, 2)))
+        threads = threading.active_count()
+        with pytest.raises(ContractError, match="^round 0: client 1 replied as client 2$"):
+            server_round_loop(transports, v0, 2, workers=2)
+        assert threading.active_count() == threads
+
+    def test_rank_error_carries_round_index(self):
+        rng = np.random.default_rng(52)
+        x = rng.standard_normal((6, 2))
+        transports = [FakeTransport(0, x), FakeTransport(1, -x)]
+        v0, _ = reduced_qr(rng.standard_normal((6, 2)))
+        threads = threading.active_count()
+        with pytest.raises(RankError, match="round 0"):
+            server_round_loop(transports, v0, 2, workers=2)
+        assert threading.active_count() == threads
+
+    def test_threads_end_with_the_call(self, monkeypatch):
+        force_schedule(monkeypatch, "pooled")
+        g = planted_graph([10, 10], 0.8, 0.08, seed=53)
+        shards = distribute_edges(g, 3, 0.5, seed=54)
+        threads = threading.active_count()
+        run_fedspectral_plus(shards, 2, 55, iters=2, global_rounds=3)
+        assert threading.active_count() == threads
+
+        def fail(*_):
+            raise RuntimeError("observer failed")
+
+        with pytest.raises(RuntimeError, match="observer failed"):
+            run_fedspectral_plus(shards, 2, 55, iters=2, global_rounds=3, on_round=fail)
+        assert threading.active_count() == threads
+
+    def test_holds_at_most_the_anchor_and_one_reply_per_worker(self):
+        # the twin of TestServerLoop's serial test: when a client is asked,
+        # at most ``workers`` replies besides the anchor are alive
+        workers = 2
+        lock = threading.Lock()
+        issued, seen = [], []
+
+        class Fresh:
+            def __init__(self, client_id):
+                self.client_id = client_id
+
+            def run_round(self, message):
+                reply = np.random.default_rng(
+                    [message.round_index, self.client_id]
+                ).standard_normal((12, 3))
+                with lock:
+                    alive = [(t, c) for t, c, ref in issued if ref() is not None]
+                    seen.append((message.round_index, self.client_id, alive))
+                    issued.append((message.round_index, self.client_id, weakref.ref(reply)))
+                return ClientReply(self.client_id, reply)
+
+        transports = [Fresh(c) for c in (3, 0, 4, 1, 2)]
+        v0, _ = reduced_qr(np.random.default_rng(56).standard_normal((12, 3)))
+        server_round_loop(transports, v0, 3, workers=workers)
+        assert sorted((t, c) for t, c, _ in seen) == [(t, c) for t in range(3) for c in range(5)]
+        for t, c, alive in seen:
+            assert len([a for a in alive if a != (t, 0)]) <= workers
+        assert all(ref() is None for _, _, ref in issued)
+
+    def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
+        g = planted_graph([10, 10, 10], 0.8, 0.06, seed=57)
+        shards = distribute_edges(g, 6, 0.5, seed=58)
+        force_schedule(monkeypatch, "serial")
+        expected = run_fedspectral_plus(shards, 3, 59, iters=2, global_rounds=10)
+        force_schedule(monkeypatch, "pooled", cores=4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                got = run_fedspectral_plus(shards, 3, 59, iters=2, global_rounds=10)
+                assert np.array_equal(got[0], expected[0])
+                assert np.array_equal(got[1], expected[1])
+        finally:
+            sys.setswitchinterval(interval)
+
+
+class FakeBlas:
+    """Thread-count functions of a stand-in BLAS."""
+
+    def __init__(self, count):
+        self.count = count
+
+    def get(self):
+        return self.count
+
+    def set(self, count):
+        self.count = count
+
+
+class TestBlasPolicy:
+    def shards(self):
+        g = planted_graph([10, 10], 0.8, 0.08, seed=60)
+        return distribute_edges(g, 3, 0.5, seed=61)
+
+    def test_counts_are_one_during_the_protocol_and_restored_after(self, monkeypatch):
+        blas = [FakeBlas(2), FakeBlas(3)]
+        monkeypatch.setattr(
+            linalg, "_openblas_thread_controls", lambda: [(b.get, b.set) for b in blas]
+        )
+        during = []
+
+        def on_round(*_):
+            during.append([b.count for b in blas])
+
+        run_fedspectral_plus(self.shards(), 2, 62, iters=2, global_rounds=2, on_round=on_round)
+        assert during == [[1, 1], [1, 1]]
+        assert [b.count for b in blas] == [2, 3]
+
+        def fail(*_):
+            raise RankError("observer failed")
+
+        with pytest.raises(RankError):
+            run_fedspectral_plus(self.shards(), 2, 62, iters=2, global_rounds=2, on_round=fail)
+        assert [b.count for b in blas] == [2, 3]
+
+    def test_bundled_openblas_counts_are_restored(self):
+        controls = linalg._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no bundled OpenBLAS exports its thread-count functions here")
+        before = [get() for get, _ in controls]
+        during = []
+
+        def on_round(*_):
+            during.append([get() for get, _ in controls])
+
+        run_fedspectral_plus(self.shards(), 2, 63, iters=2, global_rounds=2, on_round=on_round)
+        assert during == [[1] * len(controls)] * 2
+        assert [get() for get, _ in controls] == before
+
+        def fail(*_):
+            raise RankError("observer failed")
+
+        with pytest.raises(RankError):
+            run_fedspectral_plus(self.shards(), 2, 63, iters=2, global_rounds=2, on_round=fail)
+        assert [get() for get, _ in controls] == before
+
+    def test_protocol_runs_without_thread_controls(self, monkeypatch):
+        expected = run_fedspectral_plus(self.shards(), 2, 64, iters=2, global_rounds=4)
+        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: ())
+        got = run_fedspectral_plus(self.shards(), 2, 64, iters=2, global_rounds=4)
+        assert np.array_equal(got[0], expected[0])
+        assert np.array_equal(got[1], expected[1])
+
+    def test_lookup_finds_nothing_without_the_symbols(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_BUNDLED_OPENBLAS", ((np, "no_such_get", "no_such_set"),))
+        assert linalg._openblas_thread_controls.__wrapped__() == ()
