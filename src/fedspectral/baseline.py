@@ -22,20 +22,14 @@ from . import linalg
 from .errors import ContractError
 # no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
 from .graph import normalized_laplacian_from_adjacency  # noqa: F401
-from .linalg import cluster_embedding_rows, global_spectral_clustering
+from .linalg import global_spectral_clustering
 from .partition import ClientShard, shard_universe
 from .seeding import client_seed, derive_seed, embedding_seed, kmeans_seed
 
 __all__ = ["get_client_labels", "TwinQuotient", "build_similarity_graph", "fedspectral_server"]
 
 
-def get_client_labels(
-    shard: ClientShard,
-    num_clusters: int,
-    seed: int,
-    *,
-    normalize_rows: bool = False,
-) -> np.ndarray:
+def get_client_labels(shard: ClientShard, num_clusters: int, seed: int) -> np.ndarray:
     """Spectral clustering of one client's local shard.
 
     The shard is a graph, so this is linalg.global_spectral_clustering of
@@ -44,9 +38,7 @@ def get_client_labels(
     edges yields an all-zero Laplacian, whose every node is its own
     component; the labeling is still deterministic.
     """
-    return global_spectral_clustering(
-        shard, num_clusters, seed, normalize_rows=normalize_rows
-    )
+    return global_spectral_clustering(shard, num_clusters, seed)
 
 
 class TwinQuotient(NamedTuple):
@@ -174,11 +166,7 @@ def _twin_embedding(q: TwinQuotient, k: int, seed: int) -> np.ndarray:
 
 
 def fedspectral_server(
-    shards: list[ClientShard],
-    num_clusters: int,
-    seed: int,
-    *,
-    normalize_rows: bool = False,
+    shards: list[ClientShard], num_clusters: int, seed: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Aggregate per-client labelings into a global clustering.
 
@@ -196,18 +184,12 @@ def fedspectral_server(
     """
     shard_universe(shards)
     labelings = [
-        get_client_labels(
-            sh,
-            num_clusters,
-            client_seed(seed, sh.client_id),
-            normalize_rows=normalize_rows,
-        )
+        get_client_labels(sh, num_clusters, client_seed(seed, sh.client_id))
         for sh in sorted(shards, key=lambda sh: sh.client_id)
     ]
     quotient = build_similarity_graph(labelings, len(shards))
     server = derive_seed(seed, "server")
     embedding = _twin_embedding(quotient, num_clusters, embedding_seed(server))
-    labels = cluster_embedding_rows(
-        embedding, num_clusters, kmeans_seed(server), normalize_rows=normalize_rows
-    )
+    # through the module, where the k-means tracers and spies look it up
+    labels = linalg.kmeans(embedding, num_clusters, kmeans_seed(server))
     return labels, labelings

@@ -36,7 +36,7 @@ from .experiment import (
 from .graph import load_edge_list
 from .metrics import cluster_similarity, read_labels_csv
 from .partition import distribute_edges, write_shard
-from .seeding import partition_seed
+from .seeding import partition_seed, trial_seed
 
 _USER_ERRORS = (ConfigError, ContractError, ParseError, RankError, ConvergenceError, OSError)
 
@@ -53,8 +53,6 @@ def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--overlap", type=float)
     parser.add_argument("--seed", type=int, dest="master_seed")
     parser.add_argument("--trials", type=int, dest="num_trials")
-    parser.add_argument("--normalize-rows", action="store_true", default=None,
-                        dest="normalize_rows")
     parser.add_argument("--output", dest="output_path",
                         help="file for the CSV records, or for the JSON lines "
                              "of run --json (stdout when omitted)")
@@ -145,7 +143,9 @@ def _cmd_partition_dump(args) -> int:
     import os
 
     graph = load_edge_list(resolve_dataset_path(args.dataset))
-    shards = distribute_edges(graph, args.clients, args.overlap, partition_seed(args.seed))
+    # the shards of trial 0 of run --seed S
+    seed = partition_seed(trial_seed(args.seed, 0))
+    shards = distribute_edges(graph, args.clients, args.overlap, seed)
     os.makedirs(args.outdir, exist_ok=True)
     for shard in shards:
         path = os.path.join(args.outdir, f"client_{shard.client_id}.txt")
@@ -194,7 +194,9 @@ def build_parser() -> argparse.ArgumentParser:
     dump_p.add_argument("--dataset", required=True)
     dump_p.add_argument("--clients", type=int, default=defaults.num_clients)
     dump_p.add_argument("--overlap", type=float, default=defaults.overlap)
-    dump_p.add_argument("--seed", type=int, default=defaults.master_seed)
+    dump_p.add_argument("--seed", type=int, default=defaults.master_seed,
+                        help="master seed; the shards written are those of trial 0 "
+                             "of run --seed SEED")
     dump_p.add_argument("--outdir", required=True)
     dump_p.set_defaults(func=_cmd_partition_dump)
 

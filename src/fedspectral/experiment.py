@@ -9,11 +9,10 @@ lines) whose bytes are reproducible for a fixed config and master seed,
 modulo the wallclock column.
 
 The two dataclasses are the schema. Config-file keys are the
-``ExperimentConfig`` field names, and each value is parsed by its field's
-type (``parse_config_value``): booleans accept true/false/yes/no/1/0, and
-``none`` or an empty value clears an optional field. Record columns (CSV,
-in declaration order) and keys (JSON lines) are the ``ResultRecord`` field
-names.
+``ExperimentConfig`` field names, each value is parsed by its field's type
+(``parse_config_value``), and ``none`` or an empty value clears an
+optional field. Record columns (CSV, in declaration order) and keys (JSON
+lines) are the ``ResultRecord`` field names.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ class ExperimentConfig:
     overlap: float = 0.4
     master_seed: int = 0
     num_trials: int = 5
-    normalize_rows: bool = False
     output_path: str | None = None
 
 
@@ -141,10 +139,7 @@ def load_dataset(cfg: ExperimentConfig) -> Graph:
 def compute_reference(graph: Graph, cfg: ExperimentConfig) -> np.ndarray:
     """The global (non-federated) labeling all trials are scored against."""
     return global_spectral_clustering(
-        graph,
-        cfg.num_clusters,
-        reference_seed(cfg.dataset_path),
-        normalize_rows=cfg.normalize_rows,
+        graph, cfg.num_clusters, reference_seed(cfg.dataset_path)
     )
 
 
@@ -159,7 +154,6 @@ class ResultRecord:
     iters: int
     global_rounds: int
     overlap: float
-    normalize_rows: bool
     master_seed: int
     trial: int
     trial_seed: int
@@ -237,9 +231,7 @@ def run_single_trial(
                 for sh in shards
                 if sh.num_edges == 0
             ]
-            labels, client_labelings = fedspectral_server(
-                shards, cfg.num_clusters, seed, normalize_rows=cfg.normalize_rows
-            )
+            labels, client_labelings = fedspectral_server(shards, cfg.num_clusters, seed)
         else:
             labels, _ = run_fedspectral_plus(
                 _hand_over(shards),
@@ -247,7 +239,6 @@ def run_single_trial(
                 seed,
                 iters=cfg.iters,
                 global_rounds=cfg.global_rounds,
-                normalize_rows=cfg.normalize_rows,
                 on_round=lambda _, previous, basis: round_drift.append(
                     _subspace_drift(previous, basis)
                 ),
@@ -433,23 +424,15 @@ def verify_dataset(
 # Config files: one "key = value" line per key, '#' comments, CLI overrides win.
 # ---------------------------------------------------------------------------
 
-_BOOL_VALUES = {
-    "true": True,
-    "yes": True,
-    "1": True,
-    "false": False,
-    "no": False,
-    "0": False,
-}
-_TYPE_NAMES = {bool: "a boolean", int: "an integer", float: "a float"}
+_TYPE_NAMES = {int: "an integer", float: "a float"}
 
 
 def parse_config_value(name: str, raw: str):
     """Parse the text ``raw`` as a value of the ExperimentConfig field ``name``.
 
-    The field's type decides: ``bool`` takes true/false/yes/no/1/0 (any
-    case); ``int``, ``float`` and ``str`` call the type; ``X | None`` also
-    takes ``none`` or an empty value as None. Surrounding spaces are ignored.
+    The field's type decides: ``int``, ``float`` and ``str`` call the type;
+    ``X | None`` also takes ``none`` or an empty value as None. Surrounding
+    spaces are ignored.
     """
     try:
         kind = _CONFIG_TYPES[name]
@@ -461,10 +444,9 @@ def parse_config_value(name: str, raw: str):
         if raw.lower() in ("", "none"):
             return None
         (kind,) = (m for m in members if m is not type(None))
-    parse = (lambda text: _BOOL_VALUES[text.lower()]) if kind is bool else kind
     try:
-        return parse(raw)
-    except (KeyError, ValueError):
+        return kind(raw)
+    except ValueError:
         raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {raw!r}") from None
 
 
@@ -501,10 +483,6 @@ RECORD_COLUMNS = [f.name for f in dataclasses.fields(ResultRecord)]
 
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return ""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

@@ -46,9 +46,10 @@ from typing import Iterable
 import numpy as np
 from scipy import sparse
 
+from . import linalg
 from .errors import ConfigError, ContractError, ConvergenceError, RankError
 from .graph import laplacian_multiplier
-from .linalg import cluster_embedding_rows, one_blas_thread, reduced_qr
+from .linalg import one_blas_thread, reduced_qr
 from .partition import ClientShard, same_universe
 from .seeding import embedding_seed, kmeans_seed
 
@@ -288,7 +289,6 @@ def run_fedspectral_plus(
     *,
     iters: int = 1,
     global_rounds: int = 1,
-    normalize_rows: bool = False,
     on_round=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full protocol: random orthonormal start, rounds, final k-means.
@@ -333,7 +333,6 @@ def run_fedspectral_plus(
         basis = server_round_loop(
             transports, basis, global_rounds, on_round=on_round, workers=workers
         )
-        labels = cluster_embedding_rows(
-            basis, num_clusters, kmeans_seed(seed), normalize_rows=normalize_rows
-        )
+        # through the module, where the k-means tracers and spies look it up
+        labels = linalg.kmeans(basis, num_clusters, kmeans_seed(seed))
     return labels, basis

@@ -41,7 +41,6 @@ __all__ = [
     "symmetric_eig_reference",
     "bottom_k_eigenvectors",
     "kmeans",
-    "cluster_embedding_rows",
     "global_spectral_clustering",
 ]
 
@@ -369,26 +368,7 @@ def kmeans(
     return labels
 
 
-def cluster_embedding_rows(
-    embedding: np.ndarray, k: int, seed: int, *, normalize_rows: bool = False
-) -> np.ndarray:
-    """k-means over the rows of an N x K embedding.
-
-    ``normalize_rows`` rescales each row to unit length first (zero rows
-    stay zero); off by default, matching the plain eigenvector-embedding
-    pipeline.
-    """
-    points = np.asarray(embedding, dtype=np.float64)
-    if normalize_rows:
-        norms = np.linalg.norm(points, axis=1)
-        safe = np.where(norms > 0, norms, 1.0)
-        points = points / safe[:, None]
-    return kmeans(points, k, seed)
-
-
-def global_spectral_clustering(
-    g: Graph, k: int, seed: int, *, normalize_rows: bool = False
-) -> np.ndarray:
+def global_spectral_clustering(g: Graph, k: int, seed: int) -> np.ndarray:
     """Spectral clustering of a graph: the reference (the whole graph) and
     each baseline client (its shard) call this one pipeline. Bottom-K
     eigenvectors of the sparse normalized Laplacian, then k-means on the
@@ -397,6 +377,4 @@ def global_spectral_clustering(
     same seeds, on its twin-class quotient instead of a Graph.
     """
     embedding = bottom_k_eigenvectors(normalized_laplacian(g), k, embedding_seed(seed))
-    return cluster_embedding_rows(
-        embedding, k, kmeans_seed(seed), normalize_rows=normalize_rows
-    )
+    return kmeans(embedding, k, kmeans_seed(seed))

@@ -13,8 +13,8 @@ from fedspectral.errors import ContractError
 from fedspectral.graph import Graph, normalized_laplacian
 from fedspectral.linalg import (
     bottom_k_eigenvectors,
-    cluster_embedding_rows,
     global_spectral_clustering,
+    kmeans,
     symmetric_eig_reference,
 )
 from fedspectral.metrics import cluster_similarity
@@ -181,14 +181,14 @@ def spy_on(monkeypatch, module, name, calls):
     monkeypatch.setattr(module, name, spy)
 
 
-def serve(monkeypatch, labelings, k, seed, **kwargs):
+def serve(monkeypatch, labelings, k, seed):
     """fedspectral_server over clients that return the given labelings."""
     monkeypatch.setattr(
         baseline, "get_client_labels", lambda sh, *a, **kw: labelings[sh.client_id]
     )
     n = len(labelings[0])
     shards = [empty_shard(n, c) for c in range(len(labelings))]
-    labels, _ = fedspectral_server(shards, k, seed, **kwargs)
+    labels, _ = fedspectral_server(shards, k, seed)
     return labels
 
 
@@ -203,7 +203,7 @@ class TestServerOracle:
     def test_laplacian_and_labels_match_adjacency_pipeline(self, monkeypatch, case):
         rng = np.random.default_rng(len(case))
         embeddings = []
-        spy_on(monkeypatch, baseline, "cluster_embedding_rows", embeddings)
+        spy_on(monkeypatch, linalg, "kmeans", embeddings)
         for trial in range(8):
             # 1 / C is inexact for C = 3, 5, 6, 7, where the rounding shows
             n, num_clients = int(rng.integers(8, 40)), int(rng.integers(2, 8))
@@ -224,8 +224,8 @@ class TestServerOracle:
                 k = m + (int(sizes.max()) - 1) * (trial % 2)
             else:
                 k = int(rng.integers(1, min(n, 8) + 1))
-            seed, rows = 100 + trial, trial % 2 == 1
-            labels = serve(monkeypatch, labelings, k, seed, normalize_rows=rows)
+            seed = 100 + trial
+            labels = serve(monkeypatch, labelings, k, seed)
             embedding = embeddings.pop()
             rayleigh = np.einsum("ij,ij->j", embedding, lap @ embedding)
             assert np.abs(embedding.T @ embedding - np.eye(k)).max() < 1e-12
@@ -236,26 +236,13 @@ class TestServerOracle:
             assert np.sin(subspace_angles(embedding, vecs[:, :k]).max()) <= 1e-9
             server = derive_seed(seed, "server")
             oracle = bottom_k_eigenvectors(lap, k, embedding_seed(server))
-            expected = cluster_embedding_rows(
-                oracle, k, kmeans_seed(server), normalize_rows=rows
-            )
-            differ = labels != expected
-            if differ.any():
-                # with rows normalized, a node alone on every client is a unit
-                # row orthogonal to every other row, so it is equidistant from
-                # every center of one norm (any center that is a single row),
-                # and each pipeline's k-means breaks that tie on rounding
-                alone = np.flatnonzero(differ)
-                gram = oracle[alone] @ oracle.T
-                own = gram[np.arange(len(alone)), alone].copy()
-                gram[np.arange(len(alone)), alone] = 0.0
-                assert rows and own.min() > 0 and np.abs(gram).max() < 1e-12
+            assert np.array_equal(labels, kmeans(oracle, k, kmeans_seed(server)))
 
     def test_within_class_pairs_in_helmert_basis(self, monkeypatch):
         # unanimous clients, m = 2 < K = 4: the quotient gives two zero
         # eigenvalues, class 0 (n = 3, d = 2) two at 1.5, class 1 two at 2
         embeddings = []
-        spy_on(monkeypatch, baseline, "cluster_embedding_rows", embeddings)
+        spy_on(monkeypatch, linalg, "kmeans", embeddings)
         labels = np.array([0, 0, 0, 1, 1])
         serve(monkeypatch, [labels, labels], 4, seed=3)
         (embedding,) = embeddings
@@ -272,7 +259,7 @@ class TestServerOracle:
         # the first within-class pair of class 0, at 1 + 1/9, takes the third
         # column
         embeddings = []
-        spy_on(monkeypatch, baseline, "cluster_embedding_rows", embeddings)
+        spy_on(monkeypatch, linalg, "kmeans", embeddings)
         labelings = [np.array([0] * 10 + [1, 1]), np.array([0] * 10 + [1, 2])]
         serve(monkeypatch, labelings, 3, seed=4)
         (embedding,) = embeddings

@@ -9,6 +9,8 @@ from fedspectral.cli import _build_config, build_parser, main
 from fedspectral.experiment import ExperimentConfig
 from fedspectral.graph import load_edge_list, parse_arcs, serialize_edge_list
 from fedspectral.metrics import write_labels_csv
+from fedspectral.partition import distribute_edges
+from fedspectral.seeding import partition_seed, trial_seed
 
 from conftest import planted_graph
 
@@ -275,7 +277,6 @@ def test_flags_set_every_config_field():
             "--overlap", "0.25",
             "--seed", "11",
             "--trials", "9",
-            "--normalize-rows",
             "--output", "out/records.csv",
         ]
     )
@@ -290,7 +291,6 @@ def test_flags_set_every_config_field():
         overlap=0.25,
         master_seed=11,
         num_trials=9,
-        normalize_rows=True,
         output_path="out/records.csv",
     )
     default = ExperimentConfig(dataset_path="")
@@ -384,11 +384,14 @@ def test_partition_dump(dataset_file, tmp_path, capsys):
     assert files == ["client_0.txt", "client_1.txt", "client_2.txt"]
 
     g = load_edge_list(dataset_file)
+    # the shards of trial 0 of run --seed 4
+    shards = distribute_edges(g, 3, 0.5, partition_seed(trial_seed(4, 0)))
     union = set()
     for c, name in enumerate(files):
         text = (outdir / name).read_text()
         header = [f"# client_id: {c}", "# seed: 4", f"# nodes: {g.num_nodes}"]
         assert text.splitlines()[:3] == header
+        assert np.array_equal(parse_arcs(text), shards[c].edges)
         union |= {tuple(e) for e in parse_arcs(text).tolist()}
     assert union == {tuple(e) for e in g.edges.tolist()}
 

@@ -84,7 +84,6 @@ class TestConfig:
             "algo = fedspectral\n"
             "num_clients = 4\n"
             "overlap = 0.25\n"
-            "normalize_rows = false\n"
         )
         values = parse_config_file(cfg_file)
         cfg = dataclasses.replace(ExperimentConfig(dataset_path=""), **values)
@@ -121,25 +120,23 @@ class TestConfig:
             overlap=0.25,
             master_seed=11,
             num_trials=9,
-            normalize_rows=True,
             output_path="out/records.csv",
         )
         default = ExperimentConfig(dataset_path="")
         for field in dataclasses.fields(ExperimentConfig):
             assert getattr(expected, field.name) != getattr(default, field.name)
-        text = {"normalize_rows": "TRUE"}
         cfg_file = tmp_path / "every.cfg"
         cfg_file.write_text(
             "".join(
-                f"{f.name} = {text.get(f.name, getattr(expected, f.name))}\n"
+                f"{f.name} = {getattr(expected, f.name)}\n"
                 for f in dataclasses.fields(ExperimentConfig)
             )
         )
         assert dataclasses.replace(default, **parse_config_file(cfg_file)) == expected
 
-        cfg_file.write_text("output_path = none\nnormalize_rows = no\n")
+        cfg_file.write_text("output_path = none\n")
         assert dataclasses.replace(expected, **parse_config_file(cfg_file)) == (
-            dataclasses.replace(expected, output_path=None, normalize_rows=False)
+            dataclasses.replace(expected, output_path=None)
         )
 
     @pytest.mark.parametrize(
@@ -151,9 +148,6 @@ class TestConfig:
             ("num_clients", "3", 3),
             ("dataset_path", "none", "none"),
             ("algo", " global ", "global"),
-            ("normalize_rows", "Yes", True),
-            ("normalize_rows", "FALSE", False),
-            ("normalize_rows", "0", False),
             ("overlap", "1", 1.0),
             ("iters", " 12 ", 12),
         ],
@@ -169,12 +163,9 @@ class TestConfig:
             ("iters", "2.5", "iters must be an integer, got '2.5'"),
             ("num_trials", "two", "num_trials must be an integer, got 'two'"),
             ("overlap", "x", "overlap must be a float, got 'x'"),
-            (
-                "normalize_rows",
-                "maybe",
-                "normalize_rows must be a boolean, got 'maybe'",
-            ),
             ("bogus", "1", "unknown config key 'bogus'"),
+            # a key of older releases
+            ("normalize_rows", "true", "unknown config key 'normalize_rows'"),
         ],
     )
     def test_parse_config_value_errors(self, name, raw, message):
@@ -367,7 +358,6 @@ class TestRecordFormat:
         iters=1,
         global_rounds=1,
         overlap=0.1 + 0.2,
-        normalize_rows=False,
         master_seed=7,
         trial=3,
         trial_seed=18446744073709551615,
@@ -383,10 +373,10 @@ class TestRecordFormat:
     def test_csv_line(self):
         assert records_to_csv_text([self.RECORD]) == (
             "dataset,algo,num_clients,num_clusters,iters,global_rounds,"
-            "overlap,normalize_rows,master_seed,trial,trial_seed,"
+            "overlap,master_seed,trial,trial_seed,"
             "similarity,flags,round_drift,wallclock_ms\n"
             "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,"
-            "false,7,3,18446744073709551615,0.9123456789012345,"
+            "7,3,18446744073709551615,0.9123456789012345,"
             "degenerate shard 2: no edges;"
             "bottom_k: sweep cap 1000 reached (drift 5.000e-04),"
             "0.5;1e-05,12.346\n"
@@ -400,7 +390,7 @@ class TestRecordFormat:
             '"flags": ["degenerate shard 2: no edges", '
             '"bottom_k: sweep cap 1000 reached (drift 5.000e-04)"], '
             '"global_rounds": 1, "iters": 1, "master_seed": 7, '
-            '"normalize_rows": false, "num_clients": 5, "num_clusters": 42, '
+            '"num_clients": 5, "num_clusters": 42, '
             '"overlap": 0.30000000000000004, '
             '"round_drift": [0.5, 1e-05], "similarity": 0.9123456789012345, '
             '"trial": 3, "trial_seed": 18446744073709551615, "wallclock_ms": 12.3456}\n'
@@ -415,14 +405,14 @@ class TestRecordFormat:
     def test_sweep_csv_lines(self):
         buf = io.StringIO()
         write_sweep_csv(self.SWEEP_POINTS, "overlap", buf)
-        head = "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,false,7,"
+        head = "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,7,"
         tail = (
             ",degenerate shard 2: no edges;"
             "bottom_k: sweep cap 1000 reached (drift 5.000e-04),0.5;1e-05,12.346\n"
         )
         assert buf.getvalue() == (
             "axis,axis_value,dataset,algo,num_clients,num_clusters,iters,"
-            "global_rounds,overlap,normalize_rows,master_seed,trial,"
+            "global_rounds,overlap,master_seed,trial,"
             "trial_seed,similarity,flags,round_drift,wallclock_ms\n"
             f"overlap,1,{head}3,18446744073709551615,0.9123456789012345{tail}"
             f"overlap,0.30000000000000004,{head}3,18446744073709551615,"

@@ -15,7 +15,6 @@ from fedspectral.graph import (
 )
 from fedspectral.linalg import (
     bottom_k_eigenvectors,
-    cluster_embedding_rows,
     global_spectral_clustering,
     kmeans,
     reduced_qr,
@@ -390,14 +389,6 @@ class TestKMeans:
         with pytest.raises(ContractError):
             kmeans(np.zeros((2, 2)), 3, seed=0)
 
-    def test_row_normalization_flag(self):
-        emb = np.array([[3.0, 0.0], [0.0, 0.1], [0.0, 0.2], [4.0, 0.0]])
-        raw = cluster_embedding_rows(emb, 2, seed=0)
-        normed = cluster_embedding_rows(emb, 2, seed=0, normalize_rows=True)
-        # normalization maps rows onto the unit circle, merging scale outliers
-        assert normed[1] == normed[2]
-        assert raw.shape == normed.shape == (4,)
-
 
 def _kmeans_case(rng) -> tuple[np.ndarray, int]:
     """Seeded k-means input with at least 2 columns: Gaussian or gridded
@@ -550,5 +541,5 @@ class TestGlobalClustering:
         g = planted_graph([100, 100, 100], 0.3, 0.005, seed=12)
         lap = normalized_laplacian(g)
         dense = symmetric_eig_reference(lap.toarray())[1][:, :3]
-        expected = cluster_embedding_rows(dense, 3, kmeans_seed(5))
+        expected = kmeans(dense, 3, kmeans_seed(5))
         assert np.array_equal(global_spectral_clustering(g, 3, seed=5), expected)
