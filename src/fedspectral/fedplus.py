@@ -11,9 +11,11 @@ round's broadcast and aggregated bases.
 The clients of a round run one after another, or, when each client's
 round is large enough to pay for a thread hand-off (POOL_MIN_WORK), on a
 pool of one thread per usable core: scipy's CSR product releases the
-interpreter lock. Either way the replies are folded in client-id order,
-so the schedule never changes a bit of the result. The whole protocol
-runs with the bundled OpenBLAS pools held at one thread
+interpreter lock. The pool always has the next client queued, so a thread
+that finishes one client starts the next while the calling thread folds.
+Either way the replies are folded in client-id order, in their own
+buffers, so the schedule never changes a bit of the result. The whole
+protocol runs with the bundled OpenBLAS pools held at one thread
 (linalg.one_blas_thread), whose spin-waiting would otherwise take the
 core a concurrent client needs.
 
@@ -31,6 +33,9 @@ a frame is three little-endian int64 header words followed by the payload,
 
 as encode_frame below writes it; a receiver reads the header with
 struct "<qqq" and the payload with np.frombuffer(frame, "<f8", offset=24).
+The server folds each reply in its own buffer, so a network transport
+should decode replies into writable buffers (np.frombuffer of a bytes
+frame is read-only, and aggregate_round copies such a reply first).
 """
 
 from __future__ import annotations
@@ -150,10 +155,17 @@ def aggregate_round(client_outputs, *, round_index: int | None = None) -> np.nda
     the caller makes ascending client-id order. The mean is anchored at the
     first output (v0 + sum(vi - v0)/C): a fixed reduction order that is
     bitwise exact when all clients agree, so full replication reduces the
-    protocol exactly to single-client execution. Each later output is
-    folded in as it arrives and then dropped, so only the anchor, the
-    running sum and the current output are held. Returns the Q factor of
+    protocol exactly to single-client execution. Returns the Q factor of
     the reduced QR (non-negative diagonal convention).
+
+    Every output after the first is handed over and consumed: it is
+    overwritten with its difference from the anchor, the second output's
+    buffer becomes the running sum, and each later one is added to it and
+    dropped. So the fold allocates no buffer of its own and holds only the
+    anchor, the running sum and the current output. The anchor is never
+    written: an output that is read-only, not float64, or shares memory
+    with the anchor is copied first. A caller that still needs a later
+    output, or passes one array twice after the anchor, must pass copies.
 
     Raises RankError, tagged with the round index when given, if the
     average is rank deficient (e.g. sign-flipped client outputs cancel).
@@ -164,23 +176,34 @@ def aggregate_round(client_outputs, *, round_index: int | None = None) -> np.nda
     except StopIteration:
         raise ContractError("no client outputs to aggregate") from None
 
-    # anchor + (sum of (out - anchor)) / C operation for operation, so the
-    # bits stay those of the reduction order above, in two buffers
-    mean = np.zeros_like(anchor)
-    diff = np.empty_like(anchor)
+    # anchor + (sum of (out - anchor)) / C operation for operation. The sum
+    # starts at the first difference rather than at 0.0, which can change
+    # only the sign of an all-zero sum, and adding the anchor erases that.
+    total = None
     count = 1
     for out in outputs:
-        out = np.asarray(out, dtype=np.float64)
+        out = np.asarray(out)
         if out.shape != anchor.shape:
             raise ContractError("client outputs have mismatched shapes")
-        np.subtract(out, anchor, out=diff)
-        mean += diff
+        if (
+            out.dtype != np.float64
+            or not out.flags.writeable
+            or np.may_share_memory(out, anchor)
+        ):
+            out = np.array(out, dtype=np.float64)
+        out -= anchor
+        if total is None:
+            total = out
+        else:
+            total += out
         count += 1
         del out  # not held while the next output is computed
-    mean /= count
-    mean += anchor
+    if total is None:  # one output: 0.0 / 1 + anchor, which turns -0.0 into 0.0
+        total = np.zeros_like(anchor)
+    total /= count
+    total += anchor
     try:
-        q, _ = reduced_qr(mean)
+        q, _ = reduced_qr(total)
     except RankError as exc:
         where = "" if round_index is None else f"round {round_index}: "
         raise RankError(f"{where}aggregated embedding is rank deficient ({exc})") from exc
@@ -201,12 +224,16 @@ def _reply_embedding(transport, message: BroadcastMessage) -> np.ndarray:
 
 def _pooled_replies(pool, workers: int, transports, message: BroadcastMessage):
     """The transports' reply embeddings in their order, computed on
-    ``pool`` with at most ``workers`` requests in flight. The next client
-    is asked only when the reply before has been folded and dropped, so
-    at most ``workers`` replies are alive beside the anchor."""
+    ``pool`` with ``workers + 1`` requests submitted: while the workers
+    run, the next client waits in the pool's queue, so a worker that
+    finishes a client starts the next at once instead of waiting for the
+    calling thread to fold a reply. A request is added only when the reply
+    before has been folded and dropped, so when a client is asked at most
+    ``workers + 1`` replies are alive beside the anchor, the running sum
+    among them."""
     ahead = iter(transports)
     pending = deque(
-        pool.submit(_reply_embedding, t, message) for t in islice(ahead, workers)
+        pool.submit(_reply_embedding, t, message) for t in islice(ahead, workers + 1)
     )
     while pending:
         reply = pending.popleft().result()
@@ -231,11 +258,15 @@ def server_round_loop(
     touches shard data. The transports are sorted by client id once, and
     each round folds their replies into the mean in that order, each as it
     arrives, so the result is independent of transport order; a reply
-    naming another client than its transport is a ContractError.
+    naming another client than its transport is a ContractError. A
+    transport hands its reply array over: aggregate_round overwrites every
+    reply but the first of a round, so a transport that keeps its array,
+    or replies with the broadcast embedding itself, must return a copy.
 
     With ``workers`` above 1 (and more than one transport), each round's
-    transports run on a pool of min(workers, transports) threads, at most
-    that many requests in flight; the pool is shut down, its threads
+    transports run on a pool of min(workers, transports) threads with one
+    request more than that submitted, so the next client is always queued
+    when a thread comes free; the pool is shut down, its threads
     joined, when the loop returns or raises. A transport's exception
     reaches the caller unchanged. The fold, the finite check, the QR and
     the observer always run on the calling thread, and the replies are

@@ -82,28 +82,36 @@ def distribute_edges(
 
     rng = np.random.default_rng(seed)
     num_edges = g.num_edges
-    member = np.zeros((num_edges, num_clients), dtype=bool)
+    # client-major, so each client's row of the mask is contiguous
+    member = np.zeros((num_clients, num_edges), dtype=bool)
     if num_edges:
         if r == num_clients:
             member[:] = True
         else:
             # the r smallest of C iid uniform keys form a uniform r-subset;
             # stable argsort keeps the draw reproducible across versions
+            # and breaks a tie between keys towards the lower client
             keys = rng.random((num_edges, num_clients))
             order = np.argsort(keys, axis=1, kind="stable")
             # the E x C keys and order are freed before the shards are built
             del keys
-            member[np.arange(num_edges)[:, None], order[:, :r]] = True
+            # edge e's j-th client c is flat entry c * E + e of the mask;
+            # one scatter per rank is cheaper than one 2-d fancy index
+            flat, edge = member.reshape(-1), np.arange(num_edges)
+            for j in range(r):
+                flat[order[:, j] * num_edges + edge] = True
             del order
 
+    # each shard's edges by index, in global order: np.take gathers the
+    # rows several times faster than a boolean mask or ``g.edges[picked]``
     return [
         ClientShard(
             num_nodes=g.num_nodes,
-            edges=g.edges[member[:, c]],
-            weights=g.weights[member[:, c]],
+            edges=np.take(g.edges, picked, axis=0),
+            weights=np.take(g.weights, picked),
             client_id=c,
         )
-        for c in range(num_clients)
+        for c, picked in enumerate(map(np.flatnonzero, member))
     ]
 
 

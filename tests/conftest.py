@@ -13,6 +13,7 @@ from scipy import sparse
 from fedspectral.errors import ParseError
 from fedspectral.experiment import write_records_csv
 from fedspectral.graph import Graph, load_edge_list
+from fedspectral.partition import replication_count
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -310,6 +311,24 @@ def parse_arcs_loop(text) -> np.ndarray:
     if not arcs:
         raise ParseError("empty edge list: no data lines")
     return np.asarray(arcs, dtype=np.int64)
+
+
+def distribute_edges_mask(g: Graph, num_clients: int, overlap: float, seed: int) -> list:
+    """Shard (edges, weights) pairs of partition.distribute_edges, built
+    the way it built them before it gathered by index: an edge-major E x C
+    membership mask, one strided boolean mask per client (test oracle)."""
+    r = replication_count(overlap, num_clients)
+    rng = np.random.default_rng(seed)
+    num_edges = g.num_edges
+    member = np.zeros((num_edges, num_clients), dtype=bool)
+    if num_edges:
+        if r == num_clients:
+            member[:] = True
+        else:
+            keys = rng.random((num_edges, num_clients))
+            order = np.argsort(keys, axis=1, kind="stable")
+            member[np.arange(num_edges)[:, None], order[:, :r]] = True
+    return [(g.edges[member[:, c]], g.weights[member[:, c]]) for c in range(num_clients)]
 
 
 def mismatch_pairs_loop(global_labels, aggregated_labels) -> int:

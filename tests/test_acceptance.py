@@ -238,7 +238,7 @@ def test_privacy_boundary_structural():
 
         def run_round(self, message):
             assert isinstance(message.embedding, np.ndarray)
-            return ClientReply(self.client_id, reply)
+            return ClientReply(self.client_id, reply.copy())
 
     v0, _ = reduced_qr(rng.standard_normal((10, 2)))
     out = server_round_loop([Stub(0), Stub(1)], v0, 3)
@@ -283,7 +283,7 @@ def test_aggregate_rank_deficiency_is_an_error():
             self._out = out
 
         def run_round(self, message):
-            return ClientReply(self.client_id, self._out)
+            return ClientReply(self.client_id, self._out.copy())
 
     v0, _ = reduced_qr(rng.standard_normal((6, 2)))
     try:

@@ -1,6 +1,7 @@
 import struct
 import sys
 import threading
+import time
 import weakref
 from dataclasses import dataclass
 
@@ -95,6 +96,16 @@ def random_weighted_shard(n, num_edges, isolated, seed):
             pairs.add((min(u, v), max(u, v)))
     g = Graph.from_edges(n, sorted(pairs), rng.uniform(0.1, 3.0, len(pairs)))
     return shard_from_graph(g)
+
+
+def anchored_mean(outputs):
+    """The mean aggregate_round hands to its QR, computed as it was before
+    the fold used buffers: a zero-started sum of differences from the anchor."""
+    anchor = outputs[0]
+    acc = np.zeros_like(anchor)
+    for out in outputs[1:]:
+        acc += out - anchor
+    return anchor + acc / len(outputs)
 
 
 class TestShardMultiplier:
@@ -213,17 +224,83 @@ class TestAggregateRound:
                     rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9)
                     for _ in range(clients)
                 ]
-                q = aggregate_round(outputs)
+                # the fold consumes every output after the first: hand over copies
+                q = aggregate_round([out.copy() for out in outputs])
                 # a generator is folded as it arrives, to the same bits
-                assert np.array_equal(aggregate_round(out for out in outputs), q)
+                assert np.array_equal(aggregate_round(out.copy() for out in outputs), q)
                 # the expression the mean was computed with before it used buffers
-                anchor = outputs[0]
-                acc = np.zeros_like(anchor)
-                for out in outputs[1:]:
-                    acc += out - anchor
-                oracle = anchor + acc / len(outputs)
+                oracle = anchored_mean(outputs)
                 assert np.array_equal(means[-1], oracle)
                 assert np.array_equal(q, reduced_qr(oracle)[0])
+
+    def test_anchor_is_never_written_and_later_outputs_are_consumed(self):
+        rng = np.random.default_rng(60)
+        outputs = [rng.standard_normal((9, 3)) for _ in range(4)]
+        handed = [out.copy() for out in outputs]
+        aggregate_round(handed)
+        assert np.array_equal(handed[0], outputs[0])
+        # the second output's buffer held the running sum and ends as the
+        # mean; each later one holds its difference from the anchor
+        assert np.array_equal(handed[1], anchored_mean(outputs))
+        for out, original in zip(handed[2:], outputs[2:]):
+            assert np.array_equal(out, original - outputs[0])
+
+    @pytest.mark.parametrize("case", ["thrice", "anchor_again", "anchor_view", "read_only", "float32"])
+    def test_outputs_it_must_not_consume_are_copied(self, case, monkeypatch):
+        means = []
+
+        def spy_on_qr(a):
+            means.append(a.copy())
+            return reduced_qr(a)
+
+        monkeypatch.setattr(fedplus, "reduced_qr", spy_on_qr)
+        rng = np.random.default_rng(61)
+        x, y = rng.standard_normal((2, 11, 3))
+        frame = encode_frame(1, y)
+        handed = y.copy()  # the one output here that the fold may consume
+        outputs = {
+            "thrice": [x, x, x],
+            "anchor_again": [x, handed, x],
+            "anchor_view": [x, x[:, :], handed],
+            "read_only": [x, np.frombuffer(frame, "<f8", offset=24).reshape(11, 3)],
+            "float32": [x, y.astype(np.float32)],
+        }[case]
+        values = [np.array(out, dtype=np.float64) for out in outputs]
+        kept = [out.copy() for out in outputs]
+        q = aggregate_round(outputs)
+        assert anchored_mean(values).tobytes() == means[-1].tobytes()
+        assert np.array_equal(q, reduced_qr(anchored_mean(values))[0])
+        for out, before in zip(outputs, kept):
+            assert out is handed or np.array_equal(out, before)
+
+    def test_signed_zeros_equal_to_the_anchor_keep_the_bits(self, monkeypatch):
+        # a zero-started sum and a sum started at the first difference part
+        # only in the sign of an all-zero sum; adding the anchor erases it
+        means = []
+
+        def spy_on_qr(a):
+            means.append(a.copy())
+            return reduced_qr(a)
+
+        monkeypatch.setattr(fedplus, "reduced_qr", spy_on_qr)
+        rng = np.random.default_rng(62)
+        for clients in (1, 2, 3, 5):
+            for _ in range(20):
+                anchor = rng.standard_normal((16, 3))
+                anchor[rng.random(anchor.shape) < 0.5] = 0.0
+                anchor[rng.random(anchor.shape) < 0.3] *= -1.0
+                outputs = [anchor]
+                for _ in range(clients - 1):
+                    out = anchor.copy()
+                    zero = anchor == 0.0
+                    flip = zero & (rng.random(anchor.shape) < 0.5)
+                    out[flip] = -out[flip]
+                    moved = ~zero & (rng.random(anchor.shape) < 0.2)
+                    out[moved] += rng.standard_normal(moved.sum())
+                    outputs.append(out)
+                oracle = anchored_mean(outputs)
+                aggregate_round([out.copy() for out in outputs])
+                assert means[-1].tobytes() == oracle.tobytes()
 
     def test_contracts(self):
         for outputs in ([], [np.ones((2, 2)), np.ones((3, 2))]):
@@ -255,7 +332,8 @@ class FakeTransport:
 
     def run_round(self, message):
         self.received.append(message)
-        return ClientReply(self.client_id, self._reply)
+        # the reply array is handed over to the fold, so a stored one is copied
+        return ClientReply(self.client_id, self._reply.copy())
 
 
 class TestServerLoop:
@@ -335,9 +413,10 @@ class TestServerLoop:
         assert np.isfinite(out).all()
         assert max(peaks) <= 1.0 + 1e-9
 
-    def test_holds_only_the_anchor_and_the_current_reply(self):
+    def test_holds_only_the_anchor_the_sum_and_the_current_reply(self):
         # each reply is a fresh array; when a client is asked, the replies
-        # asked for before it are dead, apart from this round's anchor
+        # asked for before it are dead, apart from this round's anchor and
+        # the second reply, whose buffer holds the running sum
         rng = np.random.default_rng(33)
         issued, seen = [], []
 
@@ -357,7 +436,7 @@ class TestServerLoop:
         server_round_loop(transports, v0, 3)
         assert [(t, c) for t, c, _ in seen] == [(t, c) for t in range(3) for c in range(5)]
         for t, c, alive in seen:
-            assert alive == ([] if c == 0 else [(t, 0)])
+            assert alive == [(t, held) for held in range(min(c, 2))]
         assert all(ref() is None for _, _, ref in issued)
 
     def test_reply_from_another_client_is_a_contract_error(self):
@@ -366,7 +445,7 @@ class TestServerLoop:
 
         class Impostor(FakeTransport):
             def run_round(self, message):
-                return ClientReply(self.client_id + 1, self._reply)
+                return ClientReply(self.client_id + 1, self._reply.copy())
 
         transports = [FakeTransport(0, x), Impostor(1, x)]
         v0, _ = reduced_qr(rng.standard_normal((6, 2)))
@@ -573,7 +652,7 @@ class TestPooledRounds:
 
         class Impostor(FakeTransport):
             def run_round(self, message):
-                return ClientReply(self.client_id + 1, self._reply)
+                return ClientReply(self.client_id + 1, self._reply.copy())
 
         transports = [FakeTransport(0, x), Impostor(1, x), FakeTransport(2, x)]
         v0, _ = reduced_qr(rng.standard_normal((6, 2)))
@@ -607,9 +686,11 @@ class TestPooledRounds:
             run_fedspectral_plus(shards, 2, 55, iters=2, global_rounds=3, on_round=fail)
         assert threading.active_count() == threads
 
-    def test_holds_at_most_the_anchor_and_one_reply_per_worker(self):
+    def test_holds_at_most_the_anchor_and_one_reply_more_than_workers(self):
         # the twin of TestServerLoop's serial test: when a client is asked,
-        # at most ``workers`` replies besides the anchor are alive
+        # at most ``workers + 1`` replies besides the anchor are alive, the
+        # running sum among them. Client 0 is slow, so replies would pile
+        # up behind it if the pool were handed more requests.
         workers = 2
         lock = threading.Lock()
         issued, seen = [], []
@@ -626,15 +707,43 @@ class TestPooledRounds:
                     alive = [(t, c) for t, c, ref in issued if ref() is not None]
                     seen.append((message.round_index, self.client_id, alive))
                     issued.append((message.round_index, self.client_id, weakref.ref(reply)))
+                if self.client_id == 0:
+                    time.sleep(0.02)
                 return ClientReply(self.client_id, reply)
 
-        transports = [Fresh(c) for c in (3, 0, 4, 1, 2)]
+        transports = [Fresh(c) for c in (3, 0, 6, 4, 1, 5, 2)]
         v0, _ = reduced_qr(np.random.default_rng(56).standard_normal((12, 3)))
         server_round_loop(transports, v0, 3, workers=workers)
-        assert sorted((t, c) for t, c, _ in seen) == [(t, c) for t in range(3) for c in range(5)]
+        assert sorted((t, c) for t, c, _ in seen) == [(t, c) for t in range(3) for c in range(7)]
         for t, c, alive in seen:
-            assert len([a for a in alive if a != (t, 0)]) <= workers
+            assert len([a for a in alive if a != (t, 0)]) <= workers + 1
         assert all(ref() is None for _, _, ref in issued)
+
+    def test_next_client_is_queued_while_the_workers_run(self):
+        # with two workers and three clients, client 2 must start while
+        # client 0 is still running: a freed worker takes the queued request
+        # without waiting for the calling thread to fold a reply
+        rng = np.random.default_rng(63)
+        replies = rng.standard_normal((3, 6, 2))
+        third_started = threading.Event()
+        waited = []
+
+        class Gated:
+            def __init__(self, client_id):
+                self.client_id = client_id
+
+            def run_round(self, message):
+                if self.client_id == 2:
+                    third_started.set()
+                if self.client_id == 0 and message.round_index == 0:
+                    waited.append(third_started.wait(timeout=10.0))
+                return ClientReply(self.client_id, replies[self.client_id].copy())
+
+        v0, _ = reduced_qr(rng.standard_normal((6, 2)))
+        pooled = server_round_loop([Gated(c) for c in range(3)], v0, 2, workers=2)
+        assert waited == [True]
+        serial = server_round_loop([Gated(c) for c in range(3)], v0, 2)
+        assert np.array_equal(pooled, serial)
 
     def test_more_workers_than_cores_under_fast_switching(self, monkeypatch):
         g = planted_graph([10, 10, 10], 0.8, 0.06, seed=57)

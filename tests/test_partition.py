@@ -17,7 +17,7 @@ from fedspectral.partition import (
     write_shard,
 )
 
-from conftest import gnp_graph
+from conftest import distribute_edges_mask, gnp_graph
 
 
 class TestReplicationCount:
@@ -118,6 +118,70 @@ class TestDistributeEdges:
         g = gnp_graph(10, 0.3, 8)
         with pytest.raises(ConfigError):
             distribute_edges(g, 0, 0.5, seed=9)
+
+
+def assert_shards_equal_the_mask_oracle(g, num_clients, overlap, seed):
+    shards = distribute_edges(g, num_clients, overlap, seed)
+    assert isinstance(shards, list)
+    expected = distribute_edges_mask(g, num_clients, overlap, seed)
+    assert len(shards) == len(expected) == num_clients
+    for c, (shard, (edges, weights)) in enumerate(zip(shards, expected)):
+        assert shard.client_id == c and shard.num_nodes == g.num_nodes
+        assert shard.edges.dtype == edges.dtype and shard.weights.dtype == weights.dtype
+        assert shard.edges.shape == edges.shape
+        assert shard.edges.tobytes() == edges.tobytes()
+        assert shard.weights.tobytes() == weights.tobytes()
+
+
+class TestDistributeAgainstMaskOracle:
+    """distribute_edges gathers each shard by index; its shards are the
+    bits of the boolean-mask code it replaced."""
+
+    @pytest.mark.parametrize("num_clients", [1, 2, 3, 5, 8, 20, 50])
+    def test_every_replication_count(self, num_clients):
+        rng = np.random.default_rng(num_clients)
+        base = gnp_graph(60, 0.15, num_clients)
+        weighted = Graph(base.num_nodes, base.edges, rng.uniform(0.5, 2.0, base.num_edges))
+        for r in range(1, num_clients + 1):
+            for seed in (0, 1, 2 + r):
+                # overlap r / C maps back to r
+                assert replication_count(r / num_clients, num_clients) == r
+                assert_shards_equal_the_mask_oracle(weighted, num_clients, r / num_clients, seed)
+
+    @pytest.mark.parametrize("num_clients", [1, 3, 5])
+    def test_edgeless_graph(self, num_clients):
+        g = Graph(7, np.empty((0, 2), dtype=np.int64), np.empty(0))
+        for overlap in (0.2, 0.5, 1.0):
+            assert_shards_equal_the_mask_oracle(g, num_clients, overlap, 3)
+            assert all(sh.num_edges == 0 for sh in distribute_edges(g, num_clients, overlap, 3))
+
+    def test_tied_keys_go_to_the_lower_client(self, monkeypatch):
+        real = np.random.default_rng
+
+        class TiedKeys:
+            """A generator whose keys take few values, so rows have ties."""
+
+            def __init__(self, seed, levels):
+                self._rng = real(seed)
+                self._levels = levels
+
+            def random(self, shape):
+                return self._rng.integers(0, self._levels, size=shape) / self._levels
+
+        g = gnp_graph(40, 0.2, 11)
+        for levels in (1, 2, 3):
+            monkeypatch.setattr(np.random, "default_rng", lambda seed: TiedKeys(seed, levels))
+            for num_clients, overlap in ((3, 0.4), (5, 0.4), (8, 0.3)):
+                for seed in range(4):
+                    assert_shards_equal_the_mask_oracle(g, num_clients, overlap, seed)
+            # equal keys everywhere: every edge goes to the r lowest clients
+            if levels == 1:
+                shards = distribute_edges(g, 5, 0.4, 0)
+                r = replication_count(0.4, 5)
+                for shard in shards:
+                    expected = g.edges if shard.client_id < r else g.edges[:0]
+                    assert np.array_equal(shard.edges, expected)
+            monkeypatch.undo()
 
 
 class TestShardIO:
