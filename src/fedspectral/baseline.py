@@ -23,22 +23,14 @@ from .errors import ContractError
 # no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
 from .graph import normalized_laplacian_from_adjacency  # noqa: F401
 from .linalg import global_spectral_clustering
-from .partition import ClientShard, shard_universe
+from .partition import ClientShard, same_universe
 from .seeding import client_seed, derive_seed, embedding_seed, kmeans_seed
 
 __all__ = ["get_client_labels", "TwinQuotient", "build_similarity_graph", "fedspectral_server"]
 
 
-def get_client_labels(shard: ClientShard, num_clusters: int, seed: int) -> np.ndarray:
-    """Spectral clustering of one client's local shard.
-
-    The shard is a graph, so this is linalg.global_spectral_clustering of
-    it: sparse normalized Laplacian, bottom-K embedding, k-means on the
-    node rows; deterministic for the client's derived seed. A shard with no
-    edges yields an all-zero Laplacian, whose every node is its own
-    component; the labeling is still deterministic.
-    """
-    return global_spectral_clustering(shard, num_clusters, seed)
+# a client's labels: its shard is a graph; bench/layers.py traces this name
+get_client_labels = global_spectral_clustering
 
 
 class TwinQuotient(NamedTuple):
@@ -182,12 +174,11 @@ def fedspectral_server(
     Returns (labels, client labelings in ascending client-id order), the
     shape of run_fedspectral_plus's (labels, embedding).
     """
-    shard_universe(shards)
     labelings = [
         get_client_labels(sh, num_clusters, client_seed(seed, sh.client_id))
-        for sh in sorted(shards, key=lambda sh: sh.client_id)
+        for sh in sorted(same_universe(shards), key=lambda sh: sh.client_id)
     ]
-    quotient = build_similarity_graph(labelings, len(shards))
+    quotient = build_similarity_graph(labelings, len(labelings))
     server = derive_seed(seed, "server")
     embedding = _twin_embedding(quotient, num_clusters, embedding_seed(server))
     # through the module, where the k-means tracers and spies look it up

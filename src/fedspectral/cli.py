@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import warnings
 
@@ -75,10 +76,7 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
 
 def _emit_records(records, cfg, as_json: bool) -> None:
     writer = write_records_jsonl if as_json else write_records_csv
-    if cfg.output_path:
-        writer(records, cfg.output_path)
-    else:
-        writer(records, sys.stdout)
+    writer(records, cfg.output_path or sys.stdout)
 
 
 def _cmd_run(args) -> int:
@@ -140,8 +138,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_partition_dump(args) -> int:
-    import os
-
     graph = load_edge_list(resolve_dataset_path(args.dataset))
     # the shards of trial 0 of run --seed S
     seed = partition_seed(trial_seed(args.seed, 0))

@@ -407,13 +407,11 @@ def verify_dataset(
     resolved = resolve_dataset_path(str(path))
     arcs = read_arcs(resolved)
     g = Graph.from_arcs(arcs)
-    # distinct arcs counted by the scalar key u * N + v of remapped ids
-    arc_keys = np.searchsorted(g.node_ids, arcs) @ np.array([g.num_nodes, 1])
     return VerifyReport(
         path=str(resolved),
         directed=directed,
         num_nodes=g.num_nodes,
-        num_edges=len(np.unique(arc_keys)) if directed else g.num_edges,
+        num_edges=len(np.unique(arcs, axis=0)) if directed else g.num_edges,
         undirected_edges=g.num_edges,
         expected_nodes=expected_nodes,
         expected_edges=expected_edges,

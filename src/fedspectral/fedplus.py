@@ -49,7 +49,6 @@ from itertools import islice
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
 
 from . import linalg
 from .errors import ConfigError, ContractError, ConvergenceError, RankError
@@ -76,6 +75,7 @@ __all__ = [
 # and 0.70x at 4.2e6 (the facebook shape at iters=6).
 POOL_MIN_WORK = 1_000_000
 
+
 @dataclass(frozen=True)
 class BroadcastMessage:
     """Server-to-client payload for one round."""
@@ -100,13 +100,8 @@ def encode_frame(tag: int, embedding: np.ndarray) -> bytes:
     return struct.pack("<qqq", tag, *emb.shape) + emb.tobytes(order="C")
 
 
-def shard_multiplier(shard: ClientShard) -> sparse.csr_array:
-    """Sparse client multiplier M = I - L.
-
-    The zero Laplacian rows of shard-isolated nodes make M act as the
-    identity there, passing the server's aggregated value through.
-    """
-    return laplacian_multiplier(shard)
+# a client's multiplier M = I - L; bench/layers.py traces this name
+shard_multiplier = laplacian_multiplier
 
 
 class PowerIterationClient:
@@ -342,7 +337,7 @@ def run_fedspectral_plus(
     ``shards`` is any iterable, consumed once: each shard becomes its
     client as it arrives, and no reference to it is kept, so a shard that
     its producer also lets go dies once its multiplier is built. The node
-    universe is checked on the way, with shard_universe's errors.
+    universe is checked on the way, with same_universe's errors.
     """
     for name, value in (
         ("num_clusters", num_clusters),

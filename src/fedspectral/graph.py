@@ -35,6 +35,7 @@ __all__ = [
     "laplacian_multiplier",
 ]
 
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected weighted graph on nodes 0..num_nodes-1.
@@ -142,35 +143,19 @@ def _int_pairs(lines: list[str]) -> np.ndarray | None:
     return arr if arr.shape[1] == 2 else None
 
 
-# the line breaks of str.splitlines that loadtxt reads as whitespace
-_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
-def parse_arcs(text: str | Iterable[str]) -> np.ndarray:
+def parse_arcs(text: str) -> np.ndarray:
     r"""Raw (u, v) id pairs of SNAP edge-list text as an int64 (E, 2) array.
 
-    ``text`` is a str, an open text file, which is read whole, or another
-    iterable of lines, one element a line. A str breaks into lines as
-    str.splitlines does; a file at '\n', '\r\n' and '\r', as iterating it
-    does. '#' lines and blank lines are skipped; nothing is deduplicated or
-    remapped. A data line is two whitespace-separated integers in the int64
-    range, ASCII digits with an optional sign. Anything else (a third
-    token, an inline '# note', '1_0', '1.0', an id outside int64) raises
-    ParseError naming its 1-based line, as does input without data lines.
+    A line ends at '\n', '\r\n' or '\r', as in a file read with universal
+    newlines; any other character str.splitlines breaks at ('\x0c',
+    '\u2028', ...) is whitespace inside its line. '#' lines and blank
+    lines are skipped; nothing is deduplicated or remapped. A data line is
+    two whitespace-separated integers in the int64 range, ASCII digits
+    with an optional sign. Anything else (a third token, an inline
+    '# note', '1_0', '1.0', an id outside int64) raises ParseError naming
+    its 1-based line, as does text without data lines.
     """
-    if isinstance(text, str):
-        if any(c in text for c in _OTHER_BREAKS):
-            text = "\n".join(text.splitlines())
-    elif hasattr(text, "read"):
-        text = _read_text(text)
-    else:
-        return _parse_lines(text)
-    return _text_arcs(text)
-
-
-def _text_arcs(text: str) -> np.ndarray:
-    r"""parse_arcs of text whose lines break at '\n', '\r\n' and '\r'."""
-    if "\r" in text:  # a file opened with newline=""
+    if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     arcs = _whole_text_arcs(text)
     return _parse_lines(text.split("\n")) if arcs is None else arcs
@@ -182,7 +167,7 @@ def read_arcs(path) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         text = _read_text(fh)  # names the file on a byte that is not UTF-8
     try:
-        return _text_arcs(text)
+        return parse_arcs(text)
     except ParseError as exc:
         raise ParseError(f"{path}: {exc}") from None
 
@@ -207,7 +192,7 @@ def _whole_text_arcs(text: str) -> np.ndarray | None:
     return arcs if len(arcs) and arcs.shape[1] == 2 else None
 
 
-def _parse_lines(lines: Iterable[str]) -> np.ndarray:
+def _parse_lines(lines: list[str]) -> np.ndarray:
     """parse_arcs over one line per element, skipping blank and '#' lines
     in Python; raises the ParseError that names a malformed line."""
     data, numbers = [], []
@@ -235,7 +220,7 @@ def _parse_lines(lines: Iterable[str]) -> np.ndarray:
     return arcs
 
 
-def parse_edge_list(text: str | Iterable[str]) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated SNAP edge-list text into a Graph.
 
     Lines starting with '#' are comments. Node ids are remapped to a
@@ -243,8 +228,8 @@ def parse_edge_list(text: str | Iterable[str]) -> Graph:
     universe includes every id that appears as an endpoint, even if only in
     self-loops. Self-loops and duplicate edges are dropped, and reciprocal
     arcs of a directed file merge into one undirected edge of weight 1, so
-    directed and undirected sources parse alike. ``text`` is what
-    parse_arcs takes.
+    directed and undirected sources parse alike. ``text`` breaks into
+    lines as in parse_arcs.
     """
     return Graph.from_arcs(parse_arcs(text))
 

@@ -373,8 +373,10 @@ def global_spectral_clustering(g: Graph, k: int, seed: int) -> np.ndarray:
     each baseline client (its shard) call this one pipeline. Bottom-K
     eigenvectors of the sparse normalized Laplacian, then k-means on the
     node rows, both seeded from ``seed`` by role; deterministic for fixed
-    (g, k, seed). The baseline server takes the same two steps, and the
-    same seeds, on its twin-class quotient instead of a Graph.
+    (g, k, seed), also for an edgeless shard, whose Laplacian is all zero
+    and makes every node its own component. The baseline server takes the
+    same two steps, and the same seeds, on its twin-class quotient instead
+    of a Graph.
     """
     embedding = bottom_k_eigenvectors(normalized_laplacian(g), k, embedding_seed(seed))
     return kmeans(embedding, k, kmeans_seed(seed))

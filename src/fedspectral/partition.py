@@ -18,7 +18,6 @@ from .graph import Graph, serialize_edge_list
 
 __all__ = [
     "ClientShard",
-    "shard_universe",
     "same_universe",
     "replication_count",
     "distribute_edges",
@@ -33,17 +32,10 @@ class ClientShard(Graph):
     client_id: int
 
 
-def shard_universe(shards) -> int:
-    """Node count shared by every shard; ContractError if none or they differ."""
-    for _ in same_universe(shards):
-        pass
-    return shards[0].num_nodes
-
-
 def same_universe(shards):
     """Yield the shards of any iterable as they come, checking them on the
-    way: shard_universe's ContractError once a shard disagrees with the
-    first on the node universe, or at the end if there was none."""
+    way: ContractError once a shard disagrees with the first on the node
+    universe, or at the end if there was none."""
     n = None
     for shard in shards:
         if n is None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -289,15 +290,16 @@ def fix_column_signs_loop(vectors: np.ndarray) -> None:
             col *= -1.0
 
 
-def parse_arcs_loop(text) -> np.ndarray:
-    """Per-line SNAP edge-list parser with Python ``int`` (test oracle).
+def parse_arcs_loop(text: str) -> np.ndarray:
+    r"""Per-line SNAP edge-list parser with Python ``int`` (test oracle).
 
-    Takes str or an iterable of lines, skips blank and '#' lines and raises
-    ParseError naming the line of a malformed one. Python ``int`` also
-    accepts '1_0' and non-ASCII digits, which graph.parse_arcs rejects.
+    Breaks the text into lines at '\n', '\r\n' and '\r', skips blank and
+    '#' lines and raises ParseError naming the line of a malformed one.
+    Python ``int`` also accepts '1_0' and non-ASCII digits, which
+    graph.parse_arcs rejects.
     """
     arcs = []
-    for lineno, raw in enumerate(text.splitlines() if isinstance(text, str) else text, 1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", text), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 
 import numpy as np
@@ -262,6 +263,21 @@ def test_sweep_bad_values(dataset_file, capsys, axis, values):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert axis in err
+
+
+def test_settable_value_count():
+    # every argument of every subcommand, help excluded, plus every config
+    # key: a new option or key must change these numbers
+    (subcommands,) = (
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    counts = {
+        name: sum(not isinstance(a, argparse._HelpAction) for a in command._actions)
+        for name, command in subcommands.choices.items()
+    }
+    assert counts == {"run": 14, "sweep": 14, "metric": 2, "verify": 4, "partition-dump": 5}
+    assert len(dataclasses.fields(ExperimentConfig)) == 10
+    assert sum(counts.values()) + len(dataclasses.fields(ExperimentConfig)) == 49
 
 
 def test_flags_set_every_config_field():

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from fedspectral.baseline import fedspectral_server
 from fedspectral.errors import ConfigError, ContractError, RankError
 from fedspectral import fedplus, linalg
 from fedspectral.experiment import ExperimentConfig, compute_reference, run_single_trial
@@ -23,7 +24,7 @@ from fedspectral.fedplus import (
 )
 from fedspectral.graph import Graph, normalized_laplacian
 from fedspectral.linalg import bottom_k_eigenvectors, global_spectral_clustering, reduced_qr
-from fedspectral.partition import ClientShard, distribute_edges, shard_universe
+from fedspectral.partition import ClientShard, distribute_edges, same_universe
 
 from conftest import dense_adjacency, planted_graph, principal_angles
 
@@ -543,10 +544,12 @@ class TestProtocol:
         c = ClientShard(5, none, np.empty(0), client_id=2)
         for shards in ([], [a, c], [a, b, c], [c, a]):
             with pytest.raises(ContractError) as expected:
-                shard_universe(shards)
-            with pytest.raises(ContractError) as got:
+                list(same_universe(shards))
+            with pytest.raises(ContractError) as plus:
                 run_fedspectral_plus(iter(shards), 2, 0)
-            assert str(got.value) == str(expected.value)
+            with pytest.raises(ContractError) as baseline:
+                fedspectral_server(shards, 2, 0)
+            assert str(plus.value) == str(baseline.value) == str(expected.value)
 
     def test_shard_iterator_matches_list_and_keeps_no_shard(self, monkeypatch):
         g = planted_graph([10, 10], 0.8, 0.08, seed=35)

@@ -13,6 +13,7 @@ from fedspectral.graph import (
     normalized_laplacian_from_adjacency,
     parse_arcs,
     parse_edge_list,
+    read_arcs,
     serialize_edge_list,
 )
 from fedspectral.experiment import verify_dataset
@@ -100,7 +101,8 @@ class TestParse:
         assert (report.num_nodes, report.num_edges, report.undirected_edges) == (2, 3, 1)
 
 
-# every line break of str.splitlines; a text file breaks at the first three only
+# every line break of str.splitlines; a line ends at the first three only,
+# and the other eight are whitespace inside it
 _BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 # Unicode blanks that str.strip and str.split take as whitespace
 _PADS = ["", " ", "\t", "  ", "\u00a0", "\u3000", " \u3000"]
@@ -133,7 +135,7 @@ def _random_snap_text(rng, malformed: bool) -> str:
     if malformed:
         bad = str(rng.choice(["0 1 2", "7", "0 x", "0 1 # note", "1.5 2", "-", "3 4 5 6"]))
         lines.insert(int(rng.integers(len(lines) + 1)), bad)
-    # half the texts use one file line break throughout, half mix all of them
+    # half the texts use one line break throughout, half mix all of them
     if rng.random() < 0.5:
         breaks = [str(rng.choice(_BREAKS[:3]))]
     else:
@@ -144,67 +146,73 @@ def _random_snap_text(rng, malformed: bool) -> str:
     return "".join(line + end for line, end in zip(lines, ends))
 
 
-def _outcome(parse, make):
-    """The arcs ``parse`` gives for a fresh source, or the start of its
-    ParseError: 'line N:' or 'empty edge list'."""
-    source = make()
+def _outcome(parse):
+    """What ``parse()`` returns as a list, or the start of its ParseError:
+    'line N:' or 'empty edge list'."""
     try:
-        arcs = parse(source)
+        arcs = parse()
     except ParseError as exc:
         return re.match(r"line \d+:|empty edge list", str(exc)).group(0)
-    finally:
-        if hasattr(source, "close"):
-            source.close()
     assert arcs.dtype == np.int64 and arcs.ndim == 2 and arcs.shape[1] == 2
     return arcs.tolist()
 
 
+def _unprefixed(read, path):
+    """``read(path)``, whose ParseError must start with '<path>: ', raised
+    again without that prefix."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        prefix = f"{path}: "
+        assert str(exc).startswith(prefix)
+        raise ParseError(str(exc)[len(prefix):]) from None
+
+
 class TestParseAgainstOracle:
-    """graph.parse_arcs against the per-line parser in conftest."""
+    """graph.parse_arcs and graph.read_arcs against the per-line parser in
+    conftest."""
 
     @staticmethod
     def _sources(text, tmp_path):
-        """The same text as str, as a file opened with universal newlines
-        and as one opened with newline="" (lines still break at '\r')."""
+        """parse_arcs of the str and read_arcs of it written to a file, as
+        calls without arguments; the file's error loses its prefix."""
         path = tmp_path / "edges.txt"
         path.write_bytes(text.encode("utf-8"))
-        return [
-            lambda: text,
-            lambda: open(path, encoding="utf-8"),
-            lambda: open(path, encoding="utf-8", newline=""),
-        ]
+        return [lambda: parse_arcs(text), lambda: _unprefixed(read_arcs, path)]
 
     @pytest.mark.parametrize("seed", range(50))
     def test_matches_oracle(self, seed, tmp_path):
         rng = np.random.default_rng(seed)
         text = _random_snap_text(rng, malformed=False)
-        str_source, *file_sources = self._sources(text, tmp_path)
-        # a str breaks at every line break, so all its lines are well formed
-        assert isinstance(_outcome(parse_arcs_loop, str_source), list)
-        for make in [str_source, *file_sources]:
-            assert _outcome(parse_arcs, make) == _outcome(parse_arcs_loop, make)
+        expected = _outcome(lambda: parse_arcs_loop(text))
+        # only a break outside the rule can join two arcs into a bad line
+        if not any(b in text for b in _BREAKS[3:]):
+            assert isinstance(expected, list)
+        for parse in self._sources(text, tmp_path):
+            assert _outcome(parse) == expected
 
     @pytest.mark.parametrize("seed", range(20))
     def test_malformed_line_number_matches_oracle(self, seed, tmp_path):
         text = _random_snap_text(np.random.default_rng(1000 + seed), malformed=True)
-        for make in self._sources(text, tmp_path):
-            expected = _outcome(parse_arcs_loop, make)
-            assert expected.startswith("line ")
-            assert _outcome(parse_arcs, make) == expected
+        expected = _outcome(lambda: parse_arcs_loop(text))
+        assert expected.startswith("line ")
+        for parse in self._sources(text, tmp_path):
+            assert _outcome(parse) == expected
 
     @pytest.mark.parametrize(
         "text, arcs",
         [
-            # loadtxt reads '\r' and '\x0c' as blanks, not line breaks
+            # loadtxt reads '\r', '\x0c' and '\u2028' as blanks; of these
+            # only '\r' ends a line. ``arcs`` is what _outcome gives.
             ("# c\r1 2\n", [[1, 2]]),
-            ("1 2\x0c3 4\n", [[1, 2], [3, 4]]),
-            ("\u3000# c\u2028\u00a01\u30002\u00a0\n", [[1, 2]]),
+            ("1 2\x0c3 4\n", "line 1:"),
+            ("\u3000# c\u2028\u00a01\u30002\u00a0\n", "empty edge list"),  # one comment line
         ],
     )
     def test_line_breaks_loadtxt_does_not_honour(self, text, arcs, tmp_path):
-        assert parse_arcs(text).tolist() == arcs
-        for make in self._sources(text, tmp_path):
-            assert _outcome(parse_arcs, make) == _outcome(parse_arcs_loop, make)
+        assert _outcome(lambda: parse_arcs_loop(text)) == arcs
+        for parse in self._sources(text, tmp_path):
+            assert _outcome(parse) == arcs
 
     def test_large_input(self, tmp_path):
         # SNAP-scale text: a '#' header, tab-separated arcs, ids up to 10^6
@@ -217,8 +225,7 @@ class TestParseAgainstOracle:
         expected = parse_arcs_loop(text)
         assert np.array_equal(expected, arcs)
         assert np.array_equal(parse_arcs(text), expected)
-        with open(path, encoding="utf-8") as fh:
-            assert np.array_equal(parse_arcs(fh), expected)
+        assert np.array_equal(read_arcs(path), expected)
         loaded, parsed = load_edge_list(path), parse_edge_list(text)
         assert loaded.num_nodes == parsed.num_nodes
         assert np.array_equal(loaded.edges, parsed.edges)
@@ -254,9 +261,10 @@ class TestParseAgainstOracle:
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError) as from_str:
             parse_arcs(text)
-        with open(path, encoding="utf-8") as fh, pytest.raises(ParseError) as from_file:
-            parse_arcs(fh)
-        assert str(from_str.value) == str(from_file.value) == expected
+        with pytest.raises(ParseError) as from_file:
+            read_arcs(path)
+        assert str(from_str.value) == expected
+        assert str(from_file.value) == f"{path}: {expected}"
 
     @pytest.mark.parametrize(
         "text, line",
@@ -288,6 +296,48 @@ class TestParseAgainstOracle:
         assert parse_arcs_loop(f"{token} 2\n").shape == (1, 2)
         with pytest.raises(ParseError, match="^line 2: "):
             parse_arcs(f"0 1\n{token} 2\n")
+
+
+def _graph_outcome(load):
+    """The graph ``load()`` returns as plain lists, or its ParseError message."""
+    try:
+        g = load()
+    except ParseError as exc:
+        return str(exc)
+    return g.num_nodes, g.edges.tolist(), g.weights.tolist(), g.node_ids.tolist()
+
+
+class TestStrAndFileAgree:
+    """parse_edge_list of a str and load_edge_list of the same text in a
+    file follow one line-break rule, so they give one outcome."""
+
+    @staticmethod
+    def _both(text, tmp_path):
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return (
+            _graph_outcome(lambda: parse_edge_list(text)),
+            _graph_outcome(lambda: _unprefixed(load_edge_list, path)),
+        )
+
+    @pytest.mark.parametrize("brk", _BREAKS[3:])
+    def test_other_breaks_are_whitespace_inside_a_line(self, brk, tmp_path):
+        # between the two ids of an arc it separates them like a blank
+        from_str, from_file = self._both(f"0{brk}1\n1 2{brk}\n", tmp_path)
+        assert from_str == from_file == (3, [[0, 1], [1, 2]], [1.0, 1.0], [0, 1, 2])
+        # between two arcs it makes one line of four tokens
+        from_str, from_file = self._both(f"# c\n0 1{brk}1 2\n2 3\n", tmp_path)
+        assert from_str == from_file
+        assert from_str.startswith("line 2: expected two integers")
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    def test_line_ends(self, end, tmp_path):
+        text = end.join(["# c", "0 1", "", "1 2", ""])
+        from_str, from_file = self._both(text, tmp_path)
+        assert from_str == from_file == (3, [[0, 1], [1, 2]], [1.0, 1.0], [0, 1, 2])
+        from_str, from_file = self._both(end.join(["# c", "0 1", "1 2 3", ""]), tmp_path)
+        assert from_str == from_file
+        assert from_str.startswith("line 3: expected two integers")
 
 
 class TestGraphInvariants:

@@ -13,7 +13,7 @@ from fedspectral.partition import (
     ClientShard,
     distribute_edges,
     replication_count,
-    shard_universe,
+    same_universe,
     write_shard,
 )
 
@@ -256,7 +256,17 @@ class TestClientShardInvariants:
             ClientShard(0, 3, np.empty((0, 2)), np.empty(0))
 
     def test_shard_universe(self):
+        # same_universe passes the shards through as it checks them
         shards = distribute_edges(gnp_graph(12, 0.4, 14), 3, 0.5, seed=15)
-        assert shard_universe(shards) == 12
+        checked = same_universe(iter(shards))
+        assert all(got is sh for got, sh in zip(checked, shards, strict=True))
         with pytest.raises(ContractError, match="at least one shard"):
-            shard_universe([])
+            list(same_universe([]))
+        other = ClientShard(13, np.empty((0, 2)), np.empty(0), client_id=3)
+        with pytest.raises(ContractError, match="disagree on the node universe"):
+            list(same_universe([other, *shards]))
+        # a mismatch on a later shard is found when that shard comes
+        checked = same_universe([*shards, other])
+        assert all(next(checked) is sh for sh in shards)
+        with pytest.raises(ContractError, match="disagree on the node universe"):
+            next(checked)
