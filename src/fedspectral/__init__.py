@@ -6,7 +6,7 @@ power iteration), a pair-counting cluster-similarity metric, and an
 experiment runner with reproducible seeds.
 """
 
-from .baseline import build_similarity_graph, fedspectral_server, get_client_labels
+from .baseline import build_similarity_graph, fedspectral_server
 from .errors import (
     ConfigError,
     ContractError,
@@ -54,7 +54,6 @@ __all__ = [
     "ClientShard",
     "distribute_edges",
     "replication_count",
-    "get_client_labels",
     "build_similarity_graph",
     "fedspectral_server",
     "aggregate_round",

@@ -74,20 +74,13 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _emit_records(records, cfg, as_json: bool) -> None:
-    writer = write_records_jsonl if as_json else write_records_csv
-    writer(records, cfg.output_path or sys.stdout)
-
-
 def _cmd_run(args) -> int:
     cfg = _build_config(args)
     records = run_experiment(
-        cfg,
-        labels_dir=args.labels_out,
-        client_labels_dir=args.client_labels_dir,
-        progress=lambda msg: print(msg, file=sys.stderr),
+        cfg, labels_dir=args.labels_out, progress=lambda msg: print(msg, file=sys.stderr)
     )
-    _emit_records(records, cfg, args.json)
+    writer = write_records_jsonl if args.json else write_records_csv
+    writer(records, cfg.output_path or sys.stdout)
     sims = np.array([r.similarity for r in records])
     print(
         f"{cfg.algo}: median similarity {np.median(sims):.4f} over {len(sims)} trials",
@@ -160,10 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment, one CSV row per trial")
     _add_experiment_flags(run_p)
     run_p.add_argument("--json", action="store_true", help="emit JSON lines instead of CSV")
-    run_p.add_argument("--labels-out", help="directory for reference/trial label CSVs")
-    run_p.add_argument("--dump-client-labels", dest="client_labels_dir",
-                       help="directory for per-client baseline label CSVs, keyed "
-                       "by original node ids (debugging)")
+    run_p.add_argument("--labels-out", metavar="DIR",
+                       help="directory for the label CSVs, keyed by the dataset's node "
+                            "ids: the reference, each trial's and each baseline client's")
     run_p.set_defaults(func=_cmd_run)
 
     sweep_p = sub.add_parser("sweep", help="run a one-axis parameter sweep")

@@ -2,11 +2,11 @@
 
 A run parses the dataset, computes the fixed global reference labeling
 (seeded per dataset by a documented rule), then scores one federated run
-per trial against it. ``run_single_trial`` turns one trial into all of
-its outputs: its ``ResultRecord`` and, when asked, its label files keyed
-by the dataset's node ids. Records serialize to long-format CSV (or JSON
-lines) whose bytes are reproducible for a fixed config and master seed,
-modulo the wallclock column.
+per trial against it. ``run_single_trial`` computes one trial, its
+labels and ``ResultRecord``, and writes nothing; the run's trial loop
+writes the label files, keyed by the dataset's node ids. Records
+serialize to long-format CSV (or JSON lines) whose bytes are reproducible
+for a fixed config and master seed, modulo the wallclock column.
 
 The two dataclasses are the schema. Config-file keys are the
 ``ExperimentConfig`` field names, each value is parsed by its field's type
@@ -197,27 +197,21 @@ def run_single_trial(
     seed: int,
     *,
     trial: int = 0,
-    labels_dir=None,
-    client_labels_dir=None,
-) -> tuple[float, np.ndarray, ResultRecord, float]:
+) -> tuple[float, np.ndarray, ResultRecord, list[np.ndarray]]:
     """Run one federated (or global) trial from an explicit trial seed.
 
-    Returns (similarity, labels, record, wallclock_ms); ``record`` is the
-    trial's ResultRecord, numbered ``trial``, and carries the similarity
-    and wallclock too. The similarity depends only on (graph, cfg shape,
-    seed), so replaying a record's trial_seed and trial returns that
-    record apart from its wallclock_ms. A baseline trial notes each
-    edgeless client shard in ``record.flags``; a FedSpectral+ trial records
-    each round's subspace drift (_subspace_drift of the broadcast and the
-    aggregated basis) in ``record.round_drift`` through the protocol's
-    round observer, and hands the protocol its shards one at a time, so
-    each dies once its client is built.
-
-    ``labels_dir`` receives ``trial_<trial>_labels.csv``, and, for the
-    baseline, ``client_labels_dir`` receives each client's labeling as
-    ``trial_<trial>/client_<id>_labels.csv``; every file is a (node_id,
-    label) CSV keyed by ``graph.node_ids``. Missing directories are
-    created. The wallclock covers the protocol, not the files.
+    Returns (similarity, labels, record, client_labelings) and writes no
+    files. ``record`` is the trial's ResultRecord, numbered ``trial``, and
+    carries the similarity and wallclock too; ``client_labelings`` are the
+    baseline's, in client-id order, and empty for the other algorithms.
+    The similarity depends only on (graph, cfg shape, seed), so replaying
+    a record's trial_seed and trial returns that record apart from its
+    wallclock_ms. A baseline trial notes each edgeless client shard in
+    ``record.flags``; a FedSpectral+ trial records each round's subspace
+    drift (_subspace_drift of the broadcast and the aggregated basis) in
+    ``record.round_drift`` through the protocol's round observer, and
+    hands the protocol its shards one at a time, so each dies once its
+    client is built.
     """
     flags, round_drift, client_labelings = [], [], []
     start = time.perf_counter()
@@ -255,20 +249,7 @@ def run_single_trial(
         round_drift=tuple(round_drift),
         wallclock_ms=wallclock_ms,
     )
-    files = []
-    if labels_dir is not None:
-        files.append((os.path.join(labels_dir, f"trial_{trial}_labels.csv"), labels))
-    if client_labels_dir is not None:
-        # distribute_edges numbers the clients 0..C-1
-        client_dir = os.path.join(client_labels_dir, f"trial_{trial}")
-        files += [
-            (os.path.join(client_dir, f"client_{c}_labels.csv"), lab)
-            for c, lab in enumerate(client_labelings)
-        ]
-    for path, lab in files:
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_labels_csv(path, lab, node_ids=graph.node_ids)
-    return similarity, labels, record, wallclock_ms
+    return similarity, labels, record, client_labelings
 
 
 def run_experiment(
@@ -277,60 +258,61 @@ def run_experiment(
     graph: Graph | None = None,
     reference: np.ndarray | None = None,
     labels_dir=None,
-    client_labels_dir=None,
     progress=None,
 ) -> list[ResultRecord]:
     """Run ``cfg.num_trials`` trials and return one record per trial.
 
-    ``graph``/``reference`` may be passed in to share work across calls
-    (sweeps, tests); ``labels_dir`` writes the reference and per-trial
-    labelings as (node_id, label) CSVs keyed by original node ids, and
-    ``client_labels_dir`` additionally dumps each baseline client's local
-    labeling, keyed the same way, under a per-trial subdirectory; other
-    algorithms have no client labelings, so they warn and write none.
+    ``graph``/``reference`` may be passed in to reuse a parsed dataset or a
+    computed reference; ``labels_dir`` receives every labeling of the run
+    (see _run_trials).
     """
     validate_config(cfg)
-    if client_labels_dir is not None and cfg.algo != "fedspectral":
-        warnings.warn(
-            f"client_labels_dir is ignored by algo={cfg.algo}", UserWarning, stacklevel=2
-        )
     if graph is None:
         graph = load_dataset(cfg)
     if reference is None:
         reference = compute_reference(graph, cfg)
-    if labels_dir is not None:
-        os.makedirs(labels_dir, exist_ok=True)
-        write_labels_csv(
-            os.path.join(labels_dir, "reference_labels.csv"),
-            reference,
-            node_ids=graph.node_ids,
-        )
-    return _run_trials(
-        cfg,
-        graph,
-        reference,
-        labels_dir=labels_dir,
-        client_labels_dir=client_labels_dir,
-        progress=progress,
-    )
+    return _run_trials(cfg, graph, reference, labels_dir=labels_dir, progress=progress)
 
 
 def _run_trials(
-    cfg: ExperimentConfig, graph: Graph, reference: np.ndarray, *, progress=None, **dirs
+    cfg: ExperimentConfig,
+    graph: Graph,
+    reference: np.ndarray,
+    *,
+    labels_dir=None,
+    progress=None,
 ) -> list[ResultRecord]:
-    """The trial loop of an already validated config; ``dirs`` go to each trial."""
+    """The trial loop of an already validated config; the run's one writer.
+
+    ``labels_dir`` receives ``reference_labels.csv``, ``trial_<n>_labels.csv``
+    and, for the baseline, ``trial_<n>/client_<id>_labels.csv``: (node_id,
+    label) CSVs keyed by ``graph.node_ids``. Missing directories are created.
+    """
+
+    def write(name, labels):
+        path = os.path.join(labels_dir, name)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        write_labels_csv(path, labels, node_ids=graph.node_ids)
+
+    if labels_dir is not None:
+        write("reference_labels.csv", reference)
     records = []
     for trial in range(cfg.num_trials):
         seed = trial_seed(cfg.master_seed, trial)
-        similarity, _, record, wallclock_ms = run_single_trial(
-            graph, reference, cfg, seed, trial=trial, **dirs
+        similarity, labels, record, client_labelings = run_single_trial(
+            graph, reference, cfg, seed, trial=trial
         )
         records.append(record)
         if progress is not None:
             progress(
                 f"{cfg.algo} trial {trial}: similarity={similarity:.4f} "
-                f"({wallclock_ms:.0f} ms)"
+                f"({record.wallclock_ms:.0f} ms)"
             )
+        if labels_dir is not None:
+            write(f"trial_{trial}_labels.csv", labels)
+            # distribute_edges numbers the clients 0..C-1
+            for c, lab in enumerate(client_labelings):
+                write(os.path.join(f"trial_{trial}", f"client_{c}_labels.csv"), lab)
     return records
 
 

@@ -61,7 +61,6 @@ __all__ = [
     "BroadcastMessage",
     "ClientReply",
     "encode_frame",
-    "shard_multiplier",
     "PowerIterationClient",
     "aggregate_round",
     "server_round_loop",

@@ -67,14 +67,14 @@ def comembership_matrix(q):
 
 class TestSimilarityGraph:
     def test_two_client_entries(self):
-        both = build_similarity_graph([[0, 0, 1], [1, 1, 0]], 2)
+        both = build_similarity_graph([[0, 0, 1], [1, 1, 0]])
         assert comembership_matrix(both)[0, 1] == 1.0
-        one = build_similarity_graph([[0, 0, 1], [0, 1, 1]], 2)
+        one = build_similarity_graph([[0, 0, 1], [0, 1, 1]])
         assert comembership_matrix(one)[0, 1] == 0.5
 
     def test_unanimous_clients_give_comembership_blocks(self):
         labels = np.array([0, 0, 1, 1, 2])
-        sim = build_similarity_graph([labels, labels, labels], 3)
+        sim = build_similarity_graph([labels, labels, labels])
         expected = (labels[:, None] == labels[None, :]).astype(float)
         assert np.array_equal(comembership_matrix(sim), expected)
         assert np.array_equal(sim.classes, labels)
@@ -85,7 +85,7 @@ class TestSimilarityGraph:
         # diagonal, C * (1/C), which is exactly one for C = 4
         rng = np.random.default_rng(5)
         labelings = [rng.integers(0, 3, 12) for _ in range(4)]
-        sim = build_similarity_graph(labelings, 4)
+        sim = build_similarity_graph(labelings)
         m = len(sim.sizes)
         assert isinstance(sim, TwinQuotient) and sim.classes.shape == (12,)
         assert np.array_equal(sim.sizes, np.bincount(sim.classes, minlength=m))
@@ -103,7 +103,7 @@ class TestSimilarityGraph:
         unequal = [rng.integers(0, k, n) for k in (1, 7, 2, 12, 3)]
         unanimous = [random[0]] * num_clients
         for labelings in (random, unequal, unanimous):
-            sim = build_similarity_graph(labelings, num_clients)
+            sim = build_similarity_graph(labelings)
             brute = np.zeros((n, n))
             for lab in labelings:
                 for i in range(n):
@@ -119,7 +119,7 @@ class TestSimilarityGraph:
 
     def test_classes_numbered_by_first_appearance(self):
         # signatures (2, 1), (0, 1), (2, 1), (1, 0), (0, 1)
-        sim = build_similarity_graph([[2, 0, 2, 1, 0], [1, 1, 1, 0, 1]], 2)
+        sim = build_similarity_graph([[2, 0, 2, 1, 0], [1, 1, 1, 0, 1]])
         assert np.array_equal(sim.classes, [0, 1, 0, 2, 1])
         assert np.array_equal(sim.sizes, [2, 2, 1])
         assert np.array_equal(sim.agreement.toarray(), [[1, 0.5, 0], [0.5, 1, 0], [0, 0, 1]])
@@ -127,9 +127,9 @@ class TestSimilarityGraph:
     def test_relabeling_invariance(self):
         rng = np.random.default_rng(7)
         labelings = [rng.integers(0, 4, 15) for _ in range(3)]
-        base = build_similarity_graph(labelings, 3)
+        base = build_similarity_graph(labelings)
         perm = rng.permutation(4)
-        relabeled = build_similarity_graph([perm[lab] for lab in labelings], 3)
+        relabeled = build_similarity_graph([perm[lab] for lab in labelings])
         assert np.array_equal(base.classes, relabeled.classes)
         assert np.array_equal(base.sizes, relabeled.sizes)
         for field in ("indptr", "indices", "data"):
@@ -138,19 +138,19 @@ class TestSimilarityGraph:
             )
 
     def test_contracts(self):
+        with pytest.raises(ContractError, match="at least one"):
+            build_similarity_graph([])
         with pytest.raises(ContractError):
-            build_similarity_graph([[0, 1]], 2)
-        with pytest.raises(ContractError):
-            build_similarity_graph([[0, 1], [0, 1, 2]], 2)
+            build_similarity_graph([[0, 1], [0, 1, 2]])
         # float labels would be truncated into columns, merging nodes 0 and 1
         with pytest.raises(ContractError, match="integer"):
-            build_similarity_graph([[0.2, 0.7, 1.0]], 1)
+            build_similarity_graph([[0.2, 0.7, 1.0]])
         with pytest.raises(ContractError, match="non-zero length"):
-            build_similarity_graph([[], []], 2)
+            build_similarity_graph([[], []])
         with pytest.raises(ContractError, match="1-D"):
-            build_similarity_graph([[[0, 1], [1, 0]]], 1)
+            build_similarity_graph([[[0, 1], [1, 0]]])
         with pytest.raises(ContractError, match="non-negative"):
-            build_similarity_graph([[0, -1]], 1)
+            build_similarity_graph([[0, -1]])
 
 
 def oracle_labelings(case, rng, n, num_clients):
@@ -208,7 +208,7 @@ class TestServerOracle:
             # 1 / C is inexact for C = 3, 5, 6, 7, where the rounding shows
             n, num_clients = int(rng.integers(8, 40)), int(rng.integers(2, 8))
             labelings = oracle_labelings(case, rng, n, num_clients)
-            sizes = build_similarity_graph(labelings, len(labelings)).sizes
+            sizes = build_similarity_graph(labelings).sizes
             m = len(sizes)
             lap = normalized_laplacian(comembership_graph(labelings, len(labelings)))
             vals, vecs = symmetric_eig_reference(lap.toarray())

@@ -165,8 +165,8 @@ def test_malformed_edge_line_error_names_the_file_once(command, tmp_path, capsys
             ["--clients is ignored by algo=global", "--iters is ignored by algo=global"],
         ),
         (
-            ["run", "--algo", "fedspectral_plus", "--dump-client-labels", "clients"],
-            ["--dump-client-labels is ignored by algo=fedspectral_plus"],
+            ["run", "--algo", "fedspectral", "--rounds", "4"],
+            ["--rounds is ignored by algo=fedspectral"],
         ),
         (
             ["sweep", "--algo", "global", "--iters", "9", "--axis", "num_clusters",
@@ -178,7 +178,7 @@ def test_malformed_edge_line_error_names_the_file_once(command, tmp_path, capsys
 def test_warnings_are_one_line_naming_the_flag(dataset_file, tmp_path, capsys, argv, expected):
     argv = argv + ["--dataset", str(dataset_file), "--clusters", "2", "--trials", "1",
                    "--output", str(tmp_path / "out.csv")]
-    assert main([str(tmp_path / a) if a == "clients" else a for a in argv]) == 0
+    assert main(argv) == 0
     err = capsys.readouterr().err.splitlines()
     assert [line for line in err if line.startswith("warning:")] == [
         f"warning: {message}" for message in expected
@@ -187,7 +187,6 @@ def test_warnings_are_one_line_naming_the_flag(dataset_file, tmp_path, capsys, a
     # source line of the call, indented by two spaces
     assert not any("Warning" in line or ".py:" in line for line in err), err
     assert not any(line.startswith(" ") for line in err), err
-    assert not (tmp_path / "clients").exists()
 
 
 def test_sweep_outputs(dataset_file, tmp_path):
@@ -275,9 +274,9 @@ def test_settable_value_count():
         name: sum(not isinstance(a, argparse._HelpAction) for a in command._actions)
         for name, command in subcommands.choices.items()
     }
-    assert counts == {"run": 14, "sweep": 14, "metric": 2, "verify": 4, "partition-dump": 5}
+    assert counts == {"run": 13, "sweep": 14, "metric": 2, "verify": 4, "partition-dump": 5}
     assert len(dataclasses.fields(ExperimentConfig)) == 10
-    assert sum(counts.values()) + len(dataclasses.fields(ExperimentConfig)) == 49
+    assert sum(counts.values()) + len(dataclasses.fields(ExperimentConfig)) == 48
 
 
 def test_flags_set_every_config_field():
@@ -412,8 +411,9 @@ def test_partition_dump(dataset_file, tmp_path, capsys):
     assert union == {tuple(e) for e in g.edges.tolist()}
 
 
-def test_dump_client_labels(dataset_file, tmp_path):
-    dump = tmp_path / "clients"
+def test_dump_client_labels(dataset_file, tmp_path, capsys):
+    # --labels-out holds every labeling of the run, the baseline's clients' too
+    labels_dir = tmp_path / "labels"
     code = main(
         [
             "run",
@@ -424,12 +424,30 @@ def test_dump_client_labels(dataset_file, tmp_path):
             "--overlap", "0.5",
             "--trials", "1",
             "--output", str(tmp_path / "out.csv"),
-            "--dump-client-labels", str(dump),
+            "--labels-out", str(labels_dir),
         ]
     )
     assert code == 0
-    assert (dump / "trial_0" / "client_0_labels.csv").exists()
-    assert (dump / "trial_0" / "client_1_labels.csv").exists()
+    assert sorted(p.relative_to(labels_dir).as_posix() for p in labels_dir.rglob("*")) == [
+        "reference_labels.csv",
+        "trial_0",
+        "trial_0/client_0_labels.csv",
+        "trial_0/client_1_labels.csv",
+        "trial_0_labels.csv",
+    ]
+    capsys.readouterr()
+    reference = str(labels_dir / "reference_labels.csv")
+    assert main(["metric", reference, str(labels_dir / "trial_0/client_0_labels.csv")]) == 0
+    assert capsys.readouterr().out.startswith("cluster_similarity = ")
+
+
+def test_dump_client_labels_flag_is_retired(dataset_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--dataset", str(dataset_file), "--dump-client-labels", str(tmp_path)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --dump-client-labels" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_labels_out_and_json(dataset_file, tmp_path, capsys):

@@ -1,14 +1,19 @@
+import builtins
 import dataclasses
 import io
 import json
+import os
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
 from fedspectral import experiment, fedplus
+from fedspectral.baseline import fedspectral_server
 from fedspectral.errors import ConfigError, ContractError
 from fedspectral.experiment import (
+    ALGORITHMS,
     ExperimentConfig,
     ResultRecord,
     compute_reference,
@@ -38,6 +43,13 @@ def dataset_file(tmp_path_factory):
     g = planted_graph([30, 30, 30], 0.6, 0.02, seed=100)
     path = tmp_path_factory.mktemp("data") / "planted90.txt"
     path.write_text(serialize_edge_list(g, comments=["synthetic planted partition"]))
+    return path
+
+
+def ids_10_to_15(tmp_path):
+    """Six nodes with ids 10..15, so row positions are not the dataset's ids."""
+    path = tmp_path / "six_nodes.txt"
+    path.write_text("10 11\n10 12\n11 12\n13 14\n13 15\n14 15\n12 13\n")
     return path
 
 
@@ -306,34 +318,103 @@ class TestRun:
             assert len(empty) >= 3  # 7 edges, each on one of 10 clients
             assert record.flags == tuple(f"degenerate shard {c}: no edges" for c in empty)
 
-    @pytest.mark.parametrize("algo", ["global", "fedspectral_plus"])
-    def test_client_labels_dir_warns_without_baseline(self, dataset_file, tmp_path, algo):
-        cfg = ExperimentConfig(
-            dataset_path=str(dataset_file), algo=algo, num_clusters=3, num_trials=1
+    def test_baseline_trial_returns_its_client_labelings(self, dataset_file):
+        cfg = make_cfg(dataset_file, algo="fedspectral", iters=1, global_rounds=1)
+        graph = load_edge_list(dataset_file)
+        seed = trial_seed(cfg.master_seed, 1)
+        _, labels, _, client_labelings = run_single_trial(
+            graph, compute_reference(graph, cfg), cfg, seed, trial=1
         )
-        dump = tmp_path / "clients"
-        with pytest.warns(UserWarning, match=f"client_labels_dir is ignored by algo={algo}"):
-            run_experiment(cfg, client_labels_dir=dump)
-        assert not dump.exists()
+        shards = distribute_edges(graph, cfg.num_clients, cfg.overlap, partition_seed(seed))
+        expected_labels, expected = fedspectral_server(shards, cfg.num_clusters, seed)
+        assert np.array_equal(labels, expected_labels)
+        assert len(client_labelings) == len(expected) == cfg.num_clients
+        for got, want in zip(client_labelings, expected):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("algo", ["global", "fedspectral_plus"])
+    def test_other_trials_return_no_client_labelings(self, dataset_file, algo):
+        cfg = make_cfg(dataset_file, algo=algo)
+        graph = load_edge_list(dataset_file)
+        _, _, _, client_labelings = run_single_trial(
+            graph, compute_reference(graph, cfg), cfg, trial_seed(cfg.master_seed, 0)
+        )
+        assert client_labelings == []
+
+    @pytest.mark.parametrize("algo", ALGORITHMS)
+    def test_only_the_run_writes_files(self, dataset_file, tmp_path, monkeypatch, algo):
+        # the run writes every label file around its trials, never inside one
+        inside = []
+        real_trial = experiment.run_single_trial
+
+        def trial(*args, **kwargs):
+            inside.append(True)
+            try:
+                return real_trial(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def outside_trials(real):
+            def call(*args, **kwargs):
+                assert not inside, f"{real.__name__} called inside a trial"
+                return real(*args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(experiment, "run_single_trial", trial)
+        for module, name in (
+            (experiment, "write_labels_csv"),
+            (os, "makedirs"),
+            (builtins, "open"),
+        ):
+            monkeypatch.setattr(module, name, outside_trials(getattr(module, name)))
+        cfg = ExperimentConfig(
+            dataset_path=str(dataset_file), algo=algo, num_clusters=3, num_trials=2
+        )
+        run_experiment(cfg, labels_dir=tmp_path)
+        assert (tmp_path / "trial_1_labels.csv").exists()
 
     def test_client_label_dump(self, tmp_path):
-        # node ids 10..15, so row positions are not the dataset's ids
-        path = tmp_path / "six_nodes.txt"
-        path.write_text("10 11\n10 12\n11 12\n13 14\n13 15\n14 15\n12 13\n")
+        path = ids_10_to_15(tmp_path)
         cfg = ExperimentConfig(
             dataset_path=str(path),
             algo="fedspectral",
             num_clients=2,
             num_clusters=2,
-            num_trials=1,
+            num_trials=2,
         )
-        labels, clients = tmp_path / "labels", tmp_path / "clients"
-        run_experiment(cfg, labels_dir=labels, client_labels_dir=clients)
-        reference_ids, _ = read_labels_csv(labels / "reference_labels.csv")
-        assert reference_ids.tolist() == list(range(10, 16))
-        for c in range(2):
-            ids, _ = read_labels_csv(clients / "trial_0" / f"client_{c}_labels.csv")
-            assert np.array_equal(ids, reference_ids)
+        labels_dir = tmp_path / "labels"
+        records = run_experiment(cfg, labels_dir=labels_dir)
+        graph = load_edge_list(path)
+        reference = compute_reference(graph, cfg)
+        expected = {"reference_labels.csv": reference}
+        for record in records:
+            _, labels, _, client_labelings = run_single_trial(
+                graph, reference, cfg, record.trial_seed, trial=record.trial
+            )
+            expected[f"trial_{record.trial}_labels.csv"] = labels
+            for c, lab in enumerate(client_labelings):
+                expected[f"trial_{record.trial}/client_{c}_labels.csv"] = lab
+        written = [p.relative_to(labels_dir).as_posix() for p in labels_dir.rglob("*.csv")]
+        assert sorted(written) == sorted(expected) and len(written) == 1 + 2 * 3
+        for name, want in expected.items():
+            ids, got = read_labels_csv(labels_dir / name)
+            assert ids.tolist() == list(range(10, 16))
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("algo", ["global", "fedspectral_plus"])
+    def test_labels_dir_without_baseline_has_no_client_files(self, tmp_path, algo):
+        cfg = ExperimentConfig(
+            dataset_path=str(ids_10_to_15(tmp_path)), algo=algo, num_clusters=2, num_trials=1
+        )
+        labels_dir = tmp_path / "labels"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_experiment(cfg, labels_dir=labels_dir)
+        assert sorted(p.name for p in labels_dir.iterdir()) == [
+            "reference_labels.csv",
+            "trial_0_labels.csv",
+        ]
 
     def test_labels_dir(self, dataset_file, tmp_path):
         cfg = make_cfg(dataset_file, num_trials=1)
