@@ -1,17 +1,21 @@
 """Command-line interface.
 
-Subcommands: run (experiment trials to CSV/JSONL), sweep (one axis, long
-CSV plus a summary), metric (score two label CSVs), verify (dataset counts
+Subcommands: run (experiment trials to CSV/JSONL; with --axis and
+--values, a one-axis sweep whose records go to the same writer, plus a
+per-point summary), metric (score two label CSVs), verify (dataset counts
 against expected values), partition-dump (write per-client shard files).
 Flag values override config-file values, which override defaults; the
 FEDSPECTRAL_DATA_DIR environment variable supplies the default dataset
-directory. Errors and warnings print as one 'error:' or 'warning:' line.
+directory. An output directory (run --labels-out, partition-dump --outdir)
+must be new or empty. Errors and warnings print as one 'error:' or
+'warning:' line.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 import warnings
@@ -31,7 +35,6 @@ from .experiment import (
     verify_dataset,
     write_records_csv,
     write_records_jsonl,
-    write_sweep_csv,
     write_sweep_summary_csv,
 )
 from .graph import load_edge_list
@@ -40,23 +43,6 @@ from .partition import distribute_edges, write_shard
 from .seeding import partition_seed, trial_seed
 
 _USER_ERRORS = (ConfigError, ContractError, ParseError, RankError, ConvergenceError, OSError)
-
-
-def _add_experiment_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
-                        help="edge-list path (resolved against $FEDSPECTRAL_DATA_DIR)")
-    parser.add_argument("--algo", choices=ALGORITHMS)
-    parser.add_argument("--clients", type=int, dest="num_clients")
-    parser.add_argument("--clusters", type=int, dest="num_clusters")
-    parser.add_argument("--iters", type=int)
-    parser.add_argument("--rounds", type=int, dest="global_rounds")
-    parser.add_argument("--overlap", type=float)
-    parser.add_argument("--seed", type=int, dest="master_seed")
-    parser.add_argument("--trials", type=int, dest="num_trials")
-    parser.add_argument("--output", dest="output_path",
-                        help="file for the CSV records, or for the JSON lines "
-                             "of run --json (stdout when omitted)")
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -74,35 +60,39 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
+def _require_empty_dir(path, flag: str) -> None:
+    """Refuse an output directory that already holds files, so a run's
+    files never sit beside an earlier run's."""
+    if path is not None and os.path.exists(path) and os.listdir(path):
+        raise ConfigError(f"{flag} {path} is not empty; name a new or empty directory")
+
+
 def _cmd_run(args) -> int:
+    if (args.axis is None) != (args.values is None):
+        raise ConfigError("--axis and --values go together")
+    if args.summary and args.axis is None:
+        raise ConfigError("--summary needs --axis")
+    if args.labels_out and args.axis is not None:
+        raise ConfigError("--labels-out does not take --axis")
+    _require_empty_dir(args.labels_out, "--labels-out")
     cfg = _build_config(args)
-    records = run_experiment(
-        cfg, labels_dir=args.labels_out, progress=lambda msg: print(msg, file=sys.stderr)
-    )
+    progress = functools.partial(print, file=sys.stderr)
+    if args.axis is None:
+        records = run_experiment(cfg, labels_dir=args.labels_out, progress=progress)
+    else:
+        # parsed as sweep() consumes them, after it has checked the axis
+        values = (parse_config_value(args.axis, v) for v in args.values.split(",") if v.strip())
+        points = sweep(cfg, args.axis, values, progress=progress)
+        records = [r for _, point_records in points for r in point_records]
     writer = write_records_jsonl if args.json else write_records_csv
     writer(records, cfg.output_path or sys.stdout)
-    sims = np.array([r.similarity for r in records])
-    print(
-        f"{cfg.algo}: median similarity {np.median(sims):.4f} over {len(sims)} trials",
-        file=sys.stderr,
-    )
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    cfg = _build_config(args)
-    if args.axis not in SWEEP_AXES:
-        raise ConfigError(f"unknown sweep axis {args.axis!r}; must be one of {SWEEP_AXES}")
-    values = [parse_config_value(args.axis, v) for v in args.values.split(",") if v.strip()]
-    points = sweep(
-        cfg, args.axis, values, progress=lambda msg: print(msg, file=sys.stderr)
-    )
-    write_sweep_csv(points, args.axis, cfg.output_path or sys.stdout)
     summary_path = args.summary or (cfg.output_path and f"{cfg.output_path}.summary.csv")
-    if summary_path:
+    if args.axis is None:
+        sims = np.array([r.similarity for r in records])
+        progress(f"{cfg.algo}: median similarity {np.median(sims):.4f} over {len(sims)} trials")
+    elif summary_path:
         write_sweep_summary_csv(points, args.axis, summary_path)
-        written = " and ".join(filter(None, (cfg.output_path, summary_path)))
-        print(f"wrote {written}", file=sys.stderr)
+        progress(f"wrote {' and '.join(filter(None, (cfg.output_path, summary_path)))}")
     return 0
 
 
@@ -131,6 +121,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_partition_dump(args) -> int:
+    _require_empty_dir(args.outdir, "--outdir")
     graph = load_edge_list(resolve_dataset_path(args.dataset))
     # the shards of trial 0 of run --seed S
     seed = partition_seed(trial_seed(args.seed, 0))
@@ -150,20 +141,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="run an experiment, one CSV row per trial")
-    _add_experiment_flags(run_p)
+    run_p = sub.add_parser("run", help="run an experiment, or one per --values of --axis")
+    run_p.add_argument("--config", help="key = value config file")
+    run_p.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
+                       help="edge-list path (resolved against $FEDSPECTRAL_DATA_DIR)")
+    run_p.add_argument("--algo", choices=ALGORITHMS)
+    run_p.add_argument("--clients", type=int, dest="num_clients")
+    run_p.add_argument("--clusters", type=int, dest="num_clusters")
+    run_p.add_argument("--iters", type=int)
+    run_p.add_argument("--rounds", type=int, dest="global_rounds")
+    run_p.add_argument("--overlap", type=float)
+    run_p.add_argument("--seed", type=int, dest="master_seed")
+    run_p.add_argument("--trials", type=int, dest="num_trials")
+    run_p.add_argument("--output", dest="output_path",
+                       help="file for the CSV records, or for the JSON lines of --json "
+                            "(stdout when omitted)")
     run_p.add_argument("--json", action="store_true", help="emit JSON lines instead of CSV")
     run_p.add_argument("--labels-out", metavar="DIR",
-                       help="directory for the label CSVs, keyed by the dataset's node "
-                            "ids: the reference, each trial's and each baseline client's")
+                       help="new or empty directory for the label CSVs, keyed by the "
+                            "dataset's node ids: the reference, each trial's and each "
+                            "baseline client's")
+    run_p.add_argument("--axis", help=f"sweep this config field, one of {SWEEP_AXES}")
+    run_p.add_argument("--values", help="comma-separated values of --axis, one run each")
+    run_p.add_argument("--summary",
+                       help="per-point summary CSV of --axis (default <output>.summary.csv)")
     run_p.set_defaults(func=_cmd_run)
-
-    sweep_p = sub.add_parser("sweep", help="run a one-axis parameter sweep")
-    _add_experiment_flags(sweep_p)
-    sweep_p.add_argument("--axis", required=True, help=f"one of {SWEEP_AXES}")
-    sweep_p.add_argument("--values", required=True, help="comma-separated axis values")
-    sweep_p.add_argument("--summary", help="summary CSV path (default <output>.summary.csv)")
-    sweep_p.set_defaults(func=_cmd_sweep)
 
     metric_p = sub.add_parser("metric", help="score two label CSVs")
     metric_p.add_argument("global_labels")
@@ -185,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     dump_p.add_argument("--seed", type=int, default=defaults.master_seed,
                         help="master seed; the shards written are those of trial 0 "
                              "of run --seed SEED")
-    dump_p.add_argument("--outdir", required=True)
+    dump_p.add_argument("--outdir", required=True, help="new or empty directory")
     dump_p.set_defaults(func=_cmd_partition_dump)
 
     for command in sub.choices.values():

@@ -6,7 +6,10 @@ per trial against it. ``run_single_trial`` computes one trial, its
 labels and ``ResultRecord``, and writes nothing; the run's trial loop
 writes the label files, keyed by the dataset's node ids. Records
 serialize to long-format CSV (or JSON lines) whose bytes are reproducible
-for a fixed config and master seed, modulo the wallclock column.
+for a fixed config and master seed, modulo the wallclock column. A sweep
+runs the config once per value of one axis; every axis is a record
+column, so a sweep's records serialize like a run's, and only its
+per-point summary (``write_sweep_summary_csv``) names the axis.
 
 The two dataclasses are the schema. Config-file keys are the
 ``ExperimentConfig`` field names, each value is parsed by its field's type
@@ -58,7 +61,6 @@ __all__ = [
     "parse_config_file",
     "write_records_csv",
     "write_records_jsonl",
-    "write_sweep_csv",
     "write_sweep_summary_csv",
 ]
 
@@ -501,11 +503,6 @@ def write_records_jsonl(records, file_or_path) -> None:
     with _text_output(file_or_path) as fh:
         for record in records:
             fh.write(json.dumps(dataclasses.asdict(record), sort_keys=True) + "\n")
-
-
-def write_sweep_csv(points, axis: str, file_or_path) -> None:
-    rows = ([axis, str(v)] + _record_cells(r) for v, records in points for r in records)
-    _write_csv(file_or_path, ["axis", "axis_value"] + RECORD_COLUMNS, rows)
 
 
 def write_sweep_summary_csv(points, axis: str, file_or_path) -> None:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from fedspectral import linalg
 from fedspectral.cli import _build_config, build_parser, main
-from fedspectral.experiment import ExperimentConfig
+from fedspectral.experiment import SWEEP_AXES, ExperimentConfig
 from fedspectral.graph import load_edge_list, parse_arcs, serialize_edge_list
 from fedspectral.metrics import write_labels_csv
 from fedspectral.partition import distribute_edges
@@ -104,8 +105,8 @@ def test_id_outside_int64_errors(command, tmp_path, capsys):
     "command", ["verify", "run", "sweep", "partition-dump", "metric", "config"]
 )
 def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
-    # one reader a case: verify_dataset, load_edge_list (run, sweep and
-    # partition-dump), read_labels_csv (metric) and parse_config_file (config)
+    # one reader a case: verify_dataset, load_edge_list (run, run --axis
+    # and partition-dump), read_labels_csv (metric) and parse_config_file (config)
     bad = tmp_path / "latin1.txt"
     good_labels = tmp_path / "good.csv"
     write_labels_csv(good_labels, [0, 1])
@@ -118,7 +119,7 @@ def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
     argv = {
         "verify": ["verify", *dataset, "--expect-nodes", "2", "--expect-edges", "1"],
         "run": ["run", *dataset, "--clusters", "2"],
-        "sweep": ["sweep", *dataset, "--clusters", "2", "--axis", "global_rounds",
+        "sweep": ["run", *dataset, "--clusters", "2", "--axis", "global_rounds",
                   "--values", "1"],
         "partition-dump": ["partition-dump", *dataset, "--outdir", str(tmp_path / "shards")],
         "metric": ["metric", str(good_labels), str(bad)],
@@ -136,14 +137,14 @@ def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "run", "sweep", "partition-dump"])
 def test_malformed_edge_line_error_names_the_file_once(command, tmp_path, capsys):
-    # verify_dataset and load_edge_list (run, sweep and partition-dump)
+    # verify_dataset and load_edge_list (run, run --axis and partition-dump)
     bad = tmp_path / "malformed.txt"
     bad.write_text("0 1\n# c\n2 3 4\n")
     dataset = ["--dataset", str(bad)]
     argv = {
         "verify": ["verify", *dataset, "--expect-nodes", "2", "--expect-edges", "1"],
         "run": ["run", *dataset, "--clusters", "2"],
-        "sweep": ["sweep", *dataset, "--clusters", "2", "--axis", "global_rounds",
+        "sweep": ["run", *dataset, "--clusters", "2", "--axis", "global_rounds",
                   "--values", "1"],
         "partition-dump": ["partition-dump", *dataset, "--outdir", str(tmp_path / "shards")],
     }[command]
@@ -169,7 +170,7 @@ def test_malformed_edge_line_error_names_the_file_once(command, tmp_path, capsys
             ["--rounds is ignored by algo=fedspectral"],
         ),
         (
-            ["sweep", "--algo", "global", "--iters", "9", "--axis", "num_clusters",
+            ["run", "--algo", "global", "--iters", "9", "--axis", "num_clusters",
              "--values", "2,3"],
             ["--iters is ignored by algo=global"],
         ),
@@ -193,7 +194,7 @@ def test_sweep_outputs(dataset_file, tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(
         [
-            "sweep",
+            "run",
             "--dataset", str(dataset_file),
             "--clusters", "2",
             "--clients", "2",
@@ -213,7 +214,7 @@ def test_sweep_outputs(dataset_file, tmp_path):
 def test_sweep_summary_without_output(dataset_file, tmp_path, capsys):
     summary = tmp_path / "s.csv"
     argv = [
-        "sweep",
+        "run",
         "--dataset", str(dataset_file),
         "--clusters", "2",
         "--clients", "2",
@@ -223,7 +224,7 @@ def test_sweep_summary_without_output(dataset_file, tmp_path, capsys):
     ]
     assert main(argv + ["--summary", str(summary)]) == 0
     captured = capsys.readouterr()
-    assert captured.out.startswith("axis,axis_value,dataset,")
+    assert captured.out.startswith("dataset,algo,")
     assert len(captured.out.splitlines()) == 3
     assert f"wrote {summary}" in captured.err
     lines = summary.read_text().splitlines()
@@ -233,26 +234,37 @@ def test_sweep_summary_without_output(dataset_file, tmp_path, capsys):
     assert "wrote" not in capsys.readouterr().err
 
 
-def test_sweep_bad_axis(dataset_file, capsys):
-    code = main(
-        [
-            "sweep",
-            "--dataset", str(dataset_file),
-            "--axis", "bogus",
-            "--values", "1",
-        ]
-    )
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--axis", "bogus", "--values", "1"], "unknown sweep axis 'bogus'"),
+        (["--axis", "iters"], "--axis and --values go together"),
+        (["--values", "1,2"], "--axis and --values go together"),
+        (["--summary", "summary.csv"], "--summary needs --axis"),
+        (["--axis", "iters", "--values", "1", "--labels-out", "labels"],
+         "--labels-out does not take --axis"),
+    ],
+    ids=["unknown", "axis-alone", "values-alone", "summary-alone", "labels-out"],
+)
+def test_run_bad_axis(dataset_file, tmp_path, monkeypatch, capsys, flags, message):
+    monkeypatch.chdir(tmp_path)
+    code = main(["run", "--dataset", str(dataset_file), "--output", "out.csv", *flags])
     assert code == 1
-    assert "unknown sweep axis" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:") and message in lines[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
     "axis, values", [("iters", "abc"), ("overlap", "0.4,x"), ("algo", "global,nope")]
 )
-def test_sweep_bad_values(dataset_file, capsys, axis, values):
+def test_run_bad_values(dataset_file, capsys, axis, values):
     code = main(
         [
-            "sweep",
+            "run",
             "--dataset", str(dataset_file),
             "--axis", axis,
             "--values", values,
@@ -262,6 +274,46 @@ def test_sweep_bad_values(dataset_file, capsys, axis, values):
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert axis in err
+
+
+# two values of each axis, none of them warning with the flags of the test below
+AXIS_VALUES = {
+    "iters": ("1", "3"),
+    "global_rounds": ("1", "4"),
+    "num_clusters": ("2", "3"),
+    "overlap": ("0.5", "1.0"),
+    "num_clients": ("2", "3"),
+    "algo": ("fedspectral", "fedspectral_plus"),
+}
+
+
+@pytest.mark.parametrize("axis", SWEEP_AXES)
+def test_run_over_an_axis_equals_one_run_per_value(axis, dataset_file, capsys):
+    # num_clusters: each point is scored against its own reference
+    def records(flags):
+        argv = ["run", "--dataset", str(dataset_file), "--clusters", "2", "--clients", "2",
+                "--seed", "5", "--trials", "2", "--json", *flags]
+        assert main(argv) == 0
+        rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        for row in rows:
+            del row["wallclock_ms"]
+        return rows
+
+    first, second = AXIS_VALUES[axis]
+    flag = build_parser().parse_args(["run"]).flags[axis]
+    swept = records(["--axis", axis, "--values", f"{first},{second}"])
+    assert len(swept) == 4
+    assert swept == records([flag, first]) + records([flag, second])
+
+
+def test_sweep_command_is_retired(dataset_file, tmp_path, capsys):
+    argv = ["sweep", "--dataset", str(dataset_file), "--axis", "iters", "--values", "1",
+            "--output", str(tmp_path / "out.csv")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'sweep'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_settable_value_count():
@@ -274,9 +326,9 @@ def test_settable_value_count():
         name: sum(not isinstance(a, argparse._HelpAction) for a in command._actions)
         for name, command in subcommands.choices.items()
     }
-    assert counts == {"run": 13, "sweep": 14, "metric": 2, "verify": 4, "partition-dump": 5}
+    assert counts == {"run": 16, "metric": 2, "verify": 4, "partition-dump": 5}
     assert len(dataclasses.fields(ExperimentConfig)) == 10
-    assert sum(counts.values()) + len(dataclasses.fields(ExperimentConfig)) == 48
+    assert sum(counts.values()) + len(dataclasses.fields(ExperimentConfig)) == 37
 
 
 def test_flags_set_every_config_field():
@@ -441,6 +493,39 @@ def test_dump_client_labels(dataset_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("cluster_similarity = ")
 
 
+@pytest.mark.parametrize("command", ["run", "partition-dump"])
+def test_output_dir_must_be_new_or_empty(command, dataset_file, tmp_path, capsys):
+    # a second, smaller run into the first one's directory would leave the
+    # first run's extra files beside its own
+    outdir = tmp_path / "out"
+    outdir.mkdir()
+    base, first, second = {
+        "run": (
+            ["run", "--dataset", str(dataset_file), "--clusters", "2",
+             "--labels-out", str(outdir)],
+            ["--algo", "fedspectral", "--clients", "3", "--trials", "2"],
+            ["--algo", "global", "--trials", "1"],
+        ),
+        "partition-dump": (
+            ["partition-dump", "--dataset", str(dataset_file), "--outdir", str(outdir)],
+            ["--clients", "4"],
+            ["--clients", "2"],
+        ),
+    }[command]
+    assert main(base + first) == 0
+    written = {p: p.read_bytes() for p in outdir.rglob("*") if p.is_file()}
+    assert len(written) == {"run": 9, "partition-dump": 4}[command]
+    capsys.readouterr()
+
+    assert main(base + second) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: {base[-2]} {outdir} is not empty; name a new or empty directory"
+    ]
+    assert {p: p.read_bytes() for p in outdir.rglob("*") if p.is_file()} == written
+
+
 def test_dump_client_labels_flag_is_retired(dataset_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--dataset", str(dataset_file), "--dump-client-labels", str(tmp_path)])
@@ -466,6 +551,4 @@ def test_labels_out_and_json(dataset_file, tmp_path, capsys):
     assert code == 0
     assert (labels_dir / "reference_labels.csv").exists()
     first_line = capsys.readouterr().out.splitlines()[0]
-    import json
-
     assert json.loads(first_line)["similarity"] == 1.0

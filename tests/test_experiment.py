@@ -26,8 +26,8 @@ from fedspectral.experiment import (
     sweep,
     validate_config,
     verify_dataset,
+    write_records_csv,
     write_records_jsonl,
-    write_sweep_csv,
     write_sweep_summary_csv,
 )
 from fedspectral.graph import load_edge_list, serialize_edge_list
@@ -483,24 +483,6 @@ class TestRecordFormat:
         (0.1 + 0.2, [RECORD, dataclasses.replace(RECORD, trial=4, similarity=0.25)]),
     ]
 
-    def test_sweep_csv_lines(self):
-        buf = io.StringIO()
-        write_sweep_csv(self.SWEEP_POINTS, "overlap", buf)
-        head = "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,7,"
-        tail = (
-            ",degenerate shard 2: no edges;"
-            "bottom_k: sweep cap 1000 reached (drift 5.000e-04),0.5;1e-05,12.346\n"
-        )
-        assert buf.getvalue() == (
-            "axis,axis_value,dataset,algo,num_clients,num_clusters,iters,"
-            "global_rounds,overlap,master_seed,trial,"
-            "trial_seed,similarity,flags,round_drift,wallclock_ms\n"
-            f"overlap,1,{head}3,18446744073709551615,0.9123456789012345{tail}"
-            f"overlap,0.30000000000000004,{head}3,18446744073709551615,"
-            f"0.9123456789012345{tail}"
-            f"overlap,0.30000000000000004,{head}4,18446744073709551615,0.25{tail}"
-        )
-
     def test_sweep_summary_lines(self):
         buf = io.StringIO()
         write_sweep_summary_csv(self.SWEEP_POINTS, "overlap", buf)
@@ -529,10 +511,10 @@ class TestSweep:
 
         long_path = tmp_path / "sweep.csv"
         summary_path = tmp_path / "sweep_summary.csv"
-        write_sweep_csv(points, "global_rounds", long_path)
+        write_records_csv([r for _, records in points for r in records], long_path)
         write_sweep_summary_csv(points, "global_rounds", summary_path)
         long_lines = long_path.read_text().splitlines()
-        assert long_lines[0].startswith("axis,axis_value,")
+        assert long_lines[0].startswith("dataset,algo,")
         assert len(long_lines) == 3
         summary_lines = summary_path.read_text().splitlines()
         assert summary_lines[0].startswith("axis,axis_value,num_trials,median")
