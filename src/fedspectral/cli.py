@@ -2,13 +2,14 @@
 
 Subcommands: run (experiment trials to CSV/JSONL; with --axis and
 --values, a one-axis sweep whose records go to the same writer, plus a
-per-point summary), metric (score two label CSVs), verify (dataset counts
-against expected values), partition-dump (write per-client shard files).
-Flag values override config-file values, which override defaults; the
-FEDSPECTRAL_DATA_DIR environment variable supplies the default dataset
-directory. An output directory (run --labels-out, partition-dump --outdir)
-must be new or empty. Errors and warnings print as one 'error:' or
-'warning:' line.
+per-point summary; --labels-out gets every labeling and trial shard),
+metric (score two label CSVs), verify (dataset counts against expected
+values). Flag values override config-file values, which override
+defaults; the FEDSPECTRAL_DATA_DIR environment variable supplies the
+default dataset directory. Output paths are checked before the dataset
+is read: --labels-out must be new or empty, and an --output or --summary
+file must lie in an existing directory. Errors and warnings print as one
+'error:' or 'warning:' line.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from .experiment import (
     ExperimentConfig,
     parse_config_file,
     parse_config_value,
-    resolve_dataset_path,
     run_experiment,
     sweep,
     verify_dataset,
@@ -37,10 +37,7 @@ from .experiment import (
     write_records_jsonl,
     write_sweep_summary_csv,
 )
-from .graph import load_edge_list
 from .metrics import cluster_similarity, read_labels_csv
-from .partition import distribute_edges, write_shard
-from .seeding import partition_seed, trial_seed
 
 _USER_ERRORS = (ConfigError, ContractError, ParseError, RankError, ConvergenceError, OSError)
 
@@ -76,6 +73,12 @@ def _cmd_run(args) -> int:
         raise ConfigError("--labels-out does not take --axis")
     _require_empty_dir(args.labels_out, "--labels-out")
     cfg = _build_config(args)
+    default_summary = cfg.output_path and f"{cfg.output_path}.summary.csv"
+    summary_path = args.axis and (args.summary or default_summary)
+    # checked, not opened, so that a bad path fails before any trial
+    for flag, path in (("--output", cfg.output_path), ("--summary", summary_path)):
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            raise ConfigError(f"{flag} {path} must name a file in an existing directory")
     progress = functools.partial(print, file=sys.stderr)
     if args.axis is None:
         records = run_experiment(cfg, labels_dir=args.labels_out, progress=progress)
@@ -86,7 +89,6 @@ def _cmd_run(args) -> int:
         records = [r for _, point_records in points for r in point_records]
     writer = write_records_jsonl if args.json else write_records_csv
     writer(records, cfg.output_path or sys.stdout)
-    summary_path = args.summary or (cfg.output_path and f"{cfg.output_path}.summary.csv")
     if args.axis is None:
         sims = np.array([r.similarity for r in records])
         progress(f"{cfg.algo}: median similarity {np.median(sims):.4f} over {len(sims)} trials")
@@ -120,20 +122,6 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_partition_dump(args) -> int:
-    _require_empty_dir(args.outdir, "--outdir")
-    graph = load_edge_list(resolve_dataset_path(args.dataset))
-    # the shards of trial 0 of run --seed S
-    seed = partition_seed(trial_seed(args.seed, 0))
-    shards = distribute_edges(graph, args.clients, args.overlap, seed)
-    os.makedirs(args.outdir, exist_ok=True)
-    for shard in shards:
-        path = os.path.join(args.outdir, f"client_{shard.client_id}.txt")
-        write_shard(shard, path, seed=args.seed)
-        print(f"{path}: {shard.num_edges} edges", file=sys.stderr)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fedspectral",
@@ -159,8 +147,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--json", action="store_true", help="emit JSON lines instead of CSV")
     run_p.add_argument("--labels-out", metavar="DIR",
                        help="new or empty directory for the label CSVs, keyed by the "
-                            "dataset's node ids: the reference, each trial's and each "
-                            "baseline client's")
+                            "dataset's node ids (the reference, each trial's and each "
+                            "baseline client's), and each trial's client shard files")
     run_p.add_argument("--axis", help=f"sweep this config field, one of {SWEEP_AXES}")
     run_p.add_argument("--values", help="comma-separated values of --axis, one run each")
     run_p.add_argument("--summary",
@@ -178,17 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_p.add_argument("--expect-nodes", type=int, required=True)
     verify_p.add_argument("--expect-edges", type=int, required=True)
     verify_p.set_defaults(func=_cmd_verify)
-
-    defaults = ExperimentConfig(dataset_path="")
-    dump_p = sub.add_parser("partition-dump", help="write per-client shard files")
-    dump_p.add_argument("--dataset", required=True)
-    dump_p.add_argument("--clients", type=int, default=defaults.num_clients)
-    dump_p.add_argument("--overlap", type=float, default=defaults.overlap)
-    dump_p.add_argument("--seed", type=int, default=defaults.master_seed,
-                        help="master seed; the shards written are those of trial 0 "
-                             "of run --seed SEED")
-    dump_p.add_argument("--outdir", required=True, help="new or empty directory")
-    dump_p.set_defaults(func=_cmd_partition_dump)
 
     for command in sub.choices.values():
         flags = {a.dest: a.option_strings[0] for a in command._actions if a.option_strings}

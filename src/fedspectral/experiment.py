@@ -4,12 +4,13 @@ A run parses the dataset, computes the fixed global reference labeling
 (seeded per dataset by a documented rule), then scores one federated run
 per trial against it. ``run_single_trial`` computes one trial, its
 labels and ``ResultRecord``, and writes nothing; the run's trial loop
-writes the label files, keyed by the dataset's node ids. Records
-serialize to long-format CSV (or JSON lines) whose bytes are reproducible
-for a fixed config and master seed, modulo the wallclock column. A sweep
-runs the config once per value of one axis; every axis is a record
-column, so a sweep's records serialize like a run's, and only its
-per-point summary (``write_sweep_summary_csv``) names the axis.
+writes the label files, keyed by the dataset's node ids, and the shard
+files. Records serialize to long-format CSV (or JSON lines) whose bytes
+are reproducible for a fixed config and master seed, modulo the
+wallclock column. A sweep runs the config once per value of one axis;
+every axis is a record column, so a sweep's records serialize like a
+run's, and only its per-point summary (``write_sweep_summary_csv``)
+names the axis.
 
 The two dataclasses are the schema. Config-file keys are the
 ``ExperimentConfig`` field names, each value is parsed by its field's type
@@ -39,7 +40,7 @@ from .fedplus import run_fedspectral_plus
 from .graph import Graph, load_edge_list, read_arcs
 from .linalg import global_spectral_clustering
 from .metrics import cluster_similarity, write_labels_csv
-from .partition import distribute_edges
+from .partition import ClientShard, distribute_edges, write_shard
 from .seeding import derive_seed, partition_seed, trial_seed
 
 __all__ = [
@@ -185,6 +186,11 @@ def _hand_over(shards: list):
         yield shard
 
 
+def _trial_shards(graph: Graph, cfg: ExperimentConfig, seed: int) -> list[ClientShard]:
+    """The client shards of the trial with trial seed ``seed``."""
+    return distribute_edges(graph, cfg.num_clients, cfg.overlap, partition_seed(seed))
+
+
 # ResultRecord fields copied from the config of the same name; ``dataset``
 # is the config's ``dataset_path``.
 _RECORD_CONFIG_FIELDS = tuple(
@@ -220,7 +226,7 @@ def run_single_trial(
     if cfg.algo == "global":
         labels = reference
     else:
-        shards = distribute_edges(graph, cfg.num_clients, cfg.overlap, partition_seed(seed))
+        shards = _trial_shards(graph, cfg, seed)
         if cfg.algo == "fedspectral":
             flags = [
                 f"degenerate shard {sh.client_id}: no edges"
@@ -265,8 +271,8 @@ def run_experiment(
     """Run ``cfg.num_trials`` trials and return one record per trial.
 
     ``graph``/``reference`` may be passed in to reuse a parsed dataset or a
-    computed reference; ``labels_dir`` receives every labeling of the run
-    (see _run_trials).
+    computed reference; ``labels_dir`` receives every labeling and client
+    shard of the run (see _run_trials).
     """
     validate_config(cfg)
     if graph is None:
@@ -288,19 +294,32 @@ def _run_trials(
 
     ``labels_dir`` receives ``reference_labels.csv``, ``trial_<n>_labels.csv``
     and, for the baseline, ``trial_<n>/client_<id>_labels.csv``: (node_id,
-    label) CSVs keyed by ``graph.node_ids``. Missing directories are created.
+    label) CSVs keyed by ``graph.node_ids``, and, unless the algorithm is
+    global, each trial's ``trial_<n>/client_<id>.txt`` shard files (seed
+    header ``cfg.master_seed``), written and dropped before the trial
+    runs, so a graph with weights other than 1 raises ContractError
+    (``write_shard``) before the first trial. Missing directories are
+    created.
     """
 
+    def path(name):
+        full = os.path.join(labels_dir, name)
+        os.makedirs(os.path.dirname(full), exist_ok=True)
+        return full
+
     def write(name, labels):
-        path = os.path.join(labels_dir, name)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        write_labels_csv(path, labels, node_ids=graph.node_ids)
+        write_labels_csv(path(name), labels, node_ids=graph.node_ids)
 
     if labels_dir is not None:
         write("reference_labels.csv", reference)
     records = []
     for trial in range(cfg.num_trials):
         seed = trial_seed(cfg.master_seed, trial)
+        if labels_dir is not None and cfg.algo != "global":
+            for shard in _trial_shards(graph, cfg, seed):
+                name = os.path.join(f"trial_{trial}", f"client_{shard.client_id}.txt")
+                write_shard(shard, path(name), seed=cfg.master_seed)
+            del shard  # no shard is alive while the trial runs
         similarity, labels, record, client_labelings = run_single_trial(
             graph, reference, cfg, seed, trial=trial
         )

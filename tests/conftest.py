@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.sparse import csgraph
 
+from fedspectral import linalg
 from fedspectral.errors import ParseError
 from fedspectral.experiment import write_records_csv
 from fedspectral.graph import Graph, load_edge_list
@@ -288,6 +290,27 @@ def fix_column_signs_loop(vectors: np.ndarray) -> None:
         first = int(np.argmax(mags > 1e-12 * top))
         if col[first] < 0:
             col *= -1.0
+
+
+def bottom_k_every_component(lap, k: int, seed: int) -> np.ndarray:
+    """linalg.bottom_k_eigenvectors as it was when it solved every connected
+    component, not only the K with the lowest nodes (test oracle)."""
+    lap = sparse.csr_array(lap, dtype=np.float64)
+    count, component = csgraph.connected_components(lap, directed=False)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for label in range(count):
+        nodes = np.flatnonzero(component == label)
+        block = lap if count == 1 else lap[nodes][:, nodes]
+        vals, vecs = linalg._bottom_of_component(block, min(k, len(nodes)), rng)
+        vals[np.argmin(vals)] = 0.0
+        pairs += [(val, nodes[0], nodes, vec) for val, vec in zip(vals[:k], vecs.T)]
+    pairs.sort(key=lambda pair: pair[:2])
+    basis = np.zeros((lap.shape[0], k), dtype=np.float64)
+    for col, (_, _, nodes, vec) in enumerate(pairs[:k]):
+        basis[nodes, col] = vec
+    fix_column_signs_loop(basis)
+    return basis
 
 
 def parse_arcs_loop(text: str) -> np.ndarray:

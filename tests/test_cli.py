@@ -101,12 +101,10 @@ def test_id_outside_int64_errors(command, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize(
-    "command", ["verify", "run", "sweep", "partition-dump", "metric", "config"]
-)
+@pytest.mark.parametrize("command", ["verify", "run", "sweep", "metric", "config"])
 def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
-    # one reader a case: verify_dataset, load_edge_list (run, run --axis
-    # and partition-dump), read_labels_csv (metric) and parse_config_file (config)
+    # one reader a case: verify_dataset, load_edge_list (run and run
+    # --axis), read_labels_csv (metric) and parse_config_file (config)
     bad = tmp_path / "latin1.txt"
     good_labels = tmp_path / "good.csv"
     write_labels_csv(good_labels, [0, 1])
@@ -121,7 +119,6 @@ def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
         "run": ["run", *dataset, "--clusters", "2"],
         "sweep": ["run", *dataset, "--clusters", "2", "--axis", "global_rounds",
                   "--values", "1"],
-        "partition-dump": ["partition-dump", *dataset, "--outdir", str(tmp_path / "shards")],
         "metric": ["metric", str(good_labels), str(bad)],
         "config": ["run", "--config", str(bad), "--dataset", str(dataset_file)],
     }[command]
@@ -135,9 +132,9 @@ def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("command", ["verify", "run", "sweep", "partition-dump"])
+@pytest.mark.parametrize("command", ["verify", "run", "sweep"])
 def test_malformed_edge_line_error_names_the_file_once(command, tmp_path, capsys):
-    # verify_dataset and load_edge_list (run, run --axis and partition-dump)
+    # verify_dataset and load_edge_list (run and run --axis)
     bad = tmp_path / "malformed.txt"
     bad.write_text("0 1\n# c\n2 3 4\n")
     dataset = ["--dataset", str(bad)]
@@ -146,7 +143,6 @@ def test_malformed_edge_line_error_names_the_file_once(command, tmp_path, capsys
         "run": ["run", *dataset, "--clusters", "2"],
         "sweep": ["run", *dataset, "--clusters", "2", "--axis", "global_rounds",
                   "--values", "1"],
-        "partition-dump": ["partition-dump", *dataset, "--outdir", str(tmp_path / "shards")],
     }[command]
     assert main(argv) == 1
     captured = capsys.readouterr()
@@ -259,6 +255,34 @@ def test_run_bad_axis(dataset_file, tmp_path, monkeypatch, capsys, flags, messag
 
 
 @pytest.mark.parametrize(
+    "flags, bad",
+    [
+        (["--output", "nodir/x.csv"], "--output nodir/x.csv"),
+        (["--output", "adir"], "--output adir"),
+        (["--axis", "iters", "--values", "1,2", "--output", "ok.csv", "--summary",
+          "nodir/s.csv"], "--summary nodir/s.csv"),
+        (["--axis", "iters", "--values", "1,2", "--summary", "adir"], "--summary adir"),
+    ],
+    ids=["output-in-missing-dir", "output-is-dir", "summary-in-missing-dir", "summary-is-dir"],
+)
+def test_bad_output_path_fails_before_any_trial(
+    dataset_file, tmp_path, monkeypatch, capsys, flags, bad
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    argv = ["run", "--dataset", str(dataset_file), "--clusters", "2", "--clients", "2",
+            "--trials", "3", *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # no trial line, and nothing written
+    assert captured.err.splitlines() == [
+        f"error: {bad} must name a file in an existing directory"
+    ]
+    assert [p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")] == ["adir"]
+
+
+@pytest.mark.parametrize(
     "axis, values", [("iters", "abc"), ("overlap", "0.4,x"), ("algo", "global,nope")]
 )
 def test_run_bad_values(dataset_file, capsys, axis, values):
@@ -326,9 +350,9 @@ def test_settable_value_count():
         name: sum(not isinstance(a, argparse._HelpAction) for a in command._actions)
         for name, command in subcommands.choices.items()
     }
-    assert counts == {"run": 16, "metric": 2, "verify": 4, "partition-dump": 5}
+    assert counts == {"run": 16, "metric": 2, "verify": 4}
     assert len(dataclasses.fields(ExperimentConfig)) == 10
-    assert sum(counts.values()) + len(dataclasses.fields(ExperimentConfig)) == 37
+    assert sum(counts.values()) + len(dataclasses.fields(ExperimentConfig)) == 32
 
 
 def test_flags_set_every_config_field():
@@ -428,43 +452,46 @@ def test_verify_subcommand(dataset_file, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_partition_dump_defaults_are_the_config_defaults():
-    args = build_parser().parse_args(["partition-dump", "--dataset", "d", "--outdir", "o"])
-    default = ExperimentConfig(dataset_path="")
-    assert (args.clients, args.overlap, args.seed) == (
-        default.num_clients, default.overlap, default.master_seed
-    )
-
-
-def test_partition_dump(dataset_file, tmp_path, capsys):
-    outdir = tmp_path / "shards"
-    argv = ["partition-dump", "--dataset", str(dataset_file), "--clients", "3"]
-    assert main(argv + ["--overlap", "7", "--outdir", str(outdir)]) == 1
+def test_labels_out_holds_each_trials_shards(dataset_file, tmp_path, capsys):
+    labels_dir = tmp_path / "labels"
+    argv = ["run", "--dataset", str(dataset_file), "--clusters", "2", "--clients", "3",
+            "--trials", "2", "--output", str(tmp_path / "out.csv"),
+            "--labels-out", str(labels_dir)]
+    assert main(argv + ["--overlap", "7"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
     assert "overlap" in err
-    assert not outdir.exists()
+    assert not labels_dir.exists()
 
-    code = main(argv + ["--overlap", "0.5", "--seed", "4", "--outdir", str(outdir)])
-    assert code == 0
-    files = sorted(p.name for p in outdir.iterdir())
-    assert files == ["client_0.txt", "client_1.txt", "client_2.txt"]
-
+    assert main(argv + ["--overlap", "0.5", "--seed", "4"]) == 0
     g = load_edge_list(dataset_file)
-    # the shards of trial 0 of run --seed 4
-    shards = distribute_edges(g, 3, 0.5, partition_seed(trial_seed(4, 0)))
-    union = set()
-    for c, name in enumerate(files):
-        text = (outdir / name).read_text()
-        header = [f"# client_id: {c}", "# seed: 4", f"# nodes: {g.num_nodes}"]
-        assert text.splitlines()[:3] == header
-        assert np.array_equal(parse_arcs(text), shards[c].edges)
-        union |= {tuple(e) for e in parse_arcs(text).tolist()}
-    assert union == {tuple(e) for e in g.edges.tolist()}
+    edges = {tuple(e) for e in g.edges.tolist()}
+    for trial in range(2):
+        shards = distribute_edges(g, 3, 0.5, partition_seed(trial_seed(4, trial)))
+        files = sorted(p.name for p in (labels_dir / f"trial_{trial}").glob("*.txt"))
+        assert files == ["client_0.txt", "client_1.txt", "client_2.txt"]
+        union = set()
+        for c, name in enumerate(files):
+            text = (labels_dir / f"trial_{trial}" / name).read_text()
+            header = [f"# client_id: {c}", "# seed: 4", f"# nodes: {g.num_nodes}"]
+            assert text.splitlines()[:3] == header
+            assert np.array_equal(parse_arcs(text), shards[c].edges)
+            union |= {tuple(e) for e in parse_arcs(text).tolist()}
+        assert union == edges
+
+
+def test_partition_dump_command_is_retired(dataset_file, tmp_path, capsys):
+    argv = ["partition-dump", "--dataset", str(dataset_file), "--outdir", str(tmp_path / "out")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid choice: 'partition-dump'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_dump_client_labels(dataset_file, tmp_path, capsys):
-    # --labels-out holds every labeling of the run, the baseline's clients' too
+    # --labels-out holds every labeling of the run, the baseline's clients'
+    # too, and each trial's client shards
     labels_dir = tmp_path / "labels"
     code = main(
         [
@@ -483,7 +510,9 @@ def test_dump_client_labels(dataset_file, tmp_path, capsys):
     assert sorted(p.relative_to(labels_dir).as_posix() for p in labels_dir.rglob("*")) == [
         "reference_labels.csv",
         "trial_0",
+        "trial_0/client_0.txt",
         "trial_0/client_0_labels.csv",
+        "trial_0/client_1.txt",
         "trial_0/client_1_labels.csv",
         "trial_0_labels.csv",
     ]
@@ -493,35 +522,24 @@ def test_dump_client_labels(dataset_file, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("cluster_similarity = ")
 
 
-@pytest.mark.parametrize("command", ["run", "partition-dump"])
-def test_output_dir_must_be_new_or_empty(command, dataset_file, tmp_path, capsys):
+def test_output_dir_must_be_new_or_empty(dataset_file, tmp_path, capsys):
     # a second, smaller run into the first one's directory would leave the
     # first run's extra files beside its own
     outdir = tmp_path / "out"
     outdir.mkdir()
-    base, first, second = {
-        "run": (
-            ["run", "--dataset", str(dataset_file), "--clusters", "2",
-             "--labels-out", str(outdir)],
-            ["--algo", "fedspectral", "--clients", "3", "--trials", "2"],
-            ["--algo", "global", "--trials", "1"],
-        ),
-        "partition-dump": (
-            ["partition-dump", "--dataset", str(dataset_file), "--outdir", str(outdir)],
-            ["--clients", "4"],
-            ["--clients", "2"],
-        ),
-    }[command]
-    assert main(base + first) == 0
+    base = ["run", "--dataset", str(dataset_file), "--clusters", "2",
+            "--labels-out", str(outdir)]
+    assert main(base + ["--algo", "fedspectral", "--clients", "3", "--trials", "2"]) == 0
     written = {p: p.read_bytes() for p in outdir.rglob("*") if p.is_file()}
-    assert len(written) == {"run": 9, "partition-dump": 4}[command]
+    # the reference, and per trial its labels, 3 client labelings and 3 shards
+    assert len(written) == 1 + 2 * 7
     capsys.readouterr()
 
-    assert main(base + second) == 1
+    assert main(base + ["--algo", "global", "--trials", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        f"error: {base[-2]} {outdir} is not empty; name a new or empty directory"
+        f"error: --labels-out {outdir} is not empty; name a new or empty directory"
     ]
     assert {p: p.read_bytes() for p in outdir.rglob("*") if p.is_file()} == written
 

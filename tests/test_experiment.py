@@ -30,7 +30,7 @@ from fedspectral.experiment import (
     write_records_jsonl,
     write_sweep_summary_csv,
 )
-from fedspectral.graph import load_edge_list, serialize_edge_list
+from fedspectral.graph import Graph, load_edge_list, serialize_edge_list
 from fedspectral.metrics import read_labels_csv
 from fedspectral.partition import distribute_edges
 from fedspectral.seeding import partition_seed, trial_seed
@@ -404,6 +404,7 @@ class TestRun:
 
     @pytest.mark.parametrize("algo", ["global", "fedspectral_plus"])
     def test_labels_dir_without_baseline_has_no_client_files(self, tmp_path, algo):
+        # no client labelings; FedSpectral+ still writes its trial's shards
         cfg = ExperimentConfig(
             dataset_path=str(ids_10_to_15(tmp_path)), algo=algo, num_clusters=2, num_trials=1
         )
@@ -411,10 +412,49 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             run_experiment(cfg, labels_dir=labels_dir)
-        assert sorted(p.name for p in labels_dir.iterdir()) == [
-            "reference_labels.csv",
-            "trial_0_labels.csv",
-        ]
+        shards = [f"trial_0/client_{c}.txt" for c in range(cfg.num_clients)]
+        written = sorted(p.relative_to(labels_dir).as_posix() for p in labels_dir.rglob("*"))
+        assert written == sorted(
+            ["reference_labels.csv", "trial_0_labels.csv"]
+            + (["trial_0", *shards] if algo == "fedspectral_plus" else [])
+        )
+
+    @pytest.mark.parametrize("algo", ["fedspectral", "fedspectral_plus"])
+    def test_shard_files_are_dead_when_the_trial_starts(
+        self, dataset_file, tmp_path, monkeypatch, algo
+    ):
+        # each trial's shard files are written from shards that die before
+        # the trial partitions the graph again
+        refs = []
+        real_write, real_trial = experiment.write_shard, experiment.run_single_trial
+
+        def write(shard, *args, **kwargs):
+            refs.append(weakref.ref(shard))
+            return real_write(shard, *args, **kwargs)
+
+        def trial(*args, **kwargs):
+            assert len(refs) == cfg.num_clients * (kwargs["trial"] + 1)
+            assert [ref() for ref in refs] == [None] * len(refs)
+            return real_trial(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "write_shard", write)
+        monkeypatch.setattr(experiment, "run_single_trial", trial)
+        cfg = make_cfg(dataset_file, algo=algo, iters=1, global_rounds=1)
+        run_experiment(cfg, labels_dir=tmp_path)
+        assert len(refs) == 2 * cfg.num_clients
+
+    def test_weighted_shard_fails_before_the_first_trial(self, dataset_file, tmp_path,
+                                                         monkeypatch):
+        # shard files have no weight column, so write_shard refuses them
+        def trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(experiment, "run_single_trial", trial)
+        g = load_edge_list(dataset_file)
+        weighted = Graph(g.num_nodes, g.edges, np.full(g.num_edges, 2.0))
+        cfg = make_cfg(dataset_file, num_trials=1)
+        with pytest.raises(ContractError, match="unit weights"):
+            run_experiment(cfg, graph=weighted, labels_dir=tmp_path)
 
     def test_labels_dir(self, dataset_file, tmp_path):
         cfg = make_cfg(dataset_file, num_trials=1)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from fedspectral import linalg
@@ -23,6 +24,7 @@ from fedspectral.linalg import (
 from fedspectral.seeding import kmeans_seed
 
 from conftest import (
+    bottom_k_every_component,
     dense_adjacency,
     fix_column_signs_loop,
     gnp_graph,
@@ -31,6 +33,22 @@ from conftest import (
     planted_graph,
     principal_angles,
 )
+
+
+def interleaved_components(rng, sizes):
+    """A weighted graph of len(sizes) connected components of those sizes,
+    their nodes interleaved at random; returns (graph, node arrays)."""
+    order = rng.permutation(int(sizes.sum()))
+    components = np.split(order, np.cumsum(sizes)[:-1])
+    edges = []
+    for nodes in components:
+        # a random spanning tree, then random extra edges
+        edges += [(nodes[rng.integers(i)], nodes[i]) for i in range(1, len(nodes))]
+        if len(nodes) > 1:
+            edges += [tuple(rng.choice(nodes, 2, replace=False)) for _ in range(len(nodes))]
+    base = Graph.from_edges(len(order), sorted({(min(e), max(e)) for e in edges}))
+    graph = Graph(base.num_nodes, base.edges, rng.uniform(0.1, 3.0, base.num_edges))
+    return graph, components
 
 
 def two_triangles():
@@ -325,22 +343,56 @@ class TestBottomK:
         rng = np.random.default_rng(17)
         for trial in range(200):
             sizes = rng.integers(3, 40, int(rng.integers(3, 8)))
-            order = rng.permutation(int(sizes.sum()))  # interleave the components
-            components = np.split(order, np.cumsum(sizes)[:-1])
-            edges = []
-            for nodes in components:
-                # a random spanning tree, then random extra edges
-                edges += [(nodes[rng.integers(i)], nodes[i]) for i in range(1, len(nodes))]
-                edges += [tuple(rng.choice(nodes, 2, replace=False)) for _ in range(len(nodes))]
-            base = Graph.from_edges(len(order), sorted({(min(e), max(e)) for e in edges}))
-            g = Graph(base.num_nodes, base.edges, rng.uniform(0.1, 3.0, base.num_edges))
-            k = int(rng.integers(1, len(sizes)))
+            g, components = interleaved_components(rng, sizes)
+            k = int(rng.integers(1, len(components)))
             basis = bottom_k_eigenvectors(normalized_laplacian(g), k, seed=trial)
             root = np.sqrt(g.degrees())
             expected = np.zeros_like(basis)
             for col, nodes in enumerate(sorted(components, key=min)[:k]):
                 expected[nodes, col] = root[nodes] / np.linalg.norm(root[nodes])
             assert np.abs(basis - expected).max() < 1e-10, trial
+
+    def test_scipy_numbers_components_by_lowest_node(self):
+        # bottom_k_eigenvectors solves only components 0..K-1, which are the
+        # K with the lowest nodes only under this numbering
+        rng = np.random.default_rng(19)
+        for _ in range(50):
+            sizes = rng.integers(1, 30, int(rng.integers(2, 40)))
+            g, components = interleaved_components(rng, sizes)
+            count, label = connected_components(normalized_laplacian(g), directed=False)
+            assert count == len(components)
+            for c, nodes in enumerate(sorted(components, key=min)):
+                assert (label[nodes] == c).all()
+
+    def test_solves_at_most_k_components(self, monkeypatch):
+        solved = []
+        real = linalg._bottom_of_component
+
+        def spy(block, k, rng):
+            solved.append(block.shape[0])
+            return real(block, k, rng)
+
+        monkeypatch.setattr(linalg, "_bottom_of_component", spy)
+        rng = np.random.default_rng(23)
+        g, components = interleaved_components(rng, rng.integers(1, 20, 30))
+        lap = normalized_laplacian(g)
+        for k in (1, 4, 29):
+            solved.clear()
+            bottom_k_eigenvectors(lap, k, seed=k)
+            assert solved == [len(c) for c in sorted(components, key=min)[:k]]
+
+    @pytest.mark.parametrize("more", [-2, 0, 2], ids=["fewer", "exactly", "more"])
+    def test_same_bits_as_solving_every_component(self, more):
+        # components minus K; with K or more components the pairs of the
+        # components past K never reach the bottom K
+        rng = np.random.default_rng(29 + more)
+        for trial in range(40):
+            sizes = rng.integers(1, 40, int(rng.integers(3, 12)))
+            g, components = interleaved_components(rng, sizes)
+            k = len(components) - more
+            lap = normalized_laplacian(g)
+            basis = bottom_k_eigenvectors(lap, k, seed=trial)
+            assert np.array_equal(basis, bottom_k_every_component(lap, k, trial)), trial
 
     def test_arpack_no_convergence_is_convergence_error(self, monkeypatch):
         def no_convergence(*args, **kwargs):
