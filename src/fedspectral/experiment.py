@@ -4,8 +4,8 @@ A run parses the dataset, computes the fixed global reference labeling
 (seeded per dataset by a documented rule), then scores one federated run
 per trial against it. ``run_single_trial`` computes one trial, its
 labels and ``ResultRecord``, and writes nothing; the run's trial loop
-writes the label files, keyed by the dataset's node ids, and the shard
-files. Records serialize to long-format CSV (or JSON lines) whose bytes
+writes the label files and the shard files, both in the dataset's node
+ids. Records serialize to long-format CSV (or JSON lines) whose bytes
 are reproducible for a fixed config and master seed, modulo the
 wallclock column. A sweep runs the config once per value of one axis;
 every axis is a record column, so a sweep's records serialize like a
@@ -16,7 +16,8 @@ The two dataclasses are the schema. Config-file keys are the
 ``ExperimentConfig`` field names, each value is parsed by its field's type
 (``parse_config_value``), and ``none`` or an empty value clears an
 optional field. Record columns (CSV, in declaration order) and keys (JSON
-lines) are the ``ResultRecord`` field names.
+lines) are the ``ResultRecord`` field names; a None value (``converged``
+of an algorithm without rounds) is an empty CSV cell and a JSON null.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .baseline import fedspectral_server
 from .errors import ConfigError, _read_text
-from .fedplus import run_fedspectral_plus
+from .fedplus import run_fedspectral_plus, settled
 from .graph import Graph, load_edge_list, read_arcs
 from .linalg import global_spectral_clustering
 from .metrics import cluster_similarity, write_labels_csv
@@ -163,19 +164,8 @@ class ResultRecord:
     similarity: float
     flags: tuple[str, ...]
     round_drift: tuple[float, ...]
+    converged: bool | None
     wallclock_ms: float
-
-
-def _subspace_drift(previous: np.ndarray, basis: np.ndarray) -> float:
-    """Spectral norm of the part of ``basis`` outside span(``previous``).
-
-    One N x K residual R = Q - B (B^T Q), then K x K work: the largest
-    singular value of R is the square root of the largest eigenvalue of
-    its Gram matrix R^T R.
-    """
-    residual = basis - previous @ (previous.T @ basis)
-    top = np.linalg.eigvalsh(residual.T @ residual)[-1]
-    return float(np.sqrt(max(top, 0.0)))
 
 
 def _hand_over(shards: list):
@@ -215,13 +205,16 @@ def run_single_trial(
     The similarity depends only on (graph, cfg shape, seed), so replaying
     a record's trial_seed and trial returns that record apart from its
     wallclock_ms. A baseline trial notes each edgeless client shard in
-    ``record.flags``; a FedSpectral+ trial records each round's subspace
-    drift (_subspace_drift of the broadcast and the aggregated basis) in
-    ``record.round_drift`` through the protocol's round observer, and
-    hands the protocol its shards one at a time, so each dies once its
-    client is built.
+    ``record.flags``. A FedSpectral+ trial records each round's subspace
+    drift, which the protocol's round observer receives, in
+    ``record.round_drift``, and sets ``record.converged`` to whether the
+    last round settled (fedplus.settled: its drift is at most
+    STOP_DRIFT) rather than merely reached the ``global_rounds`` cap;
+    it is None for the other algorithms. The trial hands the protocol
+    its shards one at a time, so each dies once its client is built.
     """
     flags, round_drift, client_labelings = [], [], []
+    converged = None
     start = time.perf_counter()
     if cfg.algo == "global":
         labels = reference
@@ -241,10 +234,9 @@ def run_single_trial(
                 seed,
                 iters=cfg.iters,
                 global_rounds=cfg.global_rounds,
-                on_round=lambda _, previous, basis: round_drift.append(
-                    _subspace_drift(previous, basis)
-                ),
+                on_round=lambda _t, _previous, _basis, drift: round_drift.append(drift),
             )
+            converged = settled(round_drift[-1])
     wallclock_ms = (time.perf_counter() - start) * 1000.0
     similarity = cluster_similarity(reference, labels)
     record = ResultRecord(
@@ -255,6 +247,7 @@ def run_single_trial(
         similarity=similarity,
         flags=tuple(flags),
         round_drift=tuple(round_drift),
+        converged=converged,
         wallclock_ms=wallclock_ms,
     )
     return similarity, labels, record, client_labelings
@@ -296,10 +289,10 @@ def _run_trials(
     and, for the baseline, ``trial_<n>/client_<id>_labels.csv``: (node_id,
     label) CSVs keyed by ``graph.node_ids``, and, unless the algorithm is
     global, each trial's ``trial_<n>/client_<id>.txt`` shard files (seed
-    header ``cfg.master_seed``), written and dropped before the trial
-    runs, so a graph with weights other than 1 raises ContractError
-    (``write_shard``) before the first trial. Missing directories are
-    created.
+    header ``cfg.master_seed``, edges in ``graph.node_ids`` too), written
+    and dropped before the trial runs, so a graph with weights other than
+    1 raises ContractError (``write_shard``) before the first trial.
+    Missing directories are created.
     """
 
     def path(name):
@@ -318,7 +311,9 @@ def _run_trials(
         if labels_dir is not None and cfg.algo != "global":
             for shard in _trial_shards(graph, cfg, seed):
                 name = os.path.join(f"trial_{trial}", f"client_{shard.client_id}.txt")
-                write_shard(shard, path(name), seed=cfg.master_seed)
+                write_shard(
+                    shard, path(name), seed=cfg.master_seed, node_ids=graph.node_ids
+                )
             del shard  # no shard is alive while the trial runs
         similarity, labels, record, client_labelings = run_single_trial(
             graph, reference, cfg, seed, trial=trial
@@ -476,14 +471,16 @@ def parse_config_file(path) -> dict:
 
 # ---------------------------------------------------------------------------
 # Output writers: every cell is formatted deterministically (repr for
-# floats), so re-running a config byte-reproduces the file apart from the
-# trailing wallclock column.
+# floats, an empty cell for None), so re-running a config byte-reproduces
+# the file apart from the trailing wallclock column.
 # ---------------------------------------------------------------------------
 
 RECORD_COLUMNS = [f.name for f in dataclasses.fields(ResultRecord)]
 
 
 def _cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, float):
         return repr(value)
     if isinstance(value, tuple):

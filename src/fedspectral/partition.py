@@ -107,9 +107,11 @@ def distribute_edges(
     ]
 
 
-def write_shard(shard: ClientShard, path, seed: int | None = None) -> None:
+def write_shard(shard: ClientShard, path, seed: int | None = None, node_ids=None) -> None:
     """Write a shard as SNAP edge-list text with a provenance header.
 
+    ``node_ids`` maps the shard's contiguous ids back to the dataset's
+    (``Graph.node_ids``); without it the contiguous ids are written.
     The '# nodes:' header records the full node universe, which the bare
     edge list cannot represent for isolated nodes. The format is
     write-only (nothing in the package reads shard files back) and has no
@@ -123,4 +125,4 @@ def write_shard(shard: ClientShard, path, seed: int | None = None) -> None:
         comments.append(f"seed: {seed}")
     comments.append(f"nodes: {shard.num_nodes}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_edge_list(shard, comments))
+        fh.write(serialize_edge_list(shard, comments, node_ids))

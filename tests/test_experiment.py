@@ -201,6 +201,7 @@ class TestRun:
         records = run_experiment(cfg)
         assert len(records) == 1
         assert records[0].similarity == 1.0
+        assert records[0].round_drift == () and records[0].converged is None
 
     def test_records_carry_reproduction_data(self, dataset_file):
         cfg = make_cfg(dataset_file)
@@ -214,16 +215,17 @@ class TestRun:
 
     def test_round_drift_matches_svd_over_200_rounds(self, dataset_file, monkeypatch):
         # the drift is the largest singular value of the residual of each
-        # aggregated basis against the broadcast one; the trial's observer
-        # takes it from the K x K Gram matrix
+        # aggregated basis against the broadcast one; the server loop takes
+        # it from the K x K Gram matrix, hands it to the trial's observer,
+        # and stops at the first round where it is at most STOP_DRIFT
         svd_drift = []
         real = experiment.run_fedspectral_plus
 
         def spy(*args, on_round, **kwargs):
-            def both(t, previous, basis):
+            def both(t, previous, basis, drift):
                 residual = basis - previous @ (previous.T @ basis)
                 svd_drift.append(np.linalg.svd(residual, compute_uv=False)[0])
-                on_round(t, previous, basis)
+                on_round(t, previous, basis, drift)
 
             return real(*args, on_round=both, **kwargs)
 
@@ -234,9 +236,28 @@ class TestRun:
             graph, compute_reference(graph, cfg), cfg, trial_seed(cfg.master_seed, 0)
         )
         drift = np.array(record.round_drift)
-        assert len(drift) == len(svd_drift) == 200
+        assert len(drift) == len(svd_drift) < 200
         assert (np.abs(drift - svd_drift) <= 1e-12 * np.array(svd_drift) + 1e-15).all()
+        assert drift[-1] <= fedplus.STOP_DRIFT < drift[:-1].min()
         assert drift[-1] < 1e-6 < drift[0]
+        assert record.converged is True
+
+    def test_slowly_converging_trial_runs_to_its_cap_and_says_so(self, tmp_path):
+        # on a 61-node cycle the basis is still moving after 40 rounds
+        path = tmp_path / "cycle61.txt"
+        path.write_text("".join(f"{i} {(i + 1) % 61}\n" for i in range(61)))
+        cfg = ExperimentConfig(
+            dataset_path=str(path), num_clients=1, num_clusters=2, global_rounds=40,
+            overlap=1.0, num_trials=1,
+        )
+        (record,) = run_experiment(cfg)
+        assert len(record.round_drift) == 40
+        assert min(record.round_drift) > fedplus.STOP_DRIFT
+        assert record.converged is False
+
+    def test_paper_shaped_single_round_has_not_converged(self, dataset_file):
+        (record,) = run_experiment(make_cfg(dataset_file, iters=1, global_rounds=1, num_trials=1))
+        assert len(record.round_drift) == 1 and record.converged is False
 
     def test_shards_are_dead_when_the_rounds_start(self, dataset_file, monkeypatch):
         # the trial hands each shard to its client, so once every client is
@@ -264,6 +285,20 @@ class TestRun:
         got = run_single_trial(graph, reference, cfg, seed)
         assert np.array_equal(got[1], expected[1])
         assert got[2].round_drift == expected[2].round_drift
+
+    def test_a_lower_cap_records_a_prefix_of_the_drift(self, dataset_file):
+        graph = load_edge_list(dataset_file)
+        cfg = make_cfg(dataset_file, iters=1, global_rounds=200, num_trials=1)
+        reference = compute_reference(graph, cfg)
+        seed = trial_seed(cfg.master_seed, 0)
+        _, labels, full, _ = run_single_trial(graph, reference, cfg, seed)
+        stop = len(full.round_drift)
+        for cap in (5, stop - 1, stop):
+            capped = dataclasses.replace(cfg, global_rounds=cap)
+            _, got, record, _ = run_single_trial(graph, reference, capped, seed)
+            assert record.round_drift == full.round_drift[:cap]
+            assert record.converged is (cap == stop)
+        assert np.array_equal(got, labels)
 
     def test_similarity_reproducible_from_trial_seed(self, dataset_file):
         cfg = make_cfg(
@@ -419,6 +454,24 @@ class TestRun:
             + (["trial_0", *shards] if algo == "fedspectral_plus" else [])
         )
 
+    def test_shard_files_use_the_dataset_ids(self, tmp_path):
+        # every client holds every edge, so each shard file lists the
+        # dataset's seven edges in its own ids 10..15, like the label CSVs
+        path = ids_10_to_15(tmp_path)
+        cfg = ExperimentConfig(
+            dataset_path=str(path), algo="fedspectral", num_clients=2, num_clusters=2,
+            overlap=1.0, num_trials=1,
+        )
+        labels_dir = tmp_path / "labels"
+        run_experiment(cfg, labels_dir=labels_dir)
+        edges = sorted(tuple(map(int, line.split())) for line in path.read_text().splitlines())
+        ids, _ = read_labels_csv(labels_dir / "trial_0_labels.csv")
+        for c in range(2):
+            lines = (labels_dir / f"trial_0/client_{c}.txt").read_text().splitlines()
+            assert lines[:3] == [f"# client_id: {c}", "# seed: 0", "# nodes: 6"]
+            assert [tuple(map(int, line.split())) for line in lines[3:]] == edges
+        assert {u for edge in edges for u in edge} == set(ids.tolist())
+
     @pytest.mark.parametrize("algo", ["fedspectral", "fedspectral_plus"])
     def test_shard_files_are_dead_when_the_trial_starts(
         self, dataset_file, tmp_path, monkeypatch, algo
@@ -488,6 +541,7 @@ class TestRecordFormat:
             "bottom_k: sweep cap 1000 reached (drift 5.000e-04)",
         ),
         round_drift=(0.5, 1e-05),
+        converged=False,
         wallclock_ms=12.3456,
     )
 
@@ -495,19 +549,27 @@ class TestRecordFormat:
         assert records_to_csv_text([self.RECORD]) == (
             "dataset,algo,num_clients,num_clusters,iters,global_rounds,"
             "overlap,master_seed,trial,trial_seed,"
-            "similarity,flags,round_drift,wallclock_ms\n"
+            "similarity,flags,round_drift,converged,wallclock_ms\n"
             "data/email-Eu-core.txt,fedspectral,5,42,1,1,0.30000000000000004,"
             "7,3,18446744073709551615,0.9123456789012345,"
             "degenerate shard 2: no edges;"
             "bottom_k: sweep cap 1000 reached (drift 5.000e-04),"
-            "0.5;1e-05,12.346\n"
+            "0.5;1e-05,False,12.346\n"
         )
+
+    def test_no_convergence_field_is_an_empty_csv_cell_and_a_json_null(self, tmp_path):
+        record = dataclasses.replace(self.RECORD, converged=None)
+        assert records_to_csv_text([record]).splitlines()[1].endswith(",0.5;1e-05,,12.346")
+        out = tmp_path / "record.jsonl"
+        write_records_jsonl([record], out)
+        assert json.loads(out.read_text())["converged"] is None
 
     def test_jsonl_line(self, tmp_path):
         out = tmp_path / "record.jsonl"
         write_records_jsonl([self.RECORD], out)
         assert out.read_text() == (
-            '{"algo": "fedspectral", "dataset": "data/email-Eu-core.txt", '
+            '{"algo": "fedspectral", "converged": false, '
+            '"dataset": "data/email-Eu-core.txt", '
             '"flags": ["degenerate shard 2: no edges", '
             '"bottom_k: sweep cap 1000 reached (drift 5.000e-04)"], '
             '"global_rounds": 1, "iters": 1, "master_seed": 7, '

@@ -13,6 +13,7 @@ from fedspectral.errors import ConfigError, ContractError, RankError
 from fedspectral import fedplus, linalg
 from fedspectral.experiment import ExperimentConfig, compute_reference, run_single_trial
 from fedspectral.fedplus import (
+    STOP_DRIFT,
     BroadcastMessage,
     ClientReply,
     PowerIterationClient,
@@ -21,10 +22,12 @@ from fedspectral.fedplus import (
     run_fedspectral_plus,
     server_round_loop,
     shard_multiplier,
+    subspace_drift,
 )
 from fedspectral.graph import Graph, normalized_laplacian
 from fedspectral.linalg import bottom_k_eigenvectors, global_spectral_clustering, reduced_qr
 from fedspectral.partition import ClientShard, distribute_edges, same_universe
+from fedspectral.seeding import embedding_seed
 
 from conftest import dense_adjacency, planted_graph, principal_angles
 
@@ -71,6 +74,31 @@ def ordered_row_sums(shard, v):
 def client_step(shard, iters, embedding):
     client = PowerIterationClient(shard, iters)
     return client.run_round(BroadcastMessage(0, embedding)).embedding
+
+
+def cliques(count, size):
+    """``count`` disjoint complete graphs on ``size`` nodes each."""
+    pairs = [
+        (c * size + i, c * size + j)
+        for c in range(count)
+        for i in range(size)
+        for j in range(i + 1, size)
+    ]
+    return Graph.from_edges(count * size, pairs)
+
+
+def cycle(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def observed_rounds(shards, k, seed, iters, cap):
+    """(labels, final basis, [(aggregated basis, drift) of each round])."""
+    rounds = []
+    labels, basis = run_fedspectral_plus(
+        shards, k, seed, iters=iters, global_rounds=cap,
+        on_round=lambda _t, _previous, b, drift: rounds.append((b.copy(), drift)),
+    )
+    return labels, basis, rounds
 
 
 def force_schedule(monkeypatch, schedule, cores=2):
@@ -384,7 +412,7 @@ class TestServerLoop:
         shards = distribute_edges(g, 4, 0.5, seed=10)
         checked = []
 
-        def on_round(_, previous, basis):
+        def on_round(_, previous, basis, drift):
             checked.append(np.abs(basis.T @ basis - np.eye(2)).max())
 
         run_fedspectral_plus(
@@ -485,9 +513,12 @@ class TestProtocol:
         shards = distribute_edges(g, 2, 0.5, seed=22)
         drift, seen = [], []
 
-        def on_round(t, previous, basis):
+        def on_round(t, previous, basis, handed):
             seen.append((t, previous, basis))
             drift.append(np.linalg.norm(basis - previous @ (previous.T @ basis), 2))
+            # the loop hands over subspace_drift of the two bases, bit for bit
+            assert handed == subspace_drift(previous, basis)
+            assert handed == pytest.approx(drift[-1], rel=1e-9, abs=1e-15)
 
         _, final = run_fedspectral_plus(
             shards, 2, 23, iters=1, global_rounds=7, on_round=on_round
@@ -505,7 +536,9 @@ class TestProtocol:
     def test_single_client_converges_to_reference_subspace(self, schedule):
         g = planted_graph([12, 12, 12], 0.85, 0.04, seed=24)
         shards = distribute_edges(g, 1, 1.0, seed=25)
-        labels, basis = run_fedspectral_plus(shards, 3, 26, iters=10, global_rounds=200)
+        labels, basis, rounds = observed_rounds(shards, 3, 26, 10, 200)
+        # the loop stops at its fixed point, long before the cap
+        assert len(rounds) < 200 and rounds[-1][1] <= STOP_DRIFT
         lap = normalized_laplacian(g)
         reference = bottom_k_eigenvectors(lap, 3, seed=1)
         assert principal_angles(basis, reference).max() < 1e-6
@@ -513,22 +546,30 @@ class TestProtocol:
 
     def test_full_overlap_matches_raw_orthogonal_iteration(self, schedule):
         # every client holds the whole graph: one round of the protocol is
-        # exactly one QR'd block power step on the global multiplier
+        # exactly one QR'd block power step on the global multiplier, and
+        # the loop stops where the raw iteration's drift first reaches
+        # STOP_DRIFT: at the cap of 30, or before the cap of 200
         g = planted_graph([10, 10], 0.8, 0.08, seed=27)
         shards = distribute_edges(g, 3, 1.0, seed=28)
-        _, basis = run_fedspectral_plus(shards, 2, 29, iters=1, global_rounds=30)
         mult = shard_multiplier(shards[0])
         dense = dense_multiplier(shards[0])
-        from fedspectral.seeding import embedding_seed
-
-        rng = np.random.default_rng(embedding_seed(29))
-        manual, _ = reduced_qr(rng.standard_normal((20, 2)))
-        oracle = manual
-        for _ in range(30):
-            manual, _ = reduced_qr(mult @ manual)
-            oracle, _ = reduced_qr(dense @ oracle)
-        assert np.array_equal(basis, manual)
-        assert np.allclose(basis, oracle, rtol=0.0, atol=1e-10)
+        for cap in (30, 200):
+            _, basis, rounds = observed_rounds(shards, 2, 29, 1, cap)
+            drift = [d for _, d in rounds]
+            rng = np.random.default_rng(embedding_seed(29))
+            manual, _ = reduced_qr(rng.standard_normal((20, 2)))
+            oracle, manual_drift = manual, []
+            while len(manual_drift) < cap:
+                previous = manual
+                manual, _ = reduced_qr(mult @ manual)
+                manual_drift.append(subspace_drift(previous, manual))
+                oracle, _ = reduced_qr(dense @ oracle)
+                if manual_drift[-1] <= STOP_DRIFT:
+                    break
+            assert drift == manual_drift
+            assert np.array_equal(basis, manual)
+            assert np.allclose(basis, oracle, rtol=0.0, atol=1e-10)
+            assert (len(drift) == cap) if cap == 30 else (len(drift) < cap)
 
     def test_universe_mismatch(self):
         none = np.empty((0, 2), dtype=np.int64)
@@ -574,6 +615,79 @@ class TestProtocol:
         assert np.array_equal(va, vb)
 
 
+class TestStoppingRule:
+    """``global_rounds`` is a cap: the loop stops after the first round whose
+    subspace drift is at most STOP_DRIFT."""
+
+    @pytest.mark.parametrize("count, size, iters, seed", [(3, 4, 1, 5), (3, 4, 2, 8), (4, 3, 1, 9)])
+    def test_stops_where_the_spectral_gap_predicts(self, count, size, iters, seed):
+        # On disjoint cliques M has eigenvalue 1 on each clique's constant
+        # vector and -1/(size - 1) on everything else, so each round scales
+        # the tangent T of the basis against the top-K subspace by
+        # s = (mu_{K+1} / mu_K)^iters, and the drift of round r is
+        # |1 - s| |s|^r ||T_0||.
+        g = cliques(count, size)
+        shard = shard_from_graph(g)
+        mu = np.linalg.eigvalsh(dense_multiplier(shard))
+        mu = mu[np.argsort(-np.abs(mu))]
+        assert np.allclose(mu[:count], 1.0) and np.allclose(mu[count:], -1.0 / (size - 1))
+        s = (mu[count] / mu[count - 1]) ** iters
+
+        v0, _ = reduced_qr(
+            np.random.default_rng(embedding_seed(seed)).standard_normal((g.num_nodes, count))
+        )
+        top = np.kron(np.eye(count), np.full((size, 1), size**-0.5))
+        tangent = np.linalg.norm((v0 - top @ (top.T @ v0)) @ np.linalg.inv(top.T @ v0), 2)
+        predicted = next(
+            r + 1 for r in range(200) if abs(1 - s) * abs(s) ** r * tangent <= STOP_DRIFT
+        )
+        _, _, rounds = observed_rounds([shard], count, seed, iters, 200)
+        assert abs(len(rounds) - predicted) <= 1
+        drift = [d for _, d in rounds]
+        assert drift[-1] <= STOP_DRIFT and all(d > STOP_DRIFT for d in drift[:-1])
+
+    def test_slowly_converging_graph_runs_to_the_cap(self):
+        # on a 61-node cycle the 2nd and 3rd largest magnitudes of M's
+        # spectrum, cos(pi/61) and cos(2 pi/61), differ by 0.4%, so K=2
+        # is still moving after thousands of rounds
+        shards = [shard_from_graph(cycle(61))]
+        _, _, rounds = observed_rounds(shards, 2, 3, 1, 50)
+        assert len(rounds) == 50
+        assert min(d for _, d in rounds) > 1e-3
+
+    def test_a_lower_cap_is_a_bitwise_prefix(self, schedule):
+        # the seed, the partition and the start do not depend on the cap,
+        # so a run capped at r repeats the first r rounds of a longer run
+        g = planted_graph([12, 12, 12], 0.7, 0.05, seed=42)
+        shards = distribute_edges(g, 4, 0.5, seed=43)
+        _, full_basis, full = observed_rounds(shards, 3, 44, 3, 100)
+        stop = len(full)
+        assert stop < 100
+        for cap in (1, 10, stop - 1, stop, stop + 1):
+            _, basis, rounds = observed_rounds(shards, 3, 44, 3, cap)
+            assert len(rounds) == min(cap, stop)
+            assert [d for _, d in rounds] == [d for _, d in full[: len(rounds)]]
+            for (got, _), (want, _) in zip(rounds, full):
+                assert np.array_equal(got, want)
+            assert np.array_equal(basis, full[len(rounds) - 1][0])
+        assert np.array_equal(full_basis, full[-1][0])
+
+    def test_loop_stops_once_the_replies_repeat(self):
+        # transports that always reply alike give the same basis from round
+        # 0 on, so round 1 has no drift and the loop stops there
+        rng = np.random.default_rng(65)
+        x = rng.standard_normal((8, 2))
+        transports = [FakeTransport(0, x), FakeTransport(1, 2 * x)]
+        v0, _ = reduced_qr(rng.standard_normal((8, 2)))
+        drift = []
+        basis = server_round_loop(
+            transports, v0, 10, on_round=lambda *round_: drift.append(round_[3])
+        )
+        assert len(drift) == 2 and drift[0] > STOP_DRIFT >= drift[1]
+        assert [len(t.received) for t in transports] == [2, 2]
+        assert np.array_equal(basis, reduced_qr(1.5 * x)[0])
+
+
 def run_threads(monkeypatch):
     """Record the thread each PowerIterationClient round runs on."""
     idents = []
@@ -591,29 +705,36 @@ class TestPooledRounds:
     """The clients of a round on a thread pool: same bits, same errors, and
     nothing left running."""
 
-    def trial(self, monkeypatch, schedule, cores=2, clients=3):
+    def trial(self, monkeypatch, schedule, cores=2, clients=3, rounds=8):
         force_schedule(monkeypatch, schedule, cores)
         g = planted_graph([12, 12, 12], 0.7, 0.05, seed=40)
         cfg = ExperimentConfig(
             dataset_path="planted", num_clients=clients, num_clusters=3,
-            iters=3, global_rounds=8, overlap=0.5,
+            iters=3, global_rounds=rounds, overlap=0.5,
         )
         _, labels, record, _ = run_single_trial(g, compute_reference(g, cfg), cfg, 41)
         return labels, record.round_drift
 
     def test_pooled_trial_is_bitwise_the_serial_trial(self, monkeypatch):
+        # a cap of 8 is reached; a cap of 100 is not: both schedules stop
+        # at the same round
         g = planted_graph([12, 12, 12], 0.7, 0.05, seed=42)
         shards = distribute_edges(g, 4, 0.5, seed=43)
-        runs = {}
-        for schedule in ("serial", "pooled"):
-            force_schedule(monkeypatch, schedule)
-            runs[schedule] = run_fedspectral_plus(shards, 3, 44, iters=3, global_rounds=8)
-        (ls, bs), (lp, bp) = runs["serial"], runs["pooled"]
-        assert np.array_equal(ls, lp)
-        assert np.array_equal(bs, bp)
-        serial, pooled = self.trial(monkeypatch, "serial"), self.trial(monkeypatch, "pooled")
-        assert np.array_equal(serial[0], pooled[0])
-        assert serial[1] == pooled[1] and len(pooled[1]) == 8
+        for cap in (8, 100):
+            runs = {}
+            for schedule in ("serial", "pooled"):
+                force_schedule(monkeypatch, schedule)
+                runs[schedule] = observed_rounds(shards, 3, 44, 3, cap)
+            (ls, bs, rs), (lp, bp, rp) = runs["serial"], runs["pooled"]
+            assert np.array_equal(ls, lp)
+            assert np.array_equal(bs, bp)
+            assert [d for _, d in rs] == [d for _, d in rp]
+            serial = self.trial(monkeypatch, "serial", rounds=cap)
+            pooled = self.trial(monkeypatch, "pooled", rounds=cap)
+            assert np.array_equal(serial[0], pooled[0])
+            assert serial[1] == pooled[1]
+            ran = {len(rp), len(pooled[1])}
+            assert ran == {8} if cap == 8 else max(ran) < cap
 
     def test_serial_with_one_core_or_one_client(self, monkeypatch):
         main = threading.get_ident()

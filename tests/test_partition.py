@@ -212,6 +212,17 @@ class TestShardIO:
             b"# client_id: 4\n# seed: 9\n# nodes: 3\n0 1\n1 2\n"
         )
 
+    def test_exact_bytes_through_node_ids(self, tmp_path):
+        shard = ClientShard(3, np.array([[0, 1], [1, 2]]), np.ones(2), client_id=4)
+        path = tmp_path / "client_4.txt"
+        write_shard(shard, path, seed=9, node_ids=np.array([10, 12, 15]))
+        assert path.read_bytes() == (
+            b"# client_id: 4\n# seed: 9\n# nodes: 3\n10 12\n12 15\n"
+        )
+        # ids that are already 0..N-1 write the same bytes as no ids
+        write_shard(shard, path, seed=9, node_ids=np.arange(3))
+        assert path.read_bytes() == b"# client_id: 4\n# seed: 9\n# nodes: 3\n0 1\n1 2\n"
+
     def test_header_records_provenance(self, tmp_path):
         g = gnp_graph(10, 0.4, 10)
         shard = distribute_edges(g, 2, 0.5, seed=11)[0]
