@@ -20,9 +20,10 @@ from scipy import sparse
 
 from . import linalg
 from .errors import ContractError
+from .graph import index_dtype
 # no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
 from .graph import normalized_laplacian_from_adjacency  # noqa: F401
-from .linalg import global_spectral_clustering
+from .linalg import global_spectral_clustering, one_blas_thread
 from .partition import ClientShard, same_universe
 from .seeding import client_seed, derive_seed, embedding_seed, kmeans_seed
 
@@ -82,8 +83,12 @@ def build_similarity_graph(labelings) -> TwinQuotient:
     m = len(lowest)
     offsets = np.cumsum(widths)
     cols = np.concatenate([codes[lowest] for codes in dense]) + np.repeat(offsets[:-1], m)
-    rows = np.tile(np.arange(m), len(labelings))
-    onehot = sparse.csr_array((np.ones(len(cols)), (rows, cols)), shape=(m, offsets[-1]))
+    # S and the quotient Laplacian keep this width where their entries fit
+    width = index_dtype(max(m, offsets[-1], len(cols)))
+    rows = np.tile(np.arange(m, dtype=width), len(labelings))
+    onehot = sparse.csr_array(
+        (np.ones(len(cols)), (rows, cols.astype(width))), shape=(m, offsets[-1])
+    )
     agreement = onehot @ onehot.T
     agreement.sort_indices()
     # count * (1/C), not count / C, the bits of the tests' N-node oracle: 3 * (1/5) != 3 / 5
@@ -171,16 +176,21 @@ def fedspectral_server(
     The server reads only the labelings. The result is independent of
     shard ordering and deterministic for fixed shards and seed.
 
+    Everything runs under linalg.one_blas_thread, as run_fedspectral_plus
+    does: the clients' and the server's BLAS calls are too small for a
+    second OpenBLAS thread, which would spin a core for the whole run.
+
     Returns (labels, client labelings in ascending client-id order), the
     shape of run_fedspectral_plus's (labels, embedding).
     """
-    labelings = [
-        get_client_labels(sh, num_clusters, client_seed(seed, sh.client_id))
-        for sh in sorted(same_universe(shards), key=lambda sh: sh.client_id)
-    ]
-    quotient = build_similarity_graph(labelings)
-    server = derive_seed(seed, "server")
-    embedding = _twin_embedding(quotient, num_clusters, embedding_seed(server))
-    # through the module, where the k-means tracers and spies look it up
-    labels = linalg.kmeans(embedding, num_clusters, kmeans_seed(server))
+    with one_blas_thread():
+        labelings = [
+            get_client_labels(sh, num_clusters, client_seed(seed, sh.client_id))
+            for sh in sorted(same_universe(shards), key=lambda sh: sh.client_id)
+        ]
+        quotient = build_similarity_graph(labelings)
+        server = derive_seed(seed, "server")
+        embedding = _twin_embedding(quotient, num_clusters, embedding_seed(server))
+        # through the module, where the k-means tracers and spies look it up
+        labels = linalg.kmeans(embedding, num_clusters, kmeans_seed(server))
     return labels, labelings

@@ -24,6 +24,10 @@ __all__ = [
     "write_shard",
 ]
 
+# Keys per block of distribute_edges' row sort: about 2**14 / C edges at a
+# time, so the block's order array stays near 128 KiB at any client count.
+SORT_BLOCK = 2**14
+
 
 @dataclass(frozen=True, kw_only=True)
 class ClientShard(Graph):
@@ -84,15 +88,18 @@ def distribute_edges(
             # stable argsort keeps the draw reproducible across versions
             # and breaks a tie between keys towards the lower client
             keys = rng.random((num_edges, num_clients))
-            order = np.argsort(keys, axis=1, kind="stable")
-            # the E x C keys and order are freed before the shards are built
-            del keys
             # edge e's j-th client c is flat entry c * E + e of the mask;
-            # one scatter per rank is cheaper than one 2-d fancy index
-            flat, edge = member.reshape(-1), np.arange(num_edges)
-            for j in range(r):
-                flat[order[:, j] * num_edges + edge] = True
-            del order
+            # one scatter per rank is cheaper than one 2-d fancy index.
+            # Sorted in row blocks, so no E x C order array ever exists
+            flat = member.reshape(-1)
+            step = max(1, SORT_BLOCK // num_clients)
+            for lo in range(0, num_edges, step):
+                order = np.argsort(keys[lo : lo + step], axis=1, kind="stable")
+                edge = np.arange(lo, lo + len(order))
+                for j in range(r):
+                    flat[order[:, j] * num_edges + edge] = True
+            # the E x C keys are freed before the shards are built
+            del keys, order
 
     # each shard's edges by index, in global order: np.take gathers the
     # rows several times faster than a boolean mask or ``g.edges[picked]``

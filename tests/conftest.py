@@ -206,10 +206,13 @@ def dense_normalized_laplacian(a: np.ndarray) -> np.ndarray:
     return lap
 
 
-def scaled_adjacency_sorted_by_scipy(g: Graph, *, laplacian: bool) -> sparse.csr_array:
+def scaled_adjacency_sorted_by_scipy(
+    g: Graph, *, laplacian: bool, width=np.int32
+) -> sparse.csr_array:
     """Oracle for graph._scaled_adjacency: L (``laplacian``) or I - L from
     the entries listed as (u, v) pairs, then (v, u) pairs, then the
-    diagonal, which leaves scipy's COO to CSR step to sort each row."""
+    diagonal, which leaves scipy's COO to CSR step to sort each row. The
+    coordinates are made in ``width``, which scipy keeps for the CSR."""
     d = g.degrees()
     inv_sqrt = np.zeros(g.num_nodes, dtype=np.float64)
     positive = d > 0
@@ -219,8 +222,8 @@ def scaled_adjacency_sorted_by_scipy(g: Graph, *, laplacian: bool) -> sparse.csr
     if laplacian:
         np.negative(vals, out=vals)
     unit = np.flatnonzero(positive == laplacian)
-    rows = np.concatenate([u, v, unit])
-    cols = np.concatenate([v, u, unit])
+    rows = np.concatenate([u, v, unit]).astype(width)
+    cols = np.concatenate([v, u, unit]).astype(width)
     vals = np.concatenate([vals, vals, np.ones(len(unit))])
     n = g.num_nodes
     return sparse.csr_array((vals, (rows, cols)), shape=(n, n))

@@ -312,3 +312,42 @@ class TestServer:
     def test_universe_mismatch_rejected(self):
         with pytest.raises(ContractError):
             fedspectral_server([empty_shard(4, 0), empty_shard(5, 1)], 2, seed=0)
+
+    def test_blas_counts_are_one_during_the_run_and_restored_after(self, monkeypatch):
+        counts = [2, 3]
+
+        def control(i):
+            def set_(count):
+                counts[i] = count
+
+            return (lambda: counts[i]), set_
+
+        monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: [control(0), control(1)])
+        during = []
+        real_labels, real_kmeans = baseline.get_client_labels, linalg.kmeans
+
+        def client_labels(*args):
+            during.append(list(counts))
+            return real_labels(*args)
+
+        def kmeans(*args):
+            during.append(list(counts))
+            return real_kmeans(*args)
+
+        monkeypatch.setattr(baseline, "get_client_labels", client_labels)
+        monkeypatch.setattr(linalg, "kmeans", kmeans)
+        shards = distribute_edges(planted_graph([10, 10], 0.8, 0.08, seed=65), 3, 0.5, seed=66)
+        expected, _ = fedspectral_server(shards, 2, seed=67)
+        # three clients and their k-means runs, then the server's k-means
+        assert during == [[1, 1]] * 7
+        assert counts == [2, 3]
+
+        def fail(*_):
+            raise ContractError("k-means failed")
+
+        monkeypatch.setattr(linalg, "kmeans", fail)
+        with pytest.raises(ContractError, match="k-means failed"):
+            fedspectral_server(shards, 2, seed=67)
+        assert counts == [2, 3]
+        monkeypatch.undo()
+        assert np.array_equal(fedspectral_server(shards, 2, seed=67)[0], expected)

@@ -70,6 +70,14 @@ def test_run_missing_dataset_errors(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_without_a_dataset_errors(capsys):
+    code = main(["run", "--clusters", "2"])
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no dataset given (use --dataset or a config file)\n"
+
+
 def test_run_unconverged_reference_errors(dataset_file, monkeypatch, capsys):
     def no_convergence(*args, **kwargs):
         raise ArpackNoConvergence("ARPACK error -1: No convergence", [], [])

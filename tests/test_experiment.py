@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fedspectral import experiment, fedplus
+from fedspectral import baseline, experiment, fedplus, linalg
 from fedspectral.baseline import fedspectral_server
 from fedspectral.errors import ConfigError, ContractError
 from fedspectral.experiment import (
@@ -689,3 +689,65 @@ class TestVerify:
         report = verify_dataset(truncated, g.num_nodes, g.num_edges)
         assert not report.ok
         assert report.num_edges < g.num_edges
+
+
+def shaped_graph(num_nodes: int, num_edges: int, k: int, seed: int) -> Graph:
+    """A graph of exactly ``num_edges`` random edges, three quarters of the
+    drawn pairs inside one of k communities (node i is in i % k)."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, num_nodes, 2 * num_edges)
+    v = rng.integers(0, num_nodes, 2 * num_edges)
+    inside = rng.random(2 * num_edges) < 0.75
+    v[inside] -= (v[inside] - u[inside]) % k
+    v[v < 0] += k
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = (lo * num_nodes + hi)[lo < hi]
+    _, first = np.unique(keys, return_index=True)
+    keys = keys[np.sort(first)][:num_edges]
+    assert len(keys) == num_edges
+    return Graph.from_edges(num_nodes, np.stack(np.divmod(keys, num_nodes), axis=1))
+
+
+class TestIndexWidth:
+    """Every sparse matrix a trial builds has int32 indices and indptr at
+    the benchmark shapes: the reference and client Laplacians and their
+    component blocks, the FedSpectral+ multipliers, and the baseline's
+    agreement matrix and quotient Laplacian."""
+
+    @pytest.mark.parametrize(
+        "num_nodes, num_edges, algo, k",
+        [(4039, 88234, "fedspectral_plus", 10), (1005, 16064, "fedspectral_plus", 10),
+         (500, 8000, "fedspectral", 20)],
+    )
+    def test_int32_indices_at_the_benchmark_shapes(
+        self, monkeypatch, num_nodes, num_edges, algo, k
+    ):
+        built = []
+
+        def spy(module, name, keep):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                out = real(*args, **kwargs)
+                built.append((name, keep(args, out)))
+                return out
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        spy(linalg, "connected_components", lambda args, _: args[0])
+        spy(linalg, "_bottom_of_component", lambda args, _: args[0])
+        spy(fedplus, "shard_multiplier", lambda _, out: out)
+        spy(baseline, "build_similarity_graph", lambda _, out: out.agreement)
+
+        g = shaped_graph(num_nodes, num_edges, 10, num_nodes)
+        cfg = ExperimentConfig(
+            dataset_path="shape", algo=algo, num_clients=5, num_clusters=k,
+            overlap=0.4, global_rounds=2,
+        )
+        run_single_trial(g, compute_reference(g, cfg), cfg, trial_seed(1, 0))
+        names = {name for name, _ in built}
+        expected = {"connected_components", "_bottom_of_component"}
+        expected |= {"build_similarity_graph"} if algo == "fedspectral" else {"shard_multiplier"}
+        assert names == expected
+        for name, matrix in built:
+            assert matrix.indices.dtype == matrix.indptr.dtype == np.int32, name

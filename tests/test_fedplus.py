@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fedspectral.baseline import fedspectral_server
-from fedspectral.errors import ConfigError, ContractError, RankError
+from fedspectral.errors import ConfigError, ContractError, ConvergenceError, RankError
 from fedspectral import fedplus, linalg
 from fedspectral.experiment import ExperimentConfig, compute_reference, run_single_trial
 from fedspectral.fedplus import (
@@ -481,6 +481,26 @@ class TestServerLoop:
         with pytest.raises(ContractError, match="round 0: client 1 replied as client 2"):
             server_round_loop(transports, v0, 2)
 
+    def test_non_finite_reply_is_a_convergence_error_naming_the_round(self):
+        rng = np.random.default_rng(35)
+        x = rng.standard_normal((6, 2))
+        rounds = []
+
+        class GoesNaN(FakeTransport):
+            def run_round(self, message):
+                reply = super().run_round(message)
+                if message.round_index == 1:
+                    reply.embedding[3, 1] = np.nan
+                return reply
+
+        # the replies span one plane, so without the NaN round 1 would settle
+        transports = [FakeTransport(0, x), GoesNaN(1, 2 * x)]
+        v0, _ = reduced_qr(rng.standard_normal((6, 2)))
+        with pytest.raises(ConvergenceError, match=r"^round 1: non-finite embedding$"):
+            server_round_loop(transports, v0, 5, on_round=lambda t, *_: rounds.append(t))
+        # the round that went non-finite reaches no observer
+        assert rounds == [0]
+
     def test_rank_error_carries_round_index(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((6, 2))
@@ -499,6 +519,12 @@ class TestProtocol:
             run_fedspectral_plus(shards, num_clusters=2, seed=0, iters=0)
         with pytest.raises(ConfigError):
             run_fedspectral_plus(shards, num_clusters=2, seed=0, global_rounds=0)
+
+    def test_more_clusters_than_nodes_rejected(self):
+        shards = distribute_edges(planted_graph([4, 4], 0.9, 0.2, seed=36), 2, 0.5, seed=37)
+        assert run_fedspectral_plus(shards, 8, 38)[1].shape == (8, 8)
+        with pytest.raises(ContractError, match="^num_clusters 9 exceeds node count 8$"):
+            run_fedspectral_plus(shards, 9, 38)
 
     def test_deterministic(self, schedule):
         g = planted_graph([10, 10], 0.8, 0.08, seed=18)

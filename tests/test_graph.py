@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from fedspectral import graph
 from fedspectral.errors import ContractError, ParseError
 from fedspectral.graph import (
     Graph,
     _scaled_adjacency,
+    index_dtype,
     load_edge_list,
     normalized_laplacian,
     normalized_laplacian_from_adjacency,
@@ -469,7 +471,44 @@ class TestLaplacian:
                 for a, b in ((got.data, want.data), (got.indices, want.indices),
                              (got.indptr, want.indptr)):
                     assert a.dtype == b.dtype and np.array_equal(a, b)
-                assert got.indices.dtype == np.int64
+                assert got.indices.dtype == got.indptr.dtype == np.int32
+
+    def test_indices_widen_to_int64_past_the_int32_limit(self, monkeypatch):
+        # the limit is lowered rather than a 2**31-entry graph built: a graph
+        # whose node count or stored entries pass it gets int64 indices, with
+        # the bits of the int32 matrix
+        rng = np.random.default_rng(21)
+        base = gnp_graph(30, 0.3, 21)
+        g = Graph(32, base.edges, rng.uniform(0.1, 5.0, base.num_edges))
+        narrow = {lap: _scaled_adjacency(g, laplacian=lap) for lap in (True, False)}
+        # I - L stores a 1 for each isolated node, L one for every other node
+        isolated = int((g.degrees() == 0).sum())
+        assert 0 < isolated < g.num_nodes - isolated
+        entries = 2 * g.num_edges
+        for limit, wide in ((entries + isolated - 1, (True, False)),
+                            (entries + isolated, (True,)),
+                            (entries + g.num_nodes - isolated, ())):
+            monkeypatch.setattr(graph, "INT32_INDEX_MAX", limit)
+            for laplacian in (True, False):
+                got = _scaled_adjacency(g, laplacian=laplacian)
+                width = np.int64 if laplacian in wide else np.int32
+                want = scaled_adjacency_sorted_by_scipy(g, laplacian=laplacian, width=width)
+                assert got.indices.dtype == got.indptr.dtype == width
+                for a, b in ((got.data, want.data), (got.indices, want.indices),
+                             (got.indptr, want.indptr)):
+                    assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert np.array_equal(got.indices, narrow[laplacian].indices)
+                assert np.array_equal(got.data, narrow[laplacian].data)
+        monkeypatch.setattr(graph, "INT32_INDEX_MAX", 5)
+        # a node count past the limit widens an edgeless graph too
+        empty = _scaled_adjacency(Graph(6, np.empty((0, 2)), np.empty(0)), laplacian=True)
+        assert empty.indices.dtype == empty.indptr.dtype == np.int64
+        assert empty.nnz == 0
+
+    def test_index_dtype_at_the_int32_limit(self):
+        assert index_dtype(0) is np.int32
+        assert index_dtype(2**31 - 1) is np.int32
+        assert index_dtype(2**31) is np.int64
 
     def test_adjacency_laplacian_matches_dense_oracle(self):
         rng = np.random.default_rng(8)

@@ -98,3 +98,15 @@ class TestLabelsCSV:
         path.write_text("node_id,label\n0,1\n0,2\n1,1\n")
         with pytest.raises(ParseError, match="line 3: node id 0 repeated"):
             read_labels_csv(path)
+
+    def test_line_without_a_comma(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("node_id,label\n0,1\n1 2\n")
+        with pytest.raises(ParseError, match=r"bad\.csv: line 3: expected node_id,label$"):
+            read_labels_csv(path)
+
+    def test_header_only_file(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text("node_id,label\n\n")
+        with pytest.raises(ParseError, match=r"header\.csv: empty labels file$"):
+            read_labels_csv(path)

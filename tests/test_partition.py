@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import sparse
 
+from fedspectral import partition
 from fedspectral.errors import ConfigError, ContractError
 from fedspectral.graph import (
     Graph,
@@ -156,18 +157,6 @@ class TestDistributeAgainstMaskOracle:
             assert all(sh.num_edges == 0 for sh in distribute_edges(g, num_clients, overlap, 3))
 
     def test_tied_keys_go_to_the_lower_client(self, monkeypatch):
-        real = np.random.default_rng
-
-        class TiedKeys:
-            """A generator whose keys take few values, so rows have ties."""
-
-            def __init__(self, seed, levels):
-                self._rng = real(seed)
-                self._levels = levels
-
-            def random(self, shape):
-                return self._rng.integers(0, self._levels, size=shape) / self._levels
-
         g = gnp_graph(40, 0.2, 11)
         for levels in (1, 2, 3):
             monkeypatch.setattr(np.random, "default_rng", lambda seed: TiedKeys(seed, levels))
@@ -182,6 +171,41 @@ class TestDistributeAgainstMaskOracle:
                     expected = g.edges if shard.client_id < r else g.edges[:0]
                     assert np.array_equal(shard.edges, expected)
             monkeypatch.undo()
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_edges_span_several_row_blocks(self, monkeypatch, block):
+        # SORT_BLOCK // C edges (at least one) are sorted at a time, so these
+        # graphs span many blocks, the last of them partial
+        monkeypatch.setattr(partition, "SORT_BLOCK", block)
+        rng = np.random.default_rng(70 + block)
+        base = gnp_graph(50, 0.2, block)
+        g = Graph(base.num_nodes, base.edges, rng.uniform(0.5, 2.0, base.num_edges))
+        cases = ((2, 0.5), (3, 0.4), (5, 0.4), (8, 0.3), (20, 0.5))
+        steps = [max(1, block // num_clients) for num_clients, _ in cases]
+        assert g.num_edges > 3 * max(steps)
+        assert block == 1 or any(g.num_edges % step for step in steps)
+        for num_clients, overlap in cases:
+            for seed in range(3):
+                assert_shards_equal_the_mask_oracle(g, num_clients, overlap, seed)
+        for levels in (1, 2):
+            with monkeypatch.context() as tied:
+                tied.setattr(np.random, "default_rng", lambda seed: TiedKeys(seed, levels))
+                for num_clients, overlap in cases:
+                    assert_shards_equal_the_mask_oracle(g, num_clients, overlap, 4)
+
+
+class TiedKeys:
+    """A generator whose keys take few values, so rows have ties."""
+
+    def __init__(self, seed, levels):
+        self._rng = REAL_DEFAULT_RNG(seed)
+        self._levels = levels
+
+    def random(self, shape):
+        return self._rng.integers(0, self._levels, size=shape) / self._levels
+
+
+REAL_DEFAULT_RNG = np.random.default_rng
 
 
 class TestShardIO:
