@@ -4,12 +4,12 @@ Subcommands: run (experiment trials to CSV/JSONL; with --axis and
 --values, a one-axis sweep whose records go to the same writer, plus a
 per-point summary; --labels-out gets every labeling and trial shard),
 metric (score two label CSVs), verify (dataset counts against expected
-values). Flag values override config-file values, which override
-defaults; the FEDSPECTRAL_DATA_DIR environment variable supplies the
-default dataset directory. Output paths are checked before the dataset
-is read: --labels-out must be new or empty, and an --output or --summary
-file must lie in an existing directory. Errors and warnings print as one
-'error:' or 'warning:' line.
+values). Each ExperimentConfig field is set by one flag of run, or
+keeps its default; the FEDSPECTRAL_DATA_DIR environment variable
+supplies the default dataset directory. Output paths are checked before
+the dataset is read: --labels-out must be new or empty, and an --output
+or --summary file must lie in an existing directory. Errors and warnings
+print as one 'error:' or 'warning:' line.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from .experiment import (
     ALGORITHMS,
     SWEEP_AXES,
     ExperimentConfig,
-    parse_config_file,
     parse_config_value,
     run_experiment,
     sweep,
@@ -43,18 +42,10 @@ _USER_ERRORS = (ConfigError, ContractError, ParseError, RankError, ConvergenceEr
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig(dataset_path="")
-    if args.config:
-        cfg = dataclasses.replace(cfg, **parse_config_file(args.config))
-    overrides = {}
-    for field in dataclasses.fields(ExperimentConfig):
-        value = getattr(args, field.name)
-        if value is not None:
-            overrides[field.name] = value
-    cfg = dataclasses.replace(cfg, **overrides)
-    if not cfg.dataset_path:
-        raise ConfigError("no dataset given (use --dataset or a config file)")
-    return cfg
+    if not args.dataset_path:
+        raise ConfigError("no dataset given (use --dataset)")
+    values = {f.name: getattr(args, f.name) for f in dataclasses.fields(ExperimentConfig)}
+    return ExperimentConfig(**{name: v for name, v in values.items() if v is not None})
 
 
 def _require_empty_dir(path, flag: str) -> None:
@@ -73,10 +64,10 @@ def _cmd_run(args) -> int:
         raise ConfigError("--labels-out does not take --axis")
     _require_empty_dir(args.labels_out, "--labels-out")
     cfg = _build_config(args)
-    default_summary = cfg.output_path and f"{cfg.output_path}.summary.csv"
+    default_summary = args.output and f"{args.output}.summary.csv"
     summary_path = args.axis and (args.summary or default_summary)
     # checked, not opened, so that a bad path fails before any trial
-    for flag, path in (("--output", cfg.output_path), ("--summary", summary_path)):
+    for flag, path in (("--output", args.output), ("--summary", summary_path)):
         if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
             raise ConfigError(f"{flag} {path} must name a file in an existing directory")
     progress = functools.partial(print, file=sys.stderr)
@@ -88,13 +79,13 @@ def _cmd_run(args) -> int:
         points = sweep(cfg, args.axis, values, progress=progress)
         records = [r for _, point_records in points for r in point_records]
     writer = write_records_jsonl if args.json else write_records_csv
-    writer(records, cfg.output_path or sys.stdout)
+    writer(records, args.output or sys.stdout)
     if args.axis is None:
         sims = np.array([r.similarity for r in records])
         progress(f"{cfg.algo}: median similarity {np.median(sims):.4f} over {len(sims)} trials")
     elif summary_path:
         write_sweep_summary_csv(points, args.axis, summary_path)
-        progress(f"wrote {' and '.join(filter(None, (cfg.output_path, summary_path)))}")
+        progress(f"wrote {' and '.join(filter(None, (args.output, summary_path)))}")
     return 0
 
 
@@ -130,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run an experiment, or one per --values of --axis")
-    run_p.add_argument("--config", help="key = value config file")
     run_p.add_argument("--dataset", dest="dataset_path", metavar="DATASET",
                        help="edge-list path (resolved against $FEDSPECTRAL_DATA_DIR)")
     run_p.add_argument("--algo", choices=ALGORITHMS)
@@ -141,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--overlap", type=float)
     run_p.add_argument("--seed", type=int, dest="master_seed")
     run_p.add_argument("--trials", type=int, dest="num_trials")
-    run_p.add_argument("--output", dest="output_path",
+    run_p.add_argument("--output",
                        help="file for the CSV records, or for the JSON lines of --json "
                             "(stdout when omitted)")
     run_p.add_argument("--json", action="store_true", help="emit JSON lines instead of CSV")

@@ -12,12 +12,12 @@ every axis is a record column, so a sweep's records serialize like a
 run's, and only its per-point summary (``write_sweep_summary_csv``)
 names the axis.
 
-The two dataclasses are the schema. Config-file keys are the
-``ExperimentConfig`` field names, each value is parsed by its field's type
-(``parse_config_value``), and ``none`` or an empty value clears an
-optional field. Record columns (CSV, in declaration order) and keys (JSON
-lines) are the ``ResultRecord`` field names; a None value (``converged``
-of an algorithm without rounds) is an empty CSV cell and a JSON null.
+The two dataclasses are the schema. Each ``ExperimentConfig`` field is
+set by one flag of ``fedspectral run``, and a sweep value is parsed by
+its field's type (``parse_config_value``). Record columns (CSV, in
+declaration order) and keys (JSON lines) are the ``ResultRecord`` field
+names; a None value (``converged`` of an algorithm without rounds) is an
+empty CSV cell and a JSON null.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import fedspectral_server
-from .errors import ConfigError, _read_text
+from .errors import ConfigError
 from .fedplus import run_fedspectral_plus, settled
 from .graph import Graph, load_edge_list, read_arcs
 from .linalg import global_spectral_clustering
@@ -60,7 +60,6 @@ __all__ = [
     "SWEEP_AXES",
     "verify_dataset",
     "parse_config_value",
-    "parse_config_file",
     "write_records_csv",
     "write_records_jsonl",
     "write_sweep_summary_csv",
@@ -77,7 +76,7 @@ REFERENCE_SEED_BASE = 2023
 
 @dataclass
 class ExperimentConfig:
-    """One experiment: dataset, algorithm, shape, seeds, output."""
+    """One experiment: dataset, algorithm, shape and seeds."""
 
     dataset_path: str
     algo: str = "fedspectral_plus"
@@ -88,7 +87,6 @@ class ExperimentConfig:
     overlap: float = 0.4
     master_seed: int = 0
     num_trials: int = 5
-    output_path: str | None = None
 
 
 _DEFAULTS = ExperimentConfig(dataset_path="")
@@ -416,57 +414,24 @@ def verify_dataset(
     )
 
 
-# ---------------------------------------------------------------------------
-# Config files: one "key = value" line per key, '#' comments, CLI overrides win.
-# ---------------------------------------------------------------------------
-
 _TYPE_NAMES = {int: "an integer", float: "a float"}
 
 
 def parse_config_value(name: str, raw: str):
     """Parse the text ``raw`` as a value of the ExperimentConfig field ``name``.
 
-    The field's type decides: ``int``, ``float`` and ``str`` call the type;
-    ``X | None`` also takes ``none`` or an empty value as None. Surrounding
-    spaces are ignored.
+    The field's type (``int``, ``float`` or ``str``) is called on ``raw``
+    with its surrounding spaces removed.
     """
     try:
         kind = _CONFIG_TYPES[name]
     except KeyError:
         raise ConfigError(f"unknown config key {name!r}") from None
     raw = raw.strip()
-    members = typing.get_args(kind)
-    if type(None) in members:
-        if raw.lower() in ("", "none"):
-            return None
-        (kind,) = (m for m in members if m is not type(None))
     try:
         return kind(raw)
     except ValueError:
         raise ConfigError(f"{name} must be {_TYPE_NAMES[kind]}, got {raw!r}") from None
-
-
-def parse_config_file(path) -> dict:
-    """Parse a key = value config file into typed ExperimentConfig values.
-
-    A byte that is not UTF-8 raises ParseError naming the file and line.
-    """
-    values = {}
-    first_line = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(_read_text(fh).split("\n"), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = (part.strip() for part in line.partition("="))
-            if key in first_line:
-                where = f"{path}:{lineno}: key {key!r}"
-                raise ConfigError(f"{where} repeated (first on line {first_line[key]})")
-            first_line[key] = lineno
-            values[key] = parse_config_value(key, value)
-    return values
 
 
 # ---------------------------------------------------------------------------

@@ -134,13 +134,37 @@ class Graph:
         return _scaled_adjacency(self, laplacian=True)
 
 
-def _int_pairs(lines: list[str]) -> np.ndarray | None:
-    """Lines as an int64 (E, 2) array, or None unless each is two int64 tokens."""
+def _int_pairs(lines: list[str], delimiter: str | None = None) -> np.ndarray | None:
+    """Lines as an int64 (E, 2) array, or None unless each is two int64
+    cells, split at ``delimiter`` (whitespace when None)."""
     try:
-        arr = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        arr = np.loadtxt(lines, dtype=np.int64, delimiter=delimiter, comments=None, ndmin=2)
     except ValueError:
         return None
     return arr if arr.shape[1] == 2 else None
+
+
+def _parse_int_pairs(
+    data: list[str], numbers: list[int], delimiter: str | None = None
+) -> np.ndarray:
+    """_int_pairs of the data lines ``data``, whose line numbers are
+    ``numbers``; the first line that is not two int64 cells raises the
+    ParseError that names it."""
+    pairs = _int_pairs(data, delimiter)
+    if pairs is None:
+        # a run of lines parses exactly when each of its lines does, so halve
+        # the failing run [lo, hi) down to its first bad line; every line
+        # before lo is good
+        lo, hi = 0, len(data)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _int_pairs(data[lo:mid], delimiter) is None:
+                hi = mid
+            else:
+                lo = mid
+        msg = f"expected two integers in the int64 range, got {data[lo]!r}"
+        raise ParseError(f"line {numbers[lo]}: {msg}")
+    return pairs
 
 
 def parse_arcs(text: str) -> np.ndarray:
@@ -203,21 +227,7 @@ def _parse_lines(lines: list[str]) -> np.ndarray:
             numbers.append(lineno)
     if not data:
         raise ParseError("empty edge list: no data lines")
-    arcs = _int_pairs(data)
-    if arcs is None:
-        # a run of lines parses exactly when each of its lines does, so halve
-        # the failing run [lo, hi) down to its first bad line; every line
-        # before lo is good
-        lo, hi = 0, len(data)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _int_pairs(data[lo:mid]) is None:
-                hi = mid
-            else:
-                lo = mid
-        msg = f"expected two integers in the int64 range, got {data[lo]!r}"
-        raise ParseError(f"line {numbers[lo]}: {msg}")
-    return arcs
+    return _parse_int_pairs(data, numbers)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, ParseError, _read_text
+from .graph import _parse_int_pairs
 
 __all__ = ["cluster_similarity", "write_labels_csv", "read_labels_csv"]
 
@@ -59,42 +60,48 @@ def write_labels_csv(path, labels, node_ids=None) -> None:
     )
     if len(ids) != len(labels):
         raise ContractError("node_ids and labels length mismatch")
+    cells = [None] * (2 * len(labels))
+    cells[0::2], cells[1::2] = ids.tolist(), labels.tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("node_id,label\n")
-        for i, lab in zip(ids, labels):
-            fh.write(f"{int(i)},{int(lab)}\n")
+        # one %-format over Python numbers, as serialize_edge_list writes
+        fh.write("node_id,label\n" + ("%d,%d\n" * len(labels)) % tuple(cells))
 
 
 def read_labels_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Read a (node_id, label) CSV; returns (node_ids, labels) sorted by id.
 
-    Raises ParseError, naming the file and the line, on a malformed line,
-    on a node id listed twice and on a byte that is not UTF-8.
+    A first line starting with ``node_id`` is a header, and blank lines
+    are skipped. Every other line is two integers split at one comma, by
+    the edge list's rule: ASCII digits with an optional sign, in the int64
+    range. Raises ParseError, naming the file and the line, on any other
+    line, on a node id listed twice and on a byte that is not UTF-8.
     """
-    first_line = {}
-    labels = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(_read_text(fh).split("\n"), start=1):
-            line = raw.strip()
-            if not line or (lineno == 1 and line.lower().startswith("node_id")):
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(f"{path}: line {lineno}: expected node_id,label")
-            try:
-                node, label = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: non-integer field") from None
-            if node in first_line:
-                raise ParseError(
-                    f"{path}: line {lineno}: node id {node} repeated "
-                    f"(first on line {first_line[node]})"
-                )
-            first_line[node] = lineno
-            labels.append(label)
-    if not labels:
+        lines = _read_text(fh).split("\n")
+    data, numbers = [], []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or (lineno == 1 and line.lower().startswith("node_id")):
+            continue
+        if line.count(",") != 1:
+            raise ParseError(f"{path}: line {lineno}: expected node_id,label")
+        data.append(line)
+        numbers.append(lineno)
+    if not data:
         raise ParseError(f"{path}: empty labels file")
-    ids_arr = np.fromiter(first_line, dtype=np.int64, count=len(first_line))
-    labels_arr = np.asarray(labels, dtype=np.int64)
-    order = np.argsort(ids_arr, kind="stable")
-    return ids_arr[order], labels_arr[order]
+    try:
+        pairs = _parse_int_pairs(data, numbers, delimiter=",")
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    order = np.argsort(pairs[:, 0], kind="stable")
+    ids, labels = pairs[order, 0], pairs[order, 1]
+    repeats = np.flatnonzero(ids[1:] == ids[:-1])
+    if repeats.size:
+        # the stable sort keeps an id's lines in file order, so the first
+        # line to repeat an id follows that id's first line in ``order``
+        r = repeats[np.argmin(order[repeats + 1])]
+        raise ParseError(
+            f"{path}: line {numbers[order[r + 1]]}: node id {ids[r]} repeated "
+            f"(first on line {numbers[order[r]]})"
+        )
+    return ids, labels

@@ -49,19 +49,28 @@ def test_run_writes_csv(dataset_file, tmp_path, capsys):
     assert "median similarity" in capsys.readouterr().err
 
 
-def test_run_stdout_and_config_file(dataset_file, tmp_path, capsys):
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        f"dataset_path = {dataset_file}\n"
-        "algo = global\n"
-        "num_clusters = 2\n"
-        "num_trials = 1\n"
-    )
-    code = main(["run", "--config", str(cfg)])
+def test_run_writes_records_to_stdout(dataset_file, capsys):
+    code = main(["run", "--dataset", str(dataset_file), "--algo", "global",
+                 "--clusters", "2", "--trials", "1"])
     assert code == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].startswith("dataset,algo,")
-    assert ",global," in out.splitlines()[1]
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 2
+    assert out[0].startswith("dataset,algo,")
+    assert out[1].startswith(f"{dataset_file},global,")
+
+
+def test_config_flag_is_retired(dataset_file, tmp_path, capsys):
+    config = tmp_path / "exp.cfg"
+    config.write_text(f"dataset_path = {dataset_file}\nnum_clusters = 2\n")
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(config), "--trials", "1", "--output", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --config" in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_run_missing_dataset_errors(capsys):
@@ -75,7 +84,7 @@ def test_run_without_a_dataset_errors(capsys):
     assert code == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "error: no dataset given (use --dataset or a config file)\n"
+    assert err == "error: no dataset given (use --dataset)\n"
 
 
 def test_run_unconverged_reference_errors(dataset_file, monkeypatch, capsys):
@@ -93,33 +102,36 @@ def test_run_unconverged_reference_errors(dataset_file, monkeypatch, capsys):
     assert "ARPACK did not converge" in lines[0]
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
+@pytest.mark.parametrize("command", ["run", "verify", "metric-id", "metric-label"])
 def test_id_outside_int64_errors(command, tmp_path, capsys):
     path = tmp_path / "huge_id.txt"
-    path.write_text("0 1\n# c\n99999999999999999999 1\n")
+    path.write_text({
+        "metric-id": "node_id,label\n0,1\n99999999999999999999,1\n",
+        "metric-label": "node_id,label\n0,1\n1,99999999999999999999\n",
+    }.get(command, "0 1\n# c\n99999999999999999999 1\n"))
+    good_labels = tmp_path / "good.csv"
+    write_labels_csv(good_labels, [0, 1])
     argv = {
         "run": ["run", "--dataset", str(path), "--clusters", "2"],
         "verify": ["verify", "--dataset", str(path), "--expect-nodes", "3", "--expect-edges", "2"],
-    }[command]
+    }.get(command, ["metric", str(good_labels), str(path)])
     assert main(argv) == 1
     captured = capsys.readouterr()
+    assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith("error:") and "line 3" in lines[0]
+    assert lines[0].startswith(f"error: {path}: line 3: ")
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("command", ["verify", "run", "sweep", "metric", "config"])
-def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["verify", "run", "sweep", "metric"])
+def test_non_utf8_input_errors(command, tmp_path, capsys):
     # one reader a case: verify_dataset, load_edge_list (run and run
-    # --axis), read_labels_csv (metric) and parse_config_file (config)
+    # --axis) and read_labels_csv (metric)
     bad = tmp_path / "latin1.txt"
     good_labels = tmp_path / "good.csv"
     write_labels_csv(good_labels, [0, 1])
-    content = {
-        "metric": b"node_id,label\n0,0\n\xff,1\n",
-        "config": b"algo = global\n\r\n# caf\xe9\n",
-    }.get(command, b"0 1\n\xff 2\n")
+    content = b"node_id,label\n0,0\n\xff,1\n" if command == "metric" else b"0 1\n\xff 2\n"
     bad.write_bytes(content)
     dataset = ["--dataset", str(bad)]
     argv = {
@@ -128,15 +140,13 @@ def test_non_utf8_input_errors(command, dataset_file, tmp_path, capsys):
         "sweep": ["run", *dataset, "--clusters", "2", "--axis", "global_rounds",
                   "--values", "1"],
         "metric": ["metric", str(good_labels), str(bad)],
-        "config": ["run", "--config", str(bad), "--dataset", str(dataset_file)],
     }[command]
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     lines = captured.err.splitlines()
-    line = 3 if command in ("metric", "config") else 2
-    byte = "0xe9" if command == "config" else "0xff"
-    assert lines == [f"error: {bad}: line {line}: not UTF-8 text (byte {byte})"]
+    line = 3 if command == "metric" else 2
+    assert lines == [f"error: {bad}: line {line}: not UTF-8 text (byte 0xff)"]
     assert "Traceback" not in captured.err
 
 
@@ -349,8 +359,8 @@ def test_sweep_command_is_retired(dataset_file, tmp_path, capsys):
 
 
 def test_settable_value_count():
-    # every argument of every subcommand, help excluded, plus every config
-    # key: a new option or key must change these numbers
+    # every argument of every subcommand, help excluded, plus every
+    # ExperimentConfig field: a new option or field must change these numbers
     (subcommands,) = (
         a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     )
@@ -358,9 +368,9 @@ def test_settable_value_count():
         name: sum(not isinstance(a, argparse._HelpAction) for a in command._actions)
         for name, command in subcommands.choices.items()
     }
-    assert counts == {"run": 16, "metric": 2, "verify": 4}
-    assert len(dataclasses.fields(ExperimentConfig)) == 10
-    assert sum(counts.values()) + len(dataclasses.fields(ExperimentConfig)) == 32
+    assert counts == {"run": 15, "metric": 2, "verify": 4}
+    assert len(dataclasses.fields(ExperimentConfig)) == 9
+    assert sum(counts.values()) == 21
 
 
 def test_flags_set_every_config_field():
@@ -376,7 +386,6 @@ def test_flags_set_every_config_field():
             "--overlap", "0.25",
             "--seed", "11",
             "--trials", "9",
-            "--output", "out/records.csv",
         ]
     )
     cfg = _build_config(args)
@@ -390,7 +399,6 @@ def test_flags_set_every_config_field():
         overlap=0.25,
         master_seed=11,
         num_trials=9,
-        output_path="out/records.csv",
     )
     default = ExperimentConfig(dataset_path="")
     for field in dataclasses.fields(ExperimentConfig):

@@ -17,7 +17,6 @@ from fedspectral.experiment import (
     ExperimentConfig,
     ResultRecord,
     compute_reference,
-    parse_config_file,
     parse_config_value,
     reference_seed,
     resolve_dataset_path,
@@ -88,75 +87,14 @@ class TestConfig:
             validate_config(cfg2)
         assert any("global_rounds is ignored" in str(w.message) for w in caught)
 
-    def test_config_file_parse_and_override(self, dataset_file, tmp_path):
-        cfg_file = tmp_path / "exp.cfg"
-        cfg_file.write_text(
-            "# sample config\n"
-            f"dataset_path = {dataset_file}\n"
-            "algo = fedspectral\n"
-            "num_clients = 4\n"
-            "overlap = 0.25\n"
-        )
-        values = parse_config_file(cfg_file)
-        cfg = dataclasses.replace(ExperimentConfig(dataset_path=""), **values)
-        assert cfg.algo == "fedspectral"
-        assert cfg.num_clients == 4
-        assert cfg.overlap == 0.25
-        overridden = dataclasses.replace(cfg, num_clients=6)
-        assert overridden.num_clients == 6
-
-    def test_config_file_errors(self, tmp_path):
-        bad = tmp_path / "bad.cfg"
-        bad.write_text("nonsense_key = 3\n")
-        with pytest.raises(ConfigError, match="unknown config key"):
-            parse_config_file(bad)
-        bad.write_text("num_clients = many\n")
-        with pytest.raises(ConfigError, match="integer"):
-            parse_config_file(bad)
-        bad.write_text("just a line\n")
-        with pytest.raises(ConfigError, match="key = value"):
-            parse_config_file(bad)
-        bad.write_text("iters = 2\n# again\niters = 5\n")
-        with pytest.raises(ConfigError) as excinfo:
-            parse_config_file(bad)
-        assert str(excinfo.value) == f"{bad}:3: key 'iters' repeated (first on line 1)"
-
-    def test_config_file_round_trip_every_field(self, tmp_path):
-        expected = ExperimentConfig(
-            dataset_path="data/email-Eu-core.txt",
-            algo="fedspectral",
-            num_clients=4,
-            num_clusters=42,
-            iters=3,
-            global_rounds=7,
-            overlap=0.25,
-            master_seed=11,
-            num_trials=9,
-            output_path="out/records.csv",
-        )
-        default = ExperimentConfig(dataset_path="")
-        for field in dataclasses.fields(ExperimentConfig):
-            assert getattr(expected, field.name) != getattr(default, field.name)
-        cfg_file = tmp_path / "every.cfg"
-        cfg_file.write_text(
-            "".join(
-                f"{f.name} = {getattr(expected, f.name)}\n"
-                for f in dataclasses.fields(ExperimentConfig)
-            )
-        )
-        assert dataclasses.replace(default, **parse_config_file(cfg_file)) == expected
-
-        cfg_file.write_text("output_path = none\n")
-        assert dataclasses.replace(expected, **parse_config_file(cfg_file)) == (
-            dataclasses.replace(expected, output_path=None)
-        )
+    def test_output_path_is_not_a_field(self, dataset_file):
+        # the output file is the CLI's --output, not part of an experiment
+        with pytest.raises(TypeError, match="output_path"):
+            make_cfg(dataset_file, output_path="out/records.csv")
 
     @pytest.mark.parametrize(
         "name, raw, value",
         [
-            ("output_path", "", None),
-            ("output_path", " None ", None),
-            ("output_path", " out.csv ", "out.csv"),
             ("num_clients", "3", 3),
             ("dataset_path", "none", "none"),
             ("algo", " global ", "global"),

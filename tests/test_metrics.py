@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -97,6 +99,35 @@ class TestLabelsCSV:
             read_labels_csv(path)
         path.write_text("node_id,label\n0,1\n0,2\n1,1\n")
         with pytest.raises(ParseError, match="line 3: node id 0 repeated"):
+            read_labels_csv(path)
+        # the first line that repeats any id is named, with that id's first line
+        path.write_text("node_id,label\n5,1\n3,1\n3,2\n5,2\n5,3\n")
+        with pytest.raises(ParseError, match=r"line 4: node id 3 repeated \(first on line 3\)$"):
+            read_labels_csv(path)
+
+    def test_exact_bytes(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        write_labels_csv(path, np.array([1, 0, 1]), node_ids=np.array([10, 11, 12]))
+        assert path.read_bytes() == b"node_id,label\n10,1\n11,0\n12,1\n"
+        write_labels_csv(path, [5, -6])
+        assert path.read_bytes() == b"node_id,label\n0,5\n1,-6\n"
+        write_labels_csv(path, [])
+        assert path.read_bytes() == b"node_id,label\n"
+
+    @pytest.mark.parametrize(
+        "line",
+        ["1_0,1", "1,1_0", "\u0661,1", "1,\u0661", "99999999999999999999,1",
+         "1,-99999999999999999999"],
+        ids=["id-underscore", "label-underscore", "id-arabic-digit", "label-arabic-digit",
+             "id-above-int64", "label-below-int64"],
+    )
+    def test_cell_outside_the_edge_list_integer_rule(self, tmp_path, line):
+        # int() takes '1_0' as 10 and non-ASCII digits; the edge list's
+        # reader and this one do not
+        path = tmp_path / "bad.csv"
+        path.write_text(f"node_id,label\n0,1\n\n{line}\n", encoding="utf-8")
+        expected = f"bad.csv: line 4: expected two integers in the int64 range, got {line!r}"
+        with pytest.raises(ParseError, match=re.escape(expected) + "$"):
             read_labels_csv(path)
 
     def test_line_without_a_comma(self, tmp_path):
