@@ -140,8 +140,6 @@ def _twin_embedding(q: TwinQuotient, k: int, seed: int) -> np.ndarray:
     if m >= k:
         below = within < quotient_vals[-1]
         twins, within = twins[below], within[below]
-    if not len(twins):
-        return lifted
 
     # the first min(n_a - 1, k) Helmert vectors of each class, as (eigenvalue, class, t)
     pairs = sorted(

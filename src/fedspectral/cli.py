@@ -8,8 +8,9 @@ values). Each ExperimentConfig field is set by one flag of run, or
 keeps its default; the FEDSPECTRAL_DATA_DIR environment variable
 supplies the default dataset directory. Output paths are checked before
 the dataset is read: --labels-out must be new or empty, and an --output
-or --summary file must lie in an existing directory. Errors and warnings
-print as one 'error:' or 'warning:' line.
+or --summary file must lie in an existing directory, and be neither the
+dataset, the other output, nor inside --labels-out (compared as real
+paths). Errors and warnings print as one 'error:' or 'warning:' line.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .experiment import (
     SWEEP_AXES,
     ExperimentConfig,
     parse_config_value,
+    resolve_dataset_path,
     run_experiment,
     sweep,
     verify_dataset,
@@ -66,10 +68,21 @@ def _cmd_run(args) -> int:
     cfg = _build_config(args)
     default_summary = args.output and f"{args.output}.summary.csv"
     summary_path = args.axis and (args.summary or default_summary)
-    # checked, not opened, so that a bad path fails before any trial
+    # checked, not opened, so that a bad path fails before any trial; no
+    # output may overwrite the dataset, the other output or a --labels-out file
+    taken = {os.path.realpath(resolve_dataset_path(cfg.dataset_path)): "the dataset"}
+    labels_out = args.labels_out and os.path.realpath(args.labels_out)
     for flag, path in (("--output", args.output), ("--summary", summary_path)):
-        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
             raise ConfigError(f"{flag} {path} must name a file in an existing directory")
+        if real in taken:
+            raise ConfigError(f"{flag} {path} would overwrite {taken[real]}")
+        if labels_out and os.path.commonpath([real, labels_out]) == labels_out:
+            raise ConfigError(f"{flag} {path} lies inside --labels-out {args.labels_out}")
+        taken[real] = flag
     progress = functools.partial(print, file=sys.stderr)
     if args.axis is None:
         records = run_experiment(cfg, labels_dir=args.labels_out, progress=progress)

@@ -41,7 +41,7 @@ from .fedplus import run_fedspectral_plus, settled
 from .graph import Graph, load_edge_list, read_arcs
 from .linalg import global_spectral_clustering
 from .metrics import cluster_similarity, write_labels_csv
-from .partition import ClientShard, distribute_edges, write_shard
+from .partition import ClientShard, distribute_edges, replication_count, write_shard
 from .seeding import derive_seed, partition_seed, trial_seed
 
 __all__ = [
@@ -100,15 +100,18 @@ _IRRELEVANT_FIELDS = {
 }
 
 
+def _unknown_algo(algo: str) -> ConfigError:
+    return ConfigError(f"algo must be one of {ALGORITHMS}, got {algo!r}")
+
+
 def validate_config(cfg: ExperimentConfig) -> None:
     """Raise ConfigError on invalid fields; warn on algo-irrelevant ones."""
     if cfg.algo not in ALGORITHMS:
-        raise ConfigError(f"algo must be one of {ALGORITHMS}, got {cfg.algo!r}")
-    for name in ("num_clients", "num_clusters", "iters", "global_rounds", "num_trials"):
+        raise _unknown_algo(cfg.algo)
+    replication_count(cfg.overlap, cfg.num_clients)
+    for name in ("num_clusters", "iters", "global_rounds", "num_trials"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
-    if not 0.0 < cfg.overlap <= 1.0:
-        raise ConfigError(f"overlap must be in (0, 1], got {cfg.overlap}")
     for name in _IRRELEVANT_FIELDS[cfg.algo]:
         if getattr(cfg, name) != getattr(_DEFAULTS, name):
             warnings.warn(
@@ -210,31 +213,34 @@ def run_single_trial(
     STOP_DRIFT) rather than merely reached the ``global_rounds`` cap;
     it is None for the other algorithms. The trial hands the protocol
     its shards one at a time, so each dies once its client is built.
+    An algo outside ALGORITHMS raises validate_config's ConfigError.
     """
     flags, round_drift, client_labelings = [], [], []
     converged = None
     start = time.perf_counter()
     if cfg.algo == "global":
         labels = reference
-    else:
+    elif cfg.algo == "fedspectral":
         shards = _trial_shards(graph, cfg, seed)
-        if cfg.algo == "fedspectral":
-            flags = [
-                f"degenerate shard {sh.client_id}: no edges"
-                for sh in shards
-                if sh.num_edges == 0
-            ]
-            labels, client_labelings = fedspectral_server(shards, cfg.num_clusters, seed)
-        else:
-            labels, _ = run_fedspectral_plus(
-                _hand_over(shards),
-                cfg.num_clusters,
-                seed,
-                iters=cfg.iters,
-                global_rounds=cfg.global_rounds,
-                on_round=lambda _t, _previous, _basis, drift: round_drift.append(drift),
-            )
-            converged = settled(round_drift[-1])
+        flags = [
+            f"degenerate shard {sh.client_id}: no edges"
+            for sh in shards
+            if sh.num_edges == 0
+        ]
+        labels, client_labelings = fedspectral_server(shards, cfg.num_clusters, seed)
+    elif cfg.algo == "fedspectral_plus":
+        shards = _trial_shards(graph, cfg, seed)
+        labels, _ = run_fedspectral_plus(
+            _hand_over(shards),
+            cfg.num_clusters,
+            seed,
+            iters=cfg.iters,
+            global_rounds=cfg.global_rounds,
+            on_round=lambda _t, _previous, _basis, drift: round_drift.append(drift),
+        )
+        converged = settled(round_drift[-1])
+    else:
+        raise _unknown_algo(cfg.algo)
     wallclock_ms = (time.perf_counter() - start) * 1000.0
     similarity = cluster_similarity(reference, labels)
     record = ResultRecord(

@@ -355,8 +355,8 @@ def run_fedspectral_plus(
     num_clusters: int,
     seed: int,
     *,
-    iters: int = 1,
-    global_rounds: int = 1,
+    iters: int,
+    global_rounds: int,
     on_round=None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Full protocol: random orthonormal start, rounds, final k-means.

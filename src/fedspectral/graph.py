@@ -118,9 +118,8 @@ class Graph:
     def degrees(self) -> np.ndarray:
         """Weighted degree of every node (length num_nodes)."""
         d = np.zeros(self.num_nodes, dtype=np.float64)
-        if self.num_edges:
-            np.add.at(d, self.edges[:, 0], self.weights)
-            np.add.at(d, self.edges[:, 1], self.weights)
+        np.add.at(d, self.edges[:, 0], self.weights)
+        np.add.at(d, self.edges[:, 1], self.weights)
         return d
 
     def normalized_laplacian(self) -> sparse.csr_array:

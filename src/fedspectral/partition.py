@@ -55,8 +55,10 @@ def replication_count(overlap: float, num_clients: int) -> int:
     """Map an overlap fraction to a per-edge replication count.
 
     r = max(1, round(overlap * C)) with ties rounding up; always within
-    1..C for overlap in (0, 1].
+    1..C for overlap in (0, 1] and C >= 1.
     """
+    if num_clients < 1:
+        raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
     if not 0.0 < overlap <= 1.0:
         raise ConfigError(f"overlap must be in (0, 1], got {overlap}")
     return max(1, int(math.floor(overlap * num_clients + 0.5)))
@@ -72,8 +74,6 @@ def distribute_edges(
     the union of all shards is the global edge set, and the output is
     deterministic for a fixed seed.
     """
-    if num_clients < 1:
-        raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
     r = replication_count(overlap, num_clients)
 
     rng = np.random.default_rng(seed)
@@ -81,25 +81,22 @@ def distribute_edges(
     # client-major, so each client's row of the mask is contiguous
     member = np.zeros((num_clients, num_edges), dtype=bool)
     if num_edges:
-        if r == num_clients:
-            member[:] = True
-        else:
-            # the r smallest of C iid uniform keys form a uniform r-subset;
-            # stable argsort keeps the draw reproducible across versions
-            # and breaks a tie between keys towards the lower client
-            keys = rng.random((num_edges, num_clients))
-            # edge e's j-th client c is flat entry c * E + e of the mask;
-            # one scatter per rank is cheaper than one 2-d fancy index.
-            # Sorted in row blocks, so no E x C order array ever exists
-            flat = member.reshape(-1)
-            step = max(1, SORT_BLOCK // num_clients)
-            for lo in range(0, num_edges, step):
-                order = np.argsort(keys[lo : lo + step], axis=1, kind="stable")
-                edge = np.arange(lo, lo + len(order))
-                for j in range(r):
-                    flat[order[:, j] * num_edges + edge] = True
-            # the E x C keys are freed before the shards are built
-            del keys, order
+        # the r smallest of C iid uniform keys form a uniform r-subset;
+        # stable argsort keeps the draw reproducible across versions
+        # and breaks a tie between keys towards the lower client
+        keys = rng.random((num_edges, num_clients))
+        # edge e's j-th client c is flat entry c * E + e of the mask;
+        # one scatter per rank is cheaper than one 2-d fancy index.
+        # Sorted in row blocks, so no E x C order array ever exists
+        flat = member.reshape(-1)
+        step = max(1, SORT_BLOCK // num_clients)
+        for lo in range(0, num_edges, step):
+            order = np.argsort(keys[lo : lo + step], axis=1, kind="stable")
+            edge = np.arange(lo, lo + len(order))
+            for j in range(r):
+                flat[order[:, j] * num_edges + edge] = True
+        # the E x C keys are freed before the shards are built
+        del keys, order
 
     # each shard's edges by index, in global order: np.take gathers the
     # rows several times faster than a boolean mask or ``g.edges[picked]``
@@ -114,7 +111,7 @@ def distribute_edges(
     ]
 
 
-def write_shard(shard: ClientShard, path, seed: int | None = None, node_ids=None) -> None:
+def write_shard(shard: ClientShard, path, seed: int, node_ids=None) -> None:
     """Write a shard as SNAP edge-list text with a provenance header.
 
     ``node_ids`` maps the shard's contiguous ids back to the dataset's
@@ -127,9 +124,6 @@ def write_shard(shard: ClientShard, path, seed: int | None = None, node_ids=None
     """
     if (shard.weights != 1.0).any():
         raise ContractError("shard files store unit weights only")
-    comments = [f"client_id: {shard.client_id}"]
-    if seed is not None:
-        comments.append(f"seed: {seed}")
-    comments.append(f"nodes: {shard.num_nodes}")
+    comments = [f"client_id: {shard.client_id}", f"seed: {seed}", f"nodes: {shard.num_nodes}"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize_edge_list(shard, comments, node_ids))

@@ -301,6 +301,34 @@ def test_bad_output_path_fails_before_any_trial(
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--axis", "iters", "--values", "1,2", "--output", "out.csv", "--summary", "out.csv"],
+         "--summary out.csv would overwrite --output"),
+        (["--output", "six.txt"], "--output six.txt would overwrite the dataset"),
+        (["--labels-out", "L", "--output", "L/reference_labels.csv"],
+         "--output L/reference_labels.csv lies inside --labels-out L"),
+    ],
+    ids=["summary-is-output", "output-is-dataset", "output-in-labels-out"],
+)
+def test_output_may_not_overwrite_an_input_or_output(
+    dataset_file, tmp_path, monkeypatch, capsys, flags, message
+):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "six.txt").write_bytes(dataset_file.read_bytes())
+    (tmp_path / "out.csv").write_text("kept\n")
+    (tmp_path / "L").mkdir()
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    argv = ["run", "--dataset", "six.txt", "--clusters", "2", "--trials", "1", *flags]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: {message}"]
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, tmp_path / "L"])
+    assert {p: p.read_bytes() for p in before} == before
+
+
+@pytest.mark.parametrize(
     "axis, values", [("iters", "abc"), ("overlap", "0.4,x"), ("algo", "global,nope")]
 )
 def test_run_bad_values(dataset_file, capsys, axis, values):

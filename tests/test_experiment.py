@@ -314,6 +314,18 @@ class TestRun:
         )
         assert client_labelings == []
 
+    @pytest.mark.parametrize("algo", ["fedspectral+", "bogus"])
+    def test_unknown_algo_raises_the_config_error(self, dataset_file, algo):
+        # run_single_trial takes an unvalidated config: no algo falls through to another
+        cfg = make_cfg(dataset_file, algo=algo)
+        graph = load_edge_list(dataset_file)
+        with pytest.raises(ConfigError) as trial:
+            run_single_trial(graph, np.zeros(graph.num_nodes, dtype=np.int64), cfg, 0)
+        with pytest.raises(ConfigError) as validated:
+            validate_config(cfg)
+        assert str(trial.value) == str(validated.value)
+        assert str(trial.value) == f"algo must be one of {ALGORITHMS}, got {algo!r}"
+
     @pytest.mark.parametrize("algo", ALGORITHMS)
     def test_only_the_run_writes_files(self, dataset_file, tmp_path, monkeypatch, algo):
         # the run writes every label file around its trials, never inside one

@@ -514,17 +514,17 @@ class TestProtocol:
     def test_config_validation(self):
         shards = [path_shard()]
         with pytest.raises(ConfigError):
-            run_fedspectral_plus(shards, num_clusters=0, seed=0)
+            run_fedspectral_plus(shards, num_clusters=0, seed=0, iters=1, global_rounds=1)
         with pytest.raises(ConfigError):
-            run_fedspectral_plus(shards, num_clusters=2, seed=0, iters=0)
+            run_fedspectral_plus(shards, num_clusters=2, seed=0, iters=0, global_rounds=1)
         with pytest.raises(ConfigError):
-            run_fedspectral_plus(shards, num_clusters=2, seed=0, global_rounds=0)
+            run_fedspectral_plus(shards, num_clusters=2, seed=0, iters=1, global_rounds=0)
 
     def test_more_clusters_than_nodes_rejected(self):
         shards = distribute_edges(planted_graph([4, 4], 0.9, 0.2, seed=36), 2, 0.5, seed=37)
-        assert run_fedspectral_plus(shards, 8, 38)[1].shape == (8, 8)
+        assert run_fedspectral_plus(shards, 8, 38, iters=1, global_rounds=1)[1].shape == (8, 8)
         with pytest.raises(ContractError, match="^num_clusters 9 exceeds node count 8$"):
-            run_fedspectral_plus(shards, 9, 38)
+            run_fedspectral_plus(shards, 9, 38, iters=1, global_rounds=1)
 
     def test_deterministic(self, schedule):
         g = planted_graph([10, 10], 0.8, 0.08, seed=18)
@@ -602,7 +602,7 @@ class TestProtocol:
         a = ClientShard(4, none, np.empty(0), client_id=0)
         b = ClientShard(5, none, np.empty(0), client_id=1)
         with pytest.raises(ContractError):
-            run_fedspectral_plus([a, b], 2, 0)
+            run_fedspectral_plus([a, b], 2, 0, iters=1, global_rounds=1)
 
     def test_shard_iterators_raise_shard_universe_errors(self):
         none = np.empty((0, 2), dtype=np.int64)
@@ -613,7 +613,7 @@ class TestProtocol:
             with pytest.raises(ContractError) as expected:
                 list(same_universe(shards))
             with pytest.raises(ContractError) as plus:
-                run_fedspectral_plus(iter(shards), 2, 0)
+                run_fedspectral_plus(iter(shards), 2, 0, iters=1, global_rounds=1)
             with pytest.raises(ContractError) as baseline:
                 fedspectral_server(shards, 2, 0)
             assert str(plus.value) == str(baseline.value) == str(expected.value)

@@ -57,6 +57,10 @@ class TestReplicationCount:
         with pytest.raises(ConfigError):
             replication_count(-0.4, 5)
 
+    def test_invalid_client_count(self):
+        with pytest.raises(ConfigError, match=r"^num_clients must be >= 1, got 0$"):
+            replication_count(0.5, 0)
+
 
 def edge_multiplicity(g, shards):
     counts = {tuple(e): 0 for e in g.edges.tolist()}
@@ -225,7 +229,7 @@ class TestShardIO:
         )
         path = tmp_path / "shard.txt"
         with pytest.raises(ContractError, match="unit weights"):
-            write_shard(shard, path)
+            write_shard(shard, path, seed=0)
         assert not path.exists()
 
     def test_exact_bytes(self, tmp_path):
