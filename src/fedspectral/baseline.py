@@ -13,7 +13,8 @@ Nothing on the server is N x N.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from operator import itemgetter
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -161,18 +162,25 @@ def _twin_embedding(q: TwinQuotient, k: int, seed: int) -> np.ndarray:
 
 
 def fedspectral_server(
-    shards: list[ClientShard], num_clusters: int, seed: int
+    shards: Iterable[ClientShard], num_clusters: int, seed: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Aggregate per-client labelings into a global clustering.
 
     Collects every client's labels (each client seeded by
-    hash(master_seed, client_id)), builds their twin-class quotient
+    hash(master_seed, client_id)) and puts them in client-id order, then
+    builds their twin-class quotient
     (build_similarity_graph), takes the bottom-K eigenvectors of the
     similarity graph's normalized Laplacian from it (_twin_embedding) and
     clusters their N rows with k-means, with the seeds that
     global_spectral_clustering derives from hash(master_seed, "server").
     The server reads only the labelings. The result is independent of
     shard ordering and deterministic for fixed shards and seed.
+
+    ``shards`` is any iterable, consumed once, as run_fedspectral_plus
+    consumes it: each client's labels are computed as its shard arrives,
+    and no reference to the shard is kept, so a shard that its producer
+    also lets go dies once its labels exist. The node universe is checked
+    on the way, with same_universe's errors.
 
     Everything runs under linalg.one_blas_thread, as run_fedspectral_plus
     does: the clients' and the server's BLAS calls are too small for a
@@ -182,10 +190,15 @@ def fedspectral_server(
     shape of run_fedspectral_plus's (labels, embedding).
     """
     with one_blas_thread():
-        labelings = [
-            get_client_labels(sh, num_clusters, client_seed(seed, sh.client_id))
-            for sh in sorted(same_universe(shards), key=lambda sh: sh.client_id)
+        # a comprehension, so no name holds the last shard after the loop
+        labeled = [
+            (
+                sh.client_id,
+                get_client_labels(sh, num_clusters, client_seed(seed, sh.client_id)),
+            )
+            for sh in same_universe(shards)
         ]
+        labelings = [labels for _, labels in sorted(labeled, key=itemgetter(0))]
         quotient = build_similarity_graph(labelings)
         server = derive_seed(seed, "server")
         embedding = _twin_embedding(quotient, num_clusters, embedding_seed(server))

@@ -211,8 +211,9 @@ def run_single_trial(
     ``record.round_drift``, and sets ``record.converged`` to whether the
     last round settled (fedplus.settled: its drift is at most
     STOP_DRIFT) rather than merely reached the ``global_rounds`` cap;
-    it is None for the other algorithms. The trial hands the protocol
-    its shards one at a time, so each dies once its client is built.
+    it is None for the other algorithms. The trial hands either protocol
+    its shards one at a time, so each dies once its client is built
+    (FedSpectral+) or has its labels (the baseline).
     An algo outside ALGORITHMS raises validate_config's ConfigError.
     """
     flags, round_drift, client_labelings = [], [], []
@@ -227,7 +228,9 @@ def run_single_trial(
             for sh in shards
             if sh.num_edges == 0
         ]
-        labels, client_labelings = fedspectral_server(shards, cfg.num_clusters, seed)
+        labels, client_labelings = fedspectral_server(
+            _hand_over(shards), cfg.num_clusters, seed
+        )
     elif cfg.algo == "fedspectral_plus":
         shards = _trial_shards(graph, cfg, seed)
         labels, _ = run_fedspectral_plus(

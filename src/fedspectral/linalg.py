@@ -379,7 +379,9 @@ def global_spectral_clustering(g: Graph, k: int, seed: int) -> np.ndarray:
     (g, k, seed), also for an edgeless shard, whose Laplacian is all zero
     and makes every node its own component. The baseline server takes the
     same two steps, and the same seeds, on its twin-class quotient instead
-    of a Graph.
+    of a Graph. Both run under one_blas_thread, as the protocols do, so
+    the reference solve takes no second OpenBLAS thread either.
     """
-    embedding = bottom_k_eigenvectors(normalized_laplacian(g), k, embedding_seed(seed))
-    return kmeans(embedding, k, kmeans_seed(seed))
+    with one_blas_thread():
+        embedding = bottom_k_eigenvectors(normalized_laplacian(g), k, embedding_seed(seed))
+        return kmeans(embedding, k, kmeans_seed(seed))

@@ -83,19 +83,20 @@ def distribute_edges(
     if num_edges:
         # the r smallest of C iid uniform keys form a uniform r-subset;
         # stable argsort keeps the draw reproducible across versions
-        # and breaks a tie between keys towards the lower client
-        keys = rng.random((num_edges, num_clients))
+        # and breaks a tie between keys towards the lower client.
         # edge e's j-th client c is flat entry c * E + e of the mask;
         # one scatter per rank is cheaper than one 2-d fancy index.
-        # Sorted in row blocks, so no E x C order array ever exists
+        # Drawn and sorted in row blocks, one stream of keys in edge-major
+        # order, so no E x C key or order array ever exists
         flat = member.reshape(-1)
         step = max(1, SORT_BLOCK // num_clients)
         for lo in range(0, num_edges, step):
-            order = np.argsort(keys[lo : lo + step], axis=1, kind="stable")
+            keys = rng.random((min(step, num_edges - lo), num_clients))
+            order = np.argsort(keys, axis=1, kind="stable")
             edge = np.arange(lo, lo + len(order))
             for j in range(r):
                 flat[order[:, j] * num_edges + edge] = True
-        # the E x C keys are freed before the shards are built
+        # the last block's arrays are freed before the shards are built
         del keys, order
 
     # each shard's edges by index, in global order: np.take gathers the

@@ -309,6 +309,15 @@ class TestServer:
         # the client labelings come back in client-id order either way
         assert np.array_equal(a_clients, b_clients)
 
+    def test_one_shot_generator_in_reverse_order_matches_the_list(self):
+        g = planted_graph([12, 12], 0.75, 0.06, seed=24)
+        shards = distribute_edges(g, 3, 0.5, seed=25)
+        labels, clients = fedspectral_server(shards, 2, seed=45)
+        got, got_clients = fedspectral_server((sh for sh in reversed(shards)), 2, seed=45)
+        assert np.array_equal(got, labels)
+        assert len(got_clients) == len(clients)
+        assert all(np.array_equal(a, b) for a, b in zip(got_clients, clients))
+
     def test_universe_mismatch_rejected(self):
         with pytest.raises(ContractError):
             fedspectral_server([empty_shard(4, 0), empty_shard(5, 1)], 2, seed=0)

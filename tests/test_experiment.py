@@ -224,6 +224,75 @@ class TestRun:
         assert np.array_equal(got[1], expected[1])
         assert got[2].round_drift == expected[2].round_drift
 
+    def test_baseline_shards_die_as_their_labels_arrive(self, dataset_file, monkeypatch):
+        # the trial hands each shard to the baseline server, which keeps none:
+        # when client i's labels are asked for, shards 0..i-1 are dead, and
+        # none is alive when the similarity graph is built
+        cfg = make_cfg(dataset_file, algo="fedspectral", num_trials=1)
+        graph = load_edge_list(dataset_file)
+        reference = compute_reference(graph, cfg)
+        seed = trial_seed(cfg.master_seed, 0)
+        expected = run_single_trial(graph, reference, cfg, seed)
+        refs, alive = [], []
+        real_distribute = experiment.distribute_edges
+        real_labels, real_similarity = baseline.get_client_labels, baseline.build_similarity_graph
+
+        def distribute(*args, **kwargs):
+            shards = real_distribute(*args, **kwargs)
+            refs.extend(weakref.ref(shard) for shard in shards)
+            return shards
+
+        def spy(real):
+            def wrapper(*args):
+                alive.append([ref() is not None for ref in refs])
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(experiment, "distribute_edges", distribute)
+        monkeypatch.setattr(baseline, "get_client_labels", spy(real_labels))
+        monkeypatch.setattr(baseline, "build_similarity_graph", spy(real_similarity))
+        got = run_single_trial(graph, reference, cfg, seed)
+        c = cfg.num_clients
+        assert len(refs) == c
+        assert alive == [[j >= i for j in range(c)] for i in range(c + 1)]
+        assert np.array_equal(got[1], expected[1])
+        assert np.array_equal(got[3], expected[3])
+
+    def test_reference_solve_runs_on_one_blas_thread(self, dataset_file, monkeypatch):
+        controls = linalg._openblas_thread_controls()
+        if not controls:
+            pytest.skip("no bundled OpenBLAS exports its thread-count functions here")
+        cfg = make_cfg(dataset_file, algo="global")
+        graph = load_edge_list(dataset_file)
+        expected = compute_reference(graph, cfg)
+        during = []
+
+        def spy(real):
+            def wrapper(*args):
+                during.append([get() for get, _ in controls])
+                return real(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(linalg, "bottom_k_eigenvectors", spy(linalg.bottom_k_eigenvectors))
+        monkeypatch.setattr(linalg, "kmeans", spy(linalg.kmeans))
+        before = [get() for get, _ in controls]
+        try:
+            # two threads outside, where the machine allows two, so the pin shows
+            for _, set_ in controls:
+                set_(2)
+            outside = [get() for get, _ in controls]
+            got = compute_reference(graph, cfg)
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, set_), count in zip(controls, before):
+                set_(count)
+        # the eigensolve, then the k-means
+        assert during == [[1] * len(controls)] * 2
+        assert after == outside
+        assert np.array_equal(got, expected)
+
     def test_a_lower_cap_records_a_prefix_of_the_drift(self, dataset_file):
         graph = load_edge_list(dataset_file)
         cfg = make_cfg(dataset_file, iters=1, global_rounds=200, num_trials=1)

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -388,6 +389,69 @@ class TestGraphInvariants:
             Graph.from_edges(3, [(0, 1)], weights=[1.0, 2.0])
         with pytest.raises(ContractError, match="length mismatch"):
             Graph.from_edges(3, [], weights=[1.0])
+
+    @pytest.mark.parametrize(
+        "edges", [np.array([[0.5, 1.7]]), np.array([[0.0, 1.0]]), np.array([[False, True]])]
+    )
+    def test_rejects_non_integer_endpoints(self, edges):
+        # a cast to integers would build the edge (0, 1) from each of these
+        for build in (
+            lambda: Graph(3, edges, [1.0]),
+            lambda: Graph.from_edges(3, edges),
+            lambda: Graph.from_edges(3, edges.tolist()),
+        ):
+            with pytest.raises(ContractError, match="endpoints must be integers"):
+                build()
+        # an empty array holds no endpoint to truncate, whatever its dtype
+        assert Graph(3, np.empty((0, 2)), []).num_edges == 0
+
+    @pytest.mark.parametrize(
+        "far", [np.int64(2**31), np.int64(2**32 + 1), np.int64(-(2**32) + 1), np.uint64(2**32 + 1)]
+    )
+    def test_rejects_ids_that_would_wrap_into_the_universe(self, far):
+        # int32 wraps 2**32 + 1 and -2**32 + 1 to 1, so the bounds are checked
+        # before the endpoints are narrowed
+        assert far.astype(np.int32) in (1, -(2**31))
+        with pytest.raises(ContractError, match="outside 0..num_nodes-1"):
+            Graph(3, np.array([[0, far]], dtype=far.dtype), [1.0])
+        with pytest.raises(ContractError, match="outside 0..num_nodes-1"):
+            Graph.from_edges(3, np.array([[far, 0]], dtype=far.dtype))
+
+
+class TestEndpointWidth:
+    """Edges are stored in index_dtype(num_nodes), the width of every CSR
+    index the package builds: int32 wherever it fits."""
+
+    def test_small_universe_holds_int32_endpoints(self):
+        for g in (
+            Graph(100, [[0, 1], [5, 99]], [1.0, 1.0]),
+            Graph(100, np.empty((0, 2), dtype=np.int64), []),
+            Graph.from_edges(100, np.array([[99, 5]], dtype=np.uint64)),
+            parse_edge_list("10 11\n11 12\n"),
+        ):
+            assert g.edges.dtype == np.int32
+
+    def test_universe_past_int32_holds_int64_endpoints(self):
+        n = graph.INT32_INDEX_MAX + 2
+        tracemalloc.start()
+        try:
+            g = Graph(n, [[0, n - 1]], [1.0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == [[0, n - 1]]
+        # nothing of size N: a byte a node would be 2 GiB
+        assert peak < 2**16
+
+    def test_sortedness_key_does_not_overflow_int32(self):
+        # 30_000 * N + 30_001 passes int32 at N = 100_000; an int32 key would
+        # read the first pair of rows as unsorted and the second as sorted
+        n = 100_000
+        g = Graph(n, [[0, 1], [30_000, 30_001]], [1.0, 1.0])
+        assert g.edges.dtype == np.int32
+        with pytest.raises(ContractError, match="lexicographically sorted"):
+            Graph(n, [[30_000, 30_001], [0, 1]], [1.0, 1.0])
 
 
 class TestLaplacian:

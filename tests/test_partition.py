@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -123,6 +126,21 @@ class TestDistributeEdges:
         g = gnp_graph(10, 0.3, 8)
         with pytest.raises(ConfigError):
             distribute_edges(g, 0, 0.5, seed=9)
+
+    def test_no_edge_by_client_key_matrix(self):
+        # the keys are drawn one row block at a time, so the peak, returned
+        # shards included, stays below the 8 * E * C bytes of one E x C draw
+        g = gnp_graph(400, 0.25, 31)
+        assert 19_000 < g.num_edges < 21_000
+        gc.collect()
+        tracemalloc.start()
+        try:
+            shards = distribute_edges(g, 5, 0.2, seed=32)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(shard.num_edges for shard in shards) == g.num_edges
+        assert peak < 8 * g.num_edges * 5
 
 
 def assert_shards_equal_the_mask_oracle(g, num_clients, overlap, seed):
