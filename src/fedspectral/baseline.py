@@ -179,8 +179,10 @@ def fedspectral_server(
     ``shards`` is any iterable, consumed once, as run_fedspectral_plus
     consumes it: each client's labels are computed as its shard arrives,
     and no reference to the shard is kept, so a shard that its producer
-    also lets go dies once its labels exist. The node universe is checked
-    on the way, with same_universe's errors.
+    also lets go dies once its labels exist. A ShardSequence builds its
+    items per access (``seq[0] is seq[0]`` is False), so given one or its
+    iterator, at most one shard exists at any moment. The node universe is
+    checked on the way, with same_universe's errors.
 
     Everything runs under linalg.one_blas_thread, as run_fedspectral_plus
     does: the clients' and the server's BLAS calls are too small for a
@@ -189,15 +191,15 @@ def fedspectral_server(
     Returns (labels, client labelings in ascending client-id order), the
     shape of run_fedspectral_plus's (labels, embedding).
     """
+    def label(sh):
+        return sh.client_id, get_client_labels(
+            sh, num_clusters, client_seed(seed, sh.client_id)
+        )
+
     with one_blas_thread():
-        # a comprehension, so no name holds the last shard after the loop
-        labeled = [
-            (
-                sh.client_id,
-                get_client_labels(sh, num_clusters, client_seed(seed, sh.client_id)),
-            )
-            for sh in same_universe(shards)
-        ]
+        # map, not a comprehension, whose name would hold each shard while
+        # the next one is built
+        labeled = list(map(label, same_universe(shards)))
         labelings = [labels for _, labels in sorted(labeled, key=itemgetter(0))]
         quotient = build_similarity_graph(labelings)
         server = derive_seed(seed, "server")

@@ -169,17 +169,15 @@ class ResultRecord:
     wallclock_ms: float
 
 
-def _hand_over(shards: list):
-    """Yield the items of ``shards``, dropping the list's reference to each
-    as it goes, so each shard lives only as long as its consumer holds it."""
-    for index in range(len(shards)):
-        shard, shards[index] = shards[index], None
-        yield shard
-
-
-def _trial_shards(graph: Graph, cfg: ExperimentConfig, seed: int) -> list[ClientShard]:
-    """The client shards of the trial with trial seed ``seed``."""
-    return distribute_edges(graph, cfg.num_clients, cfg.overlap, partition_seed(seed))
+def _trial_shards(
+    graph: Graph, cfg: ExperimentConfig, seed: int
+) -> tuple[typing.Iterator[ClientShard], np.ndarray]:
+    """An iterator over the client shards of the trial with trial seed
+    ``seed``, each built as the iterator reaches it, and each client's edge
+    count. Only the iterator holds the partition, so it dies once the last
+    shard has been handed over."""
+    shards = distribute_edges(graph, cfg.num_clients, cfg.overlap, partition_seed(seed))
+    return iter(shards), shards.edge_counts
 
 
 # ResultRecord fields copied from the config of the same name; ``dataset``
@@ -212,8 +210,12 @@ def run_single_trial(
     last round settled (fedplus.settled: its drift is at most
     STOP_DRIFT) rather than merely reached the ``global_rounds`` cap;
     it is None for the other algorithms. The trial hands either protocol
-    its shards one at a time, so each dies once its client is built
-    (FedSpectral+) or has its labels (the baseline).
+    the iterator of distribute_edges' ShardSequence and keeps no name for
+    the sequence, so the shards are built one at a time, each dies once
+    its client is built (FedSpectral+) or has its labels (the baseline),
+    and the drawn partition dies with the last one, before the rounds or
+    the server's solve. The baseline's edgeless-shard flags come from the
+    sequence's edge counts, not from built shards.
     An algo outside ALGORITHMS raises validate_config's ConfigError.
     """
     flags, round_drift, client_labelings = [], [], []
@@ -222,19 +224,16 @@ def run_single_trial(
     if cfg.algo == "global":
         labels = reference
     elif cfg.algo == "fedspectral":
-        shards = _trial_shards(graph, cfg, seed)
+        shards, edge_counts = _trial_shards(graph, cfg, seed)
         flags = [
-            f"degenerate shard {sh.client_id}: no edges"
-            for sh in shards
-            if sh.num_edges == 0
+            f"degenerate shard {c}: no edges"
+            for c in np.flatnonzero(edge_counts == 0).tolist()
         ]
-        labels, client_labelings = fedspectral_server(
-            _hand_over(shards), cfg.num_clusters, seed
-        )
+        labels, client_labelings = fedspectral_server(shards, cfg.num_clusters, seed)
     elif cfg.algo == "fedspectral_plus":
-        shards = _trial_shards(graph, cfg, seed)
+        shards, _ = _trial_shards(graph, cfg, seed)
         labels, _ = run_fedspectral_plus(
-            _hand_over(shards),
+            shards,
             cfg.num_clusters,
             seed,
             iters=cfg.iters,
@@ -316,7 +315,8 @@ def _run_trials(
     for trial in range(cfg.num_trials):
         seed = trial_seed(cfg.master_seed, trial)
         if labels_dir is not None and cfg.algo != "global":
-            for shard in _trial_shards(graph, cfg, seed):
+            shards, _ = _trial_shards(graph, cfg, seed)
+            for shard in shards:
                 name = os.path.join(f"trial_{trial}", f"client_{shard.client_id}.txt")
                 write_shard(
                     shard, path(name), seed=cfg.master_seed, node_ids=graph.node_ids

@@ -54,6 +54,7 @@ import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import islice
 from typing import Iterable
 
@@ -381,8 +382,11 @@ def run_fedspectral_plus(
 
     ``shards`` is any iterable, consumed once: each shard becomes its
     client as it arrives, and no reference to it is kept, so a shard that
-    its producer also lets go dies once its multiplier is built. The node
-    universe is checked on the way, with same_universe's errors.
+    its producer also lets go dies once its multiplier is built. A
+    ShardSequence builds its items per access (``seq[0] is seq[0]`` is
+    False), so given one or its iterator, at most one shard exists at any
+    moment. The node universe is checked on the way, with same_universe's
+    errors.
     """
     for name, value in (
         ("num_clusters", num_clusters),
@@ -391,7 +395,9 @@ def run_fedspectral_plus(
     ):
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
-    transports = [PowerIterationClient(sh, iters) for sh in same_universe(shards)]
+    # map, not a comprehension, whose name would hold each shard while the
+    # next one is built
+    transports = list(map(partial(PowerIterationClient, iters=iters), same_universe(shards)))
     n = transports[0].num_nodes
     if num_clusters > n:
         raise ContractError(f"num_clusters {num_clusters} exceeds node count {n}")

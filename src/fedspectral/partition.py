@@ -3,24 +3,28 @@
 A shard is a Graph over the full node universe plus its client id (nodes
 with no local edges are simply isolated there); each global edge is
 replicated onto r distinct clients chosen uniformly at random,
-r = max(1, round(overlap * C)).
+r = max(1, round(overlap * C)). distribute_edges draws the clients and
+returns a ShardSequence, which builds each shard only when it is asked for.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
-from .graph import Graph, serialize_edge_list
+from .graph import Graph, index_dtype, serialize_edge_list
 
 __all__ = [
     "ClientShard",
     "same_universe",
     "replication_count",
     "distribute_edges",
+    "ShardSequence",
     "write_shard",
 ]
 
@@ -47,6 +51,7 @@ def same_universe(shards):
         elif shard.num_nodes != n:
             raise ContractError("shards disagree on the node universe")
         yield shard
+        del shard  # held by no name here while the next shard is built
     if n is None:
         raise ContractError("need at least one shard")
 
@@ -66,50 +71,85 @@ def replication_count(overlap: float, num_clients: int) -> int:
 
 def distribute_edges(
     g: Graph, num_clients: int, overlap: float, seed: int
-) -> list[ClientShard]:
+) -> ShardSequence:
     """Assign every edge to exactly r distinct clients chosen uniformly.
 
     r = replication_count(overlap, C); overlap r / C gives any r in 1..C.
     The per-edge client subsets are sampled independently (no balancing);
     the union of all shards is the global edge set, and the output is
     deterministic for a fixed seed.
+
+    The clients are drawn at the call, where a bad overlap or client
+    count raises ConfigError; the returned ShardSequence builds shard c
+    each time item c is asked for, so ``shards[0] is shards[0]`` is False.
     """
     r = replication_count(overlap, num_clients)
 
     rng = np.random.default_rng(seed)
     num_edges = g.num_edges
-    # client-major, so each client's row of the mask is contiguous
-    member = np.zeros((num_clients, num_edges), dtype=bool)
-    if num_edges:
-        # the r smallest of C iid uniform keys form a uniform r-subset;
-        # stable argsort keeps the draw reproducible across versions
-        # and breaks a tie between keys towards the lower client.
-        # edge e's j-th client c is flat entry c * E + e of the mask;
-        # one scatter per rank is cheaper than one 2-d fancy index.
-        # Drawn and sorted in row blocks, one stream of keys in edge-major
-        # order, so no E x C key or order array ever exists
-        flat = member.reshape(-1)
-        step = max(1, SORT_BLOCK // num_clients)
-        for lo in range(0, num_edges, step):
-            keys = rng.random((min(step, num_edges - lo), num_clients))
-            order = np.argsort(keys, axis=1, kind="stable")
-            edge = np.arange(lo, lo + len(order))
-            for j in range(r):
-                flat[order[:, j] * num_edges + edge] = True
-        # the last block's arrays are freed before the shards are built
-        del keys, order
+    # edge e's j-th client is clients[e, j]
+    clients = np.zeros((num_edges, r), dtype=np.min_scalar_type(num_clients - 1))
+    edge_counts = np.zeros(num_clients, dtype=np.int64)
+    # the r smallest of C iid uniform keys form a uniform r-subset;
+    # stable argsort keeps the draw reproducible across versions
+    # and breaks a tie between keys towards the lower client.
+    # Drawn and sorted in row blocks, one stream of keys in edge-major
+    # order, so no E x C key or order array ever exists
+    step = max(1, SORT_BLOCK // num_clients)
+    for lo in range(0, num_edges, step):
+        keys = rng.random((min(step, num_edges - lo), num_clients))
+        order = np.argsort(keys, axis=1, kind="stable")
+        clients[lo : lo + len(order)] = order[:, :r]
+        edge_counts += np.bincount(order[:, :r].reshape(-1), minlength=num_clients)
+    # a stable sort of the edge-major client ids lists each client's
+    # edges in global order, since an edge has r distinct clients
+    by_client = np.argsort(clients.reshape(-1), kind="stable")
+    by_client //= r
+    return ShardSequence(g, by_client.astype(index_dtype(num_edges)), edge_counts)
 
-    # each shard's edges by index, in global order: np.take gathers the
-    # rows several times faster than a boolean mask or ``g.edges[picked]``
-    return [
-        ClientShard(
+
+class ShardSequence(Sequence):
+    """The C client shards of one distribute_edges draw, built on demand.
+
+    It keeps the graph and each client's edge indices, grouped by client
+    (4 bytes an edge-copy below 2^31 edges), never a shard: item c gathers
+    client c's edges, in global order, each time it is asked for (negative
+    indices count from the end; IndexError past either end). Iteration
+    builds one shard per step and keeps none, so a consumer that lets each
+    go holds one shard at a time. ``edge_counts`` is each client's edge
+    count, known without building a shard.
+    """
+
+    def __init__(self, g: Graph, by_client: np.ndarray, edge_counts: np.ndarray):
+        self._graph = g
+        self._by_client = by_client
+        self._ends = np.cumsum(edge_counts)
+        self.edge_counts = edge_counts
+        by_client.flags.writeable = edge_counts.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.edge_counts)
+
+    def __getitem__(self, c) -> ClientShard:
+        c = operator.index(c)
+        if not -len(self) <= c < len(self):
+            raise IndexError(f"client {c} out of range for {len(self)} clients")
+        c %= len(self)
+        end = self._ends[c]
+        picked = self._by_client[end - self.edge_counts[c] : end]
+        # np.take gathers the rows several times faster than ``g.edges[picked]``
+        g = self._graph
+        return ClientShard(
             num_nodes=g.num_nodes,
             edges=np.take(g.edges, picked, axis=0),
             weights=np.take(g.weights, picked),
             client_id=c,
         )
-        for c, picked in enumerate(map(np.flatnonzero, member))
-    ]
+
+    def __iter__(self):
+        # no local name holds a shard while the next one is built
+        for c in range(len(self)):
+            yield self[c]
 
 
 def write_shard(shard: ClientShard, path, seed: int, node_ids=None) -> None:

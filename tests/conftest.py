@@ -98,6 +98,23 @@ def planted_graph(sizes, p_in: float, p_out: float, seed: int) -> Graph:
     raise AssertionError("could not sample a connected planted graph")
 
 
+def shaped_graph(num_nodes: int, num_edges: int, k: int, seed: int) -> Graph:
+    """A graph of exactly ``num_edges`` random edges, three quarters of the
+    drawn pairs inside one of k communities (node i is in i % k)."""
+    rng = np.random.default_rng(seed)
+    u = rng.integers(0, num_nodes, 2 * num_edges)
+    v = rng.integers(0, num_nodes, 2 * num_edges)
+    inside = rng.random(2 * num_edges) < 0.75
+    v[inside] -= (v[inside] - u[inside]) % k
+    v[v < 0] += k
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    keys = (lo * num_nodes + hi)[lo < hi]
+    _, first = np.unique(keys, return_index=True)
+    keys = keys[np.sort(first)][:num_edges]
+    assert len(keys) == num_edges
+    return Graph.from_edges(num_nodes, np.stack(np.divmod(keys, num_nodes), axis=1))
+
+
 def planted_blocks(sizes) -> np.ndarray:
     return np.repeat(np.arange(len(sizes)), sizes)
 

@@ -9,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fedspectral import baseline, experiment, fedplus, linalg
+from fedspectral import baseline, experiment, fedplus, linalg, partition
 from fedspectral.baseline import fedspectral_server
 from fedspectral.errors import ConfigError, ContractError
 from fedspectral.experiment import (
@@ -34,7 +34,7 @@ from fedspectral.metrics import read_labels_csv
 from fedspectral.partition import distribute_edges
 from fedspectral.seeding import partition_seed, trial_seed
 
-from conftest import planted_graph, records_to_csv_text
+from conftest import planted_graph, records_to_csv_text, shaped_graph
 
 
 @pytest.fixture(scope="module")
@@ -131,6 +131,37 @@ class TestConfig:
             resolve_dataset_path("no-such-file.txt")
 
 
+class ShardSpy:
+    """Weak references to the shards partition builds and to the
+    partition of each distribute_edges call of the trial. Building a shard
+    while another is alive fails the test, so at most one shard exists at
+    any moment."""
+
+    def __init__(self, monkeypatch):
+        self.shards, self.partitions = [], []
+        real_shard, real_distribute = partition.ClientShard, experiment.distribute_edges
+
+        def build(**kwargs):
+            assert self.alive() == 0, "a shard is built while another is alive"
+            shard = real_shard(**kwargs)
+            self.shards.append(weakref.ref(shard))
+            return shard
+
+        def distribute(*args, **kwargs):
+            shards = real_distribute(*args, **kwargs)
+            self.partitions.append(weakref.ref(shards))
+            return shards
+
+        monkeypatch.setattr(partition, "ClientShard", build)
+        monkeypatch.setattr(experiment, "distribute_edges", distribute)
+
+    def alive(self) -> int:
+        return sum(ref() is not None for ref in self.shards)
+
+    def partition_alive(self) -> bool:
+        return any(ref() is not None for ref in self.partitions)
+
+
 class TestRun:
     def test_global_algo_scores_one(self, dataset_file):
         cfg = ExperimentConfig(
@@ -198,64 +229,54 @@ class TestRun:
         assert len(record.round_drift) == 1 and record.converged is False
 
     def test_shards_are_dead_when_the_rounds_start(self, dataset_file, monkeypatch):
-        # the trial hands each shard to its client, so once every client is
-        # built no shard from distribute_edges is left alive
+        # the trial hands the shards to the clients one at a time: no shard
+        # is built while another is alive, and neither a shard nor the
+        # partition they came from survives into the rounds
         cfg = make_cfg(dataset_file, num_trials=1)
         graph = load_edge_list(dataset_file)
         reference = compute_reference(graph, cfg)
         seed = trial_seed(cfg.master_seed, 0)
         expected = run_single_trial(graph, reference, cfg, seed)
-        refs = []
-        real_distribute, real_loop = experiment.distribute_edges, fedplus.server_round_loop
-
-        def distribute(*args, **kwargs):
-            shards = real_distribute(*args, **kwargs)
-            refs.extend(weakref.ref(shard) for shard in shards)
-            return shards
+        spy = ShardSpy(monkeypatch)
+        real_loop, rounds = fedplus.server_round_loop, []
 
         def loop(*args, **kwargs):
-            assert len(refs) == cfg.num_clients
-            assert [ref() for ref in refs] == [None] * cfg.num_clients
+            rounds.append((len(spy.shards), spy.alive(), spy.partition_alive()))
             return real_loop(*args, **kwargs)
 
-        monkeypatch.setattr(experiment, "distribute_edges", distribute)
         monkeypatch.setattr(fedplus, "server_round_loop", loop)
         got = run_single_trial(graph, reference, cfg, seed)
+        assert rounds == [(cfg.num_clients, 0, False)]
         assert np.array_equal(got[1], expected[1])
         assert got[2].round_drift == expected[2].round_drift
 
     def test_baseline_shards_die_as_their_labels_arrive(self, dataset_file, monkeypatch):
-        # the trial hands each shard to the baseline server, which keeps none:
-        # when client i's labels are asked for, shards 0..i-1 are dead, and
-        # none is alive when the similarity graph is built
+        # the trial hands the shards to the baseline server one at a time:
+        # when client i's labels are asked for, shard i is the one shard
+        # alive, and neither a shard nor the partition they came from
+        # survives into the similarity graph
         cfg = make_cfg(dataset_file, algo="fedspectral", num_trials=1)
         graph = load_edge_list(dataset_file)
         reference = compute_reference(graph, cfg)
         seed = trial_seed(cfg.master_seed, 0)
         expected = run_single_trial(graph, reference, cfg, seed)
-        refs, alive = [], []
-        real_distribute = experiment.distribute_edges
+        spy = ShardSpy(monkeypatch)
         real_labels, real_similarity = baseline.get_client_labels, baseline.build_similarity_graph
+        seen = []
 
-        def distribute(*args, **kwargs):
-            shards = real_distribute(*args, **kwargs)
-            refs.extend(weakref.ref(shard) for shard in shards)
-            return shards
+        def labels(shard, *args):
+            seen.append((shard.client_id, len(spy.shards), spy.alive()))
+            return real_labels(shard, *args)
 
-        def spy(real):
-            def wrapper(*args):
-                alive.append([ref() is not None for ref in refs])
-                return real(*args)
+        def similarity(*args):
+            seen.append(("similarity", len(spy.shards), spy.alive(), spy.partition_alive()))
+            return real_similarity(*args)
 
-            return wrapper
-
-        monkeypatch.setattr(experiment, "distribute_edges", distribute)
-        monkeypatch.setattr(baseline, "get_client_labels", spy(real_labels))
-        monkeypatch.setattr(baseline, "build_similarity_graph", spy(real_similarity))
+        monkeypatch.setattr(baseline, "get_client_labels", labels)
+        monkeypatch.setattr(baseline, "build_similarity_graph", similarity)
         got = run_single_trial(graph, reference, cfg, seed)
         c = cfg.num_clients
-        assert len(refs) == c
-        assert alive == [[j >= i for j in range(c)] for i in range(c + 1)]
+        assert seen == [(i, i + 1, 1) for i in range(c)] + [("similarity", c, 0, False)]
         assert np.array_equal(got[1], expected[1])
         assert np.array_equal(got[3], expected[3])
 
@@ -708,23 +729,6 @@ class TestVerify:
         report = verify_dataset(truncated, g.num_nodes, g.num_edges)
         assert not report.ok
         assert report.num_edges < g.num_edges
-
-
-def shaped_graph(num_nodes: int, num_edges: int, k: int, seed: int) -> Graph:
-    """A graph of exactly ``num_edges`` random edges, three quarters of the
-    drawn pairs inside one of k communities (node i is in i % k)."""
-    rng = np.random.default_rng(seed)
-    u = rng.integers(0, num_nodes, 2 * num_edges)
-    v = rng.integers(0, num_nodes, 2 * num_edges)
-    inside = rng.random(2 * num_edges) < 0.75
-    v[inside] -= (v[inside] - u[inside]) % k
-    v[v < 0] += k
-    lo, hi = np.minimum(u, v), np.maximum(u, v)
-    keys = (lo * num_nodes + hi)[lo < hi]
-    _, first = np.unique(keys, return_index=True)
-    keys = keys[np.sort(first)][:num_edges]
-    assert len(keys) == num_edges
-    return Graph.from_edges(num_nodes, np.stack(np.divmod(keys, num_nodes), axis=1))
 
 
 class TestIndexWidth:

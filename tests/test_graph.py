@@ -453,6 +453,21 @@ class TestEndpointWidth:
         with pytest.raises(ContractError, match="lexicographically sorted"):
             Graph(n, [[30_000, 30_001], [0, 1]], [1.0, 1.0])
 
+    def test_degrees_bits_on_a_weighted_graph(self):
+        # every u endpoint's weight is added in edge order, then every v
+        # endpoint's: the bits of a plain sequential sum
+        base = gnp_graph(60, 0.2, 40)
+        rng = np.random.default_rng(41)
+        g = Graph(base.num_nodes, base.edges, rng.uniform(0.1, 3.0, base.num_edges))
+        assert g.edges.dtype == np.int32
+        expected = [0.0] * g.num_nodes
+        for column in (0, 1):
+            for node, weight in zip(g.edges[:, column].tolist(), g.weights.tolist()):
+                expected[node] += weight
+        got = g.degrees()
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(expected).tobytes()
+
 
 class TestLaplacian:
     def test_triangle(self):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from fedspectral.partition import (
     write_shard,
 )
 
-from conftest import distribute_edges_mask, gnp_graph
+from conftest import distribute_edges_mask, gnp_graph, shaped_graph
 
 
 class TestReplicationCount:
@@ -145,7 +146,7 @@ class TestDistributeEdges:
 
 def assert_shards_equal_the_mask_oracle(g, num_clients, overlap, seed):
     shards = distribute_edges(g, num_clients, overlap, seed)
-    assert isinstance(shards, list)
+    assert isinstance(shards, Sequence)
     expected = distribute_edges_mask(g, num_clients, overlap, seed)
     assert len(shards) == len(expected) == num_clients
     for c, (shard, (edges, weights)) in enumerate(zip(shards, expected)):
@@ -214,6 +215,86 @@ class TestDistributeAgainstMaskOracle:
                 tied.setattr(np.random, "default_rng", lambda seed: TiedKeys(seed, levels))
                 for num_clients, overlap in cases:
                     assert_shards_equal_the_mask_oracle(g, num_clients, overlap, 4)
+
+
+def shard_bytes(shard):
+    return shard.client_id, shard.num_nodes, shard.edges.tobytes(), shard.weights.tobytes()
+
+
+class TestShardSequence:
+    """distribute_edges draws the clients at the call and returns a
+    read-only sequence that builds each shard when it is asked for."""
+
+    def weighted(self):
+        base = gnp_graph(40, 0.25, 21)
+        rng = np.random.default_rng(22)
+        return Graph(base.num_nodes, base.edges, rng.uniform(0.5, 2.0, base.num_edges))
+
+    def test_items_are_the_oracle_shards(self):
+        g = self.weighted()
+        shards = distribute_edges(g, 5, 0.4, seed=23)
+        expected = distribute_edges_mask(g, 5, 0.4, 23)
+        assert len(shards) == 5
+        for c in (0, 3, 4, -1, -5):
+            shard = shards[c]
+            edges, weights = expected[c]
+            assert shard.client_id == c % 5 and shard.num_nodes == g.num_nodes
+            assert shard.edges.tobytes() == edges.tobytes()
+            assert shard.weights.tobytes() == weights.tobytes()
+        assert shards.edge_counts.tolist() == [len(edges) for edges, _ in expected]
+
+    def test_out_of_range_index(self):
+        shards = distribute_edges(self.weighted(), 5, 0.4, seed=24)
+        for c in (5, 6, -6):
+            with pytest.raises(IndexError):
+                shards[c]
+        with pytest.raises(TypeError):
+            shards[1.0]
+
+    def test_each_access_builds_a_fresh_shard(self):
+        shards = distribute_edges(self.weighted(), 5, 0.4, seed=25)
+        assert shards[0] is not shards[0]
+        assert shard_bytes(shards[0]) == shard_bytes(shards[0])
+
+    def test_two_passes_give_the_same_bytes(self):
+        shards = distribute_edges(self.weighted(), 5, 0.4, seed=26)
+        first = [shard_bytes(shard) for shard in shards]
+        assert [shard_bytes(shard) for shard in shards] == first
+        assert [shard_bytes(shard) for shard in reversed(shards)] == first[::-1]
+
+    def test_access_order_changes_no_bits(self):
+        g = self.weighted()
+        in_order = [shard_bytes(shard) for shard in distribute_edges(g, 5, 0.4, seed=27)]
+        shards = distribute_edges(g, 5, 0.4, seed=27)
+        assert shard_bytes(shards[3]) == in_order[3]
+        assert shard_bytes(shards[0]) == in_order[0]
+        assert [shard_bytes(shard) for shard in shards] == in_order
+
+    def test_read_only(self):
+        shards = distribute_edges(self.weighted(), 5, 0.4, seed=28)
+        with pytest.raises(TypeError):
+            shards[0] = shards[1]
+        with pytest.raises(ValueError):
+            shards.edge_counts[0] = 0
+
+    def test_holds_at_most_four_bytes_per_edge_copy(self):
+        # at 50 clients and overlap 0.02 (r = 1) all shards hold 16 * E
+        # bytes and a C x E mask 50 * E; the sequence keeps 4 * r * E at most
+        g = shaped_graph(4039, 88234, 10, 29)
+        assert g.edges.dtype == np.int32
+        num_clients, overlap = 50, 0.02
+        r = replication_count(overlap, num_clients)
+        assert r == 1
+        gc.collect()
+        tracemalloc.start()
+        try:
+            shards = distribute_edges(g, num_clients, overlap, seed=30)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 16 KiB more for the small buffers numpy caches after the draw frees them
+        assert held <= 4 * r * g.num_edges + 64 * num_clients + 16384
+        assert sum(shards.edge_counts) == r * g.num_edges
 
 
 class TiedKeys:
@@ -314,7 +395,7 @@ class TestClientShardInvariants:
 
     def test_shard_universe(self):
         # same_universe passes the shards through as it checks them
-        shards = distribute_edges(gnp_graph(12, 0.4, 14), 3, 0.5, seed=15)
+        shards = list(distribute_edges(gnp_graph(12, 0.4, 14), 3, 0.5, seed=15))
         checked = same_universe(iter(shards))
         assert all(got is sh for got, sh in zip(checked, shards, strict=True))
         with pytest.raises(ContractError, match="at least one shard"):
