@@ -174,8 +174,8 @@ def _trial_shards(
 ) -> tuple[typing.Iterator[ClientShard], np.ndarray]:
     """An iterator over the client shards of the trial with trial seed
     ``seed``, each built as the iterator reaches it, and each client's edge
-    count. Only the iterator holds the partition, so it dies once the last
-    shard has been handed over."""
+    count. Only the iterator holds the partition, so it dies as the last
+    shard is handed over."""
     shards = distribute_edges(graph, cfg.num_clients, cfg.overlap, partition_seed(seed))
     return iter(shards), shards.edge_counts
 
@@ -213,9 +213,9 @@ def run_single_trial(
     the iterator of distribute_edges' ShardSequence and keeps no name for
     the sequence, so the shards are built one at a time, each dies once
     its client is built (FedSpectral+) or has its labels (the baseline),
-    and the drawn partition dies with the last one, before the rounds or
-    the server's solve. The baseline's edgeless-shard flags come from the
-    sequence's edge counts, not from built shards.
+    and the drawn partition dies as the last one is handed over, before
+    that client is built or labeled. The baseline's edgeless-shard flags
+    come from the sequence's edge counts, not from built shards.
     An algo outside ALGORITHMS raises validate_config's ConfigError.
     """
     flags, round_drift, client_labelings = [], [], []

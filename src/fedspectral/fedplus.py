@@ -32,6 +32,13 @@ M is a scipy CSR matrix built once per client from the shard's edge
 arrays: O(N + shard edges) memory, and O(shard edges * K) work per local
 step, where a dense N x N multiplier would cost O(N^2) of both.
 
+Every large buffer dies at its last use, so a trial holds, phase by phase:
+while the clients are built, the multipliers so far and one shard (the
+drawn partition is gone before the last multiplier is built); in a serial
+round, the multipliers and four N x K arrays (the broadcast, the anchor,
+the running sum and one reply); in a pooled round, up to ``workers + 1``
+more replies in flight; in the final k-means, the final basis only.
+
 Wire format (for substituting a network transport for the in-process one):
 a frame is three little-endian int64 header words followed by the payload,
 
@@ -174,7 +181,9 @@ def aggregate_round(client_outputs, *, round_index: int | None = None) -> np.nda
     overwritten with its difference from the anchor, the second output's
     buffer becomes the running sum, and each later one is added to it and
     dropped. So the fold allocates no buffer of its own and holds only the
-    anchor, the running sum and the current output. The anchor is never
+    anchor, the running sum and the current output: with the round's
+    broadcast, four N x K arrays. The anchor is dropped once it has been
+    added back, so it is not held through the QR. The anchor is never
     written: an output that is read-only, not float64, or shares memory
     with the anchor is copied first. A caller that still needs a later
     output, or passes one array twice after the anchor, must pass copies.
@@ -214,6 +223,7 @@ def aggregate_round(client_outputs, *, round_index: int | None = None) -> np.nda
         total = np.zeros_like(anchor)
     total /= count
     total += anchor
+    del anchor  # not held through the QR
     try:
         q, _ = reduced_qr(total)
     except RankError as exc:
@@ -306,6 +316,9 @@ def server_round_loop(
     the loop stops at, are bitwise those of ``workers=1``. A run capped
     at r rounds is a prefix of the same run capped at R > r.
 
+    The loop keeps no reference to ``initial_basis`` once round 0 has
+    replaced it, so a start the caller passes as a temporary dies there.
+
     ``on_round(round_index, previous, basis, drift)`` observes each
     round: ``previous`` is the basis the round broadcast (the initial
     basis at round 0), ``basis`` the aggregated one and ``drift`` their
@@ -316,6 +329,8 @@ def server_round_loop(
     transports = sorted(transports, key=lambda t: t.client_id)
     workers = min(workers, len(transports))
     basis = np.asarray(initial_basis, dtype=np.float64)
+    # once round 0 has replaced it, the start dies unless the caller holds it
+    del initial_basis
     pool = (
         ThreadPoolExecutor(workers, thread_name_prefix="fedplus-client")
         if workers > 1
@@ -367,10 +382,12 @@ def run_fedspectral_plus(
 
     The initial embedding is iid standard normal from ``seed``,
     orthonormalized once before round 1 so the first round is conditioned
-    like every later one. ``on_round`` is server_round_loop's observer; its
-    first call sees that orthonormalized start as ``previous``. Returns
-    (labeling, final embedding); fully deterministic for fixed shards and
-    arguments.
+    like every later one, and handed to server_round_loop as a temporary,
+    so it dies after round 0. ``on_round`` is server_round_loop's observer;
+    its first call sees that orthonormalized start as ``previous``. The
+    clients, and with them their multipliers, die before the final k-means.
+    Returns (labeling, final embedding); fully deterministic for fixed
+    shards and arguments.
 
     Everything from the start to the k-means runs under
     linalg.one_blas_thread, which restores the OpenBLAS thread counts on
@@ -385,8 +402,9 @@ def run_fedspectral_plus(
     its producer also lets go dies once its multiplier is built. A
     ShardSequence builds its items per access (``seq[0] is seq[0]`` is
     False), so given one or its iterator, at most one shard exists at any
-    moment. The node universe is checked on the way, with same_universe's
-    errors.
+    moment, and the sequence's iterator lets the sequence go before the
+    last shard. The node universe is checked on the way, with
+    same_universe's errors.
     """
     for name, value in (
         ("num_clusters", num_clusters),
@@ -406,10 +424,15 @@ def run_fedspectral_plus(
 
     with one_blas_thread():
         rng = np.random.default_rng(embedding_seed(seed))
-        basis, _ = reduced_qr(rng.standard_normal((n, num_clusters)))
+        # the start is a temporary, which the loop owns and drops after round 0
         basis = server_round_loop(
-            transports, basis, global_rounds, on_round=on_round, workers=workers
+            transports,
+            reduced_qr(rng.standard_normal((n, num_clusters)))[0],
+            global_rounds,
+            on_round=on_round,
+            workers=workers,
         )
+        del transports  # the multipliers die before the k-means
         # through the module, where the k-means tracers and spies look it up
         labels = linalg.kmeans(basis, num_clusters, kmeans_seed(seed))
     return labels, basis

@@ -137,13 +137,15 @@ def reduced_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed, tau, _, info = lapack.dgeqrf(a, lwork=lwork)
     r = np.triu(packed[:k])
     q, _, info_q = lapack.dorgqr(packed, tau, lwork=lwork, overwrite_a=1)
+    del packed  # q's buffer, which dies once q is in C order
     if info or info_q:
         raise ContractError(f"LAPACK QR failed (geqrf info {info}, orgqr info {info_q})")
     q = np.ascontiguousarray(q)
-    flip = np.diagonal(r) < 0
-    if flip.any():
-        r[flip, :] *= -1.0
-        q[:, flip] *= -1.0
+    # in place: a boolean column index would gather the flipped columns
+    # into a copy; multiplying by +-1.0 is exact either way
+    signs = np.where(np.diagonal(r) < 0, -1.0, 1.0)
+    q *= signs
+    r *= signs[:, None]
 
     small = np.abs(np.diagonal(r)) < RANK_TOL
     if small.any():

@@ -116,8 +116,11 @@ class ShardSequence(Sequence):
     client c's edges, in global order, each time it is asked for (negative
     indices count from the end; IndexError past either end). Iteration
     builds one shard per step and keeps none, so a consumer that lets each
-    go holds one shard at a time. ``edge_counts`` is each client's edge
-    count, known without building a shard.
+    go holds one shard at a time, and the iterator lets go of the sequence
+    before it hands over the last shard: a sequence that only its iterator
+    holds dies, with its edge indices, while the last shard is in use.
+    ``edge_counts`` is each client's edge count, known without building a
+    shard.
     """
 
     def __init__(self, g: Graph, by_client: np.ndarray, edge_counts: np.ndarray):
@@ -147,9 +150,16 @@ class ShardSequence(Sequence):
         )
 
     def __iter__(self):
-        # no local name holds a shard while the next one is built
-        for c in range(len(self)):
-            yield self[c]
+        # No local name holds a shard while the next one is built, and the
+        # last shard is built from the sequence popped off a list, so no
+        # name holds the sequence while the consumer uses that shard.
+        last = len(self) - 1
+        held = [self]
+        del self
+        for c in range(last):
+            yield held[0][c]
+        if last >= 0:
+            yield held.pop()[last]
 
 
 def write_shard(shard: ClientShard, path, seed: int, node_ids=None) -> None:

@@ -274,6 +274,25 @@ class TestAggregateRound:
         for out, original in zip(handed[2:], outputs[2:]):
             assert np.array_equal(out, original - outputs[0])
 
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_anchor_is_dead_when_the_qr_runs(self, count, monkeypatch):
+        rng = np.random.default_rng(61)
+        refs, alive = [], []
+
+        def fresh(_):
+            out = rng.standard_normal((9, 3))
+            refs.append(weakref.ref(out))
+            return out
+
+        def spy(a):
+            alive.append([ref() is not None for ref in refs])
+            return reduced_qr(a)
+
+        monkeypatch.setattr(fedplus, "reduced_qr", spy)
+        aggregate_round(map(fresh, range(count)))
+        # the second output's buffer is the mean the QR factors
+        assert alive == [[False] + [True] * min(count - 1, 1) + [False] * (count - 2)]
+
     @pytest.mark.parametrize("case", ["thrice", "anchor_again", "anchor_view", "read_only", "float32"])
     def test_outputs_it_must_not_consume_are_copied(self, case, monkeypatch):
         means = []
@@ -468,6 +487,31 @@ class TestServerLoop:
             assert alive == [(t, held) for held in range(min(c, 2))]
         assert all(ref() is None for _, _, ref in issued)
 
+    def test_start_basis_given_as_a_temporary_dies_after_round_0(self):
+        rng = np.random.default_rng(34)
+
+        class Fresh:
+            def __init__(self, client_id):
+                self.client_id = client_id
+
+            def run_round(self, message):
+                return ClientReply(self.client_id, rng.standard_normal((12, 3)))
+
+        start, alive = [], []
+
+        def on_round(round_index, previous, _basis, _drift):
+            if round_index == 0:
+                start.append(weakref.ref(previous))
+            alive.append(start[0]() is not None)
+
+        server_round_loop(
+            [Fresh(c) for c in range(3)],
+            reduced_qr(rng.standard_normal((12, 3)))[0],
+            3,
+            on_round=on_round,
+        )
+        assert alive == [True, False, False]
+
     def test_reply_from_another_client_is_a_contract_error(self):
         rng = np.random.default_rng(34)
         x = rng.standard_normal((6, 2))
@@ -639,6 +683,40 @@ class TestProtocol:
         lb, vb = run_fedspectral_plus(fresh_shards(), 2, 37, iters=2, global_rounds=4)
         assert np.array_equal(la, lb)
         assert np.array_equal(va, vb)
+
+
+    def test_start_basis_dies_after_round_0(self):
+        g = planted_graph([10, 10], 0.8, 0.08, seed=41)
+        start, alive = [], []
+
+        def on_round(round_index, previous, _basis, _drift):
+            if round_index == 0:
+                start.append(weakref.ref(previous))
+            alive.append(start[0]() is not None)
+
+        run_fedspectral_plus(
+            distribute_edges(g, 3, 0.5, 42), 2, 43, iters=1, global_rounds=3, on_round=on_round
+        )
+        assert alive == [True, False, False]
+
+    def test_multipliers_are_dead_when_the_kmeans_runs(self, monkeypatch):
+        g = planted_graph([10, 10], 0.8, 0.08, seed=38)
+        refs, alive = [], []
+        build, kmeans = fedplus.shard_multiplier, linalg.kmeans
+
+        def built(shard):
+            multiplier = build(shard)
+            refs.append(weakref.ref(multiplier.data))
+            return multiplier
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return kmeans(*args, **kwargs)
+
+        monkeypatch.setattr(fedplus, "shard_multiplier", built)
+        monkeypatch.setattr(linalg, "kmeans", spy)
+        run_fedspectral_plus(distribute_edges(g, 3, 0.5, 39), 2, 40, iters=2, global_rounds=4)
+        assert alive == [[False] * 3]
 
 
 class TestStoppingRule:

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import ArpackNoConvergence
 
@@ -74,6 +75,21 @@ def numpy_reduced_qr(a):
     return q, r
 
 
+def column_flip_qr(a):
+    """Oracle for reduced_qr's sign fix: the same LAPACK factors, with the
+    columns of q and rows of r to flip gathered by a boolean index and
+    negated; also returns that index."""
+    k = a.shape[1]
+    lwork = linalg._QR_WORK_PER_COLUMN * k
+    packed, tau, _, _ = lapack.dgeqrf(a, lwork=lwork)
+    r = np.triu(packed[:k])
+    q = np.ascontiguousarray(lapack.dorgqr(packed, tau, lwork=lwork)[0])
+    flip = np.diagonal(r) < 0
+    q[:, flip] *= -1.0
+    r[flip, :] *= -1.0
+    return q, r, flip
+
+
 class TestReducedQR:
     def test_identity(self):
         q, r = reduced_qr(np.eye(3))
@@ -128,6 +144,26 @@ class TestReducedQR:
             assert q.flags.c_contiguous
             assert np.abs(q - q_ref).max() < 1e-13
             assert np.abs(r - r_ref).max() < 1e-13 * np.abs(r_ref).max()
+
+    @pytest.mark.parametrize("n", [1005, 4039])
+    def test_sign_fix_is_bitwise_the_column_flip_and_peak_is_bounded(self, n):
+        a = np.random.default_rng(n).standard_normal((n, 10))
+        q_ref, r_ref, flip = column_flip_qr(a)
+        assert 0 < flip.sum() < 10  # the diagonal has mixed signs
+        q, r = reduced_qr(a)
+        assert q.tobytes() == q_ref.tobytes()
+        assert r.tobytes() == r_ref.tobytes()
+        # LAPACK's packed copy and the C-order q; 64 KiB for the buffer
+        # numpy's broadcast multiply takes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            reduced_qr(a)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * a.nbytes + 64 * 1024
 
     @pytest.mark.parametrize("k", [1, 10, 20, 130])
     def test_same_errors_as_numpy(self, k):

@@ -1,5 +1,6 @@
 import gc
 import tracemalloc
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -295,6 +296,20 @@ class TestShardSequence:
         # 16 KiB more for the small buffers numpy caches after the draw frees them
         assert held <= 4 * r * g.num_edges + 64 * num_clients + 16384
         assert sum(shards.edge_counts) == r * g.num_edges
+
+    def test_iterator_lets_the_sequence_go_before_the_last_shard(self):
+        shards = distribute_edges(self.weighted(), 5, 0.4, seed=31)
+        sequence, indices = weakref.ref(shards), weakref.ref(shards._by_client)
+        oracle = [shard_bytes(shard) for shard in shards]
+        it = iter(shards)
+        del shards
+        alive, built = [], []
+        for shard in it:
+            alive.append((sequence() is not None, indices() is not None))
+            built.append(shard_bytes(shard))
+        # held through shard C - 2, gone, edge indices too, at the last
+        assert alive == [(True, True)] * 4 + [(False, False)]
+        assert built == oracle
 
 
 class TiedKeys:
