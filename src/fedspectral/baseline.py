@@ -13,19 +13,18 @@ Nothing on the server is N x N.
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .errors import ContractError
+from .errors import ContractError, check_counts
 from .graph import index_dtype
 # no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
 from .graph import normalized_laplacian_from_adjacency  # noqa: F401
 from .linalg import global_spectral_clustering, one_blas_thread
-from .partition import ClientShard, same_universe
+from .partition import ClientShard, per_client
 from .seeding import client_seed, derive_seed, embedding_seed, kmeans_seed
 
 __all__ = ["TwinQuotient", "build_similarity_graph", "fedspectral_server"]
@@ -167,22 +166,19 @@ def fedspectral_server(
     """Aggregate per-client labelings into a global clustering.
 
     Collects every client's labels (each client seeded by
-    hash(master_seed, client_id)) and puts them in client-id order, then
-    builds their twin-class quotient
-    (build_similarity_graph), takes the bottom-K eigenvectors of the
-    similarity graph's normalized Laplacian from it (_twin_embedding) and
-    clusters their N rows with k-means, with the seeds that
-    global_spectral_clustering derives from hash(master_seed, "server").
+    hash(master_seed, client_id)) in client-id order, then builds their
+    twin-class quotient (build_similarity_graph), takes the bottom-K
+    eigenvectors of the similarity graph's normalized Laplacian from it
+    (_twin_embedding) and clusters their N rows with k-means, with the
+    seeds that global_spectral_clustering derives from
+    hash(master_seed, "server").
     The server reads only the labelings. The result is independent of
     shard ordering and deterministic for fixed shards and seed.
 
-    ``shards`` is any iterable, consumed once, as run_fedspectral_plus
-    consumes it: each client's labels are computed as its shard arrives,
-    and no reference to the shard is kept, so a shard that its producer
-    also lets go dies once its labels exist. A ShardSequence builds its
-    items per access (``seq[0] is seq[0]`` is False), so given one or its
-    iterator, at most one shard exists at any moment. The node universe is
-    checked on the way, with same_universe's errors.
+    ``shards`` is any iterable, which partition.per_client turns into the
+    labelings, each client's as its shard arrives, with per_client's
+    errors and shard lifetimes. A num_clusters below 1 raises ConfigError
+    before any shard is read, as in run_fedspectral_plus.
 
     Everything runs under linalg.one_blas_thread, as run_fedspectral_plus
     does: the clients' and the server's BLAS calls are too small for a
@@ -191,16 +187,12 @@ def fedspectral_server(
     Returns (labels, client labelings in ascending client-id order), the
     shape of run_fedspectral_plus's (labels, embedding).
     """
-    def label(sh):
-        return sh.client_id, get_client_labels(
-            sh, num_clusters, client_seed(seed, sh.client_id)
-        )
+    def label(shard):
+        return get_client_labels(shard, num_clusters, client_seed(seed, shard.client_id))
 
+    check_counts(num_clusters=num_clusters)
     with one_blas_thread():
-        # map, not a comprehension, whose name would hold each shard while
-        # the next one is built
-        labeled = list(map(label, same_universe(shards)))
-        labelings = [labels for _, labels in sorted(labeled, key=itemgetter(0))]
+        labelings = per_client(shards, label)
         quotient = build_similarity_graph(labelings)
         server = derive_seed(seed, "server")
         embedding = _twin_embedding(quotient, num_clusters, embedding_seed(server))

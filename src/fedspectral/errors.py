@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the text-file reader
-that turns undecodable bytes into a ParseError."""
+"""Exception types shared across the package, the one check of a count
+that must be at least 1, and the text-file reader that turns undecodable
+bytes into a ParseError."""
 
 import re
 
@@ -22,6 +23,14 @@ class RankError(ArithmeticError):
 
 class ConvergenceError(RuntimeError):
     """An iterative kernel failed to converge within its iteration cap."""
+
+
+def check_counts(**counts: int) -> None:
+    """Raise ConfigError "{name} must be >= 1, got {value}" for the first
+    of ``counts``, in argument order, that is below 1."""
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
 
 
 def _read_text(fh) -> str:

@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import fedspectral_server
-from .errors import ConfigError
+from .errors import ConfigError, check_counts
 from .fedplus import run_fedspectral_plus, settled
 from .graph import Graph, load_edge_list, read_arcs
 from .linalg import global_spectral_clustering
@@ -109,9 +109,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     if cfg.algo not in ALGORITHMS:
         raise _unknown_algo(cfg.algo)
     replication_count(cfg.overlap, cfg.num_clients)
-    for name in ("num_clusters", "iters", "global_rounds", "num_trials"):
-        if getattr(cfg, name) < 1:
-            raise ConfigError(f"{name} must be >= 1, got {getattr(cfg, name)}")
+    check_counts(num_clusters=cfg.num_clusters, iters=cfg.iters,
+                 global_rounds=cfg.global_rounds, num_trials=cfg.num_trials)
     for name in _IRRELEVANT_FIELDS[cfg.algo]:
         if getattr(cfg, name) != getattr(_DEFAULTS, name):
             warnings.warn(
@@ -142,10 +141,13 @@ def load_dataset(cfg: ExperimentConfig) -> Graph:
 
 
 def compute_reference(graph: Graph, cfg: ExperimentConfig) -> np.ndarray:
-    """The global (non-federated) labeling all trials are scored against."""
-    return global_spectral_clustering(
-        graph, cfg.num_clusters, reference_seed(cfg.dataset_path)
-    )
+    """The global (non-federated) labeling all trials are scored against;
+    every run and sweep computes it before its first trial, so a
+    num_clusters above the node count is a ConfigError here."""
+    k, n = cfg.num_clusters, graph.num_nodes
+    if k > n:
+        raise ConfigError(f"num_clusters must be <= the node count {n}, got {k}")
+    return global_spectral_clustering(graph, k, reference_seed(cfg.dataset_path))
 
 
 @dataclass
@@ -211,11 +213,9 @@ def run_single_trial(
     STOP_DRIFT) rather than merely reached the ``global_rounds`` cap;
     it is None for the other algorithms. The trial hands either protocol
     the iterator of distribute_edges' ShardSequence and keeps no name for
-    the sequence, so the shards are built one at a time, each dies once
-    its client is built (FedSpectral+) or has its labels (the baseline),
-    and the drawn partition dies as the last one is handed over, before
-    that client is built or labeled. The baseline's edgeless-shard flags
-    come from the sequence's edge counts, not from built shards.
+    the sequence, so the shards live as partition.per_client describes. The
+    baseline's edgeless-shard flags come from the sequence's edge counts,
+    not from built shards.
     An algo outside ALGORITHMS raises validate_config's ConfigError.
     """
     flags, round_drift, client_labelings = [], [], []

@@ -33,11 +33,11 @@ arrays: O(N + shard edges) memory, and O(shard edges * K) work per local
 step, where a dense N x N multiplier would cost O(N^2) of both.
 
 Every large buffer dies at its last use, so a trial holds, phase by phase:
-while the clients are built, the multipliers so far and one shard (the
-drawn partition is gone before the last multiplier is built); in a serial
-round, the multipliers and four N x K arrays (the broadcast, the anchor,
-the running sum and one reply); in a pooled round, up to ``workers + 1``
-more replies in flight; in the final k-means, the final basis only.
+while the clients are built, the multipliers so far and what
+partition.per_client holds; in a serial round, the multipliers and four
+N x K arrays (the broadcast, the anchor, the running sum and one reply);
+in a pooled round, up to ``workers + 1`` more replies in flight; in the
+final k-means, the final basis only.
 
 Wire format (for substituting a network transport for the in-process one):
 a frame is three little-endian int64 header words followed by the payload,
@@ -68,10 +68,10 @@ from typing import Iterable
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, ContractError, ConvergenceError, RankError
+from .errors import ContractError, ConvergenceError, RankError, check_counts
 from .graph import laplacian_multiplier
 from .linalg import one_blas_thread, reduced_qr
-from .partition import ClientShard, same_universe
+from .partition import ClientShard, per_client
 from .seeding import embedding_seed, kmeans_seed
 
 __all__ = [
@@ -397,25 +397,12 @@ def run_fedspectral_plus(
     otherwise one after another. Labels and embedding are the same bits
     either way.
 
-    ``shards`` is any iterable, consumed once: each shard becomes its
-    client as it arrives, and no reference to it is kept, so a shard that
-    its producer also lets go dies once its multiplier is built. A
-    ShardSequence builds its items per access (``seq[0] is seq[0]`` is
-    False), so given one or its iterator, at most one shard exists at any
-    moment, and the sequence's iterator lets the sequence go before the
-    last shard. The node universe is checked on the way, with
-    same_universe's errors.
+    ``shards`` is any iterable, which partition.per_client turns into the
+    clients, each shard into its client as it arrives, with per_client's
+    errors and shard lifetimes.
     """
-    for name, value in (
-        ("num_clusters", num_clusters),
-        ("iters", iters),
-        ("global_rounds", global_rounds),
-    ):
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
-    # map, not a comprehension, whose name would hold each shard while the
-    # next one is built
-    transports = list(map(partial(PowerIterationClient, iters=iters), same_universe(shards)))
+    check_counts(num_clusters=num_clusters, iters=iters, global_rounds=global_rounds)
+    transports = per_client(shards, partial(PowerIterationClient, iters=iters))
     n = transports[0].num_nodes
     if num_clusters > n:
         raise ContractError(f"num_clusters {num_clusters} exceeds node count {n}")

@@ -4,7 +4,8 @@ A shard is a Graph over the full node universe plus its client id (nodes
 with no local edges are simply isolated there); each global edge is
 replicated onto r distinct clients chosen uniformly at random,
 r = max(1, round(overlap * C)). distribute_edges draws the clients and
-returns a ShardSequence, which builds each shard only when it is asked for.
+returns a ShardSequence, which builds each shard only when it is asked for;
+per_client is the one way both protocols take their shards in.
 """
 
 from __future__ import annotations
@@ -16,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ContractError
+from .errors import ConfigError, ContractError, check_counts
 from .graph import Graph, index_dtype, serialize_edge_list
 
 __all__ = [
     "ClientShard",
-    "same_universe",
+    "per_client",
     "replication_count",
     "distribute_edges",
     "ShardSequence",
@@ -40,20 +41,30 @@ class ClientShard(Graph):
     client_id: int
 
 
-def same_universe(shards):
-    """Yield the shards of any iterable as they come, checking them on the
-    way: ContractError once a shard disagrees with the first on the node
-    universe, or at the end if there was none."""
-    n = None
+def per_client(shards, build) -> list:
+    """``[build(shard)]`` for the shards of any iterable, in client-id order.
+
+    Both protocols take their shards in here. Each shard goes to ``build``
+    as it arrives, once its node universe agrees with the first shard's;
+    ContractError if one disagrees, or if there was none. No shard is kept
+    once ``build`` returns, so a shard its producer lets go dies before the
+    next is built: given a ShardSequence, which builds its items per access,
+    or its iterator, at most one shard exists at any moment, and a sequence
+    that only its iterator holds dies, with its drawn partition, before
+    ``build`` runs on the last shard.
+    """
+    ids, built = [], []
     for shard in shards:
-        if n is None:
+        if not ids:
             n = shard.num_nodes
         elif shard.num_nodes != n:
             raise ContractError("shards disagree on the node universe")
-        yield shard
+        ids.append(shard.client_id)
+        built.append(build(shard))
         del shard  # held by no name here while the next shard is built
-    if n is None:
+    if not ids:
         raise ContractError("need at least one shard")
+    return [built[i] for i in sorted(range(len(ids)), key=ids.__getitem__)]
 
 
 def replication_count(overlap: float, num_clients: int) -> int:
@@ -62,8 +73,7 @@ def replication_count(overlap: float, num_clients: int) -> int:
     r = max(1, round(overlap * C)) with ties rounding up; always within
     1..C for overlap in (0, 1] and C >= 1.
     """
-    if num_clients < 1:
-        raise ConfigError(f"num_clients must be >= 1, got {num_clients}")
+    check_counts(num_clients=num_clients)
     if not 0.0 < overlap <= 1.0:
         raise ConfigError(f"overlap must be in (0, 1], got {overlap}")
     return max(1, int(math.floor(overlap * num_clients + 0.5)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
-from fedspectral import linalg
+from fedspectral import experiment, linalg
 from fedspectral.cli import _build_config, build_parser, main
 from fedspectral.experiment import SWEEP_AXES, ExperimentConfig
 from fedspectral.graph import load_edge_list, parse_arcs, serialize_edge_list
@@ -100,6 +100,30 @@ def test_run_unconverged_reference_errors(dataset_file, monkeypatch, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert "ARPACK did not converge" in lines[0]
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--algo", "fedspectral_plus", "--clusters", "9"],
+        ["--algo", "fedspectral", "--clusters", "9"],
+        ["--axis", "num_clusters", "--values", "2,9"],
+    ],
+    ids=["fedspectral_plus", "fedspectral", "sweep"],
+)
+def test_more_clusters_than_nodes_errors_before_any_trial(tmp_path, monkeypatch, capsys, flags):
+    path = tmp_path / "six_nodes.txt"
+    path.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n")
+    trials = []
+    monkeypatch.setattr(experiment, "run_single_trial", lambda *a, **k: trials.append(a))
+    code = main(["run", "--dataset", str(path), "--clients", "2", "--trials", "1", *flags])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: num_clusters must be <= the node count 6, got 9"
+    ]
+    assert trials == []
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "metric-id", "metric-label"])

@@ -26,7 +26,7 @@ from fedspectral.fedplus import (
 )
 from fedspectral.graph import Graph, normalized_laplacian
 from fedspectral.linalg import bottom_k_eigenvectors, global_spectral_clustering, reduced_qr
-from fedspectral.partition import ClientShard, distribute_edges, same_universe
+from fedspectral.partition import ClientShard, distribute_edges, per_client
 from fedspectral.seeding import embedding_seed
 
 from conftest import dense_adjacency, planted_graph, principal_angles
@@ -655,12 +655,19 @@ class TestProtocol:
         c = ClientShard(5, none, np.empty(0), client_id=2)
         for shards in ([], [a, c], [a, b, c], [c, a]):
             with pytest.raises(ContractError) as expected:
-                list(same_universe(shards))
+                per_client(shards, lambda sh: sh)
             with pytest.raises(ContractError) as plus:
                 run_fedspectral_plus(iter(shards), 2, 0, iters=1, global_rounds=1)
             with pytest.raises(ContractError) as baseline:
                 fedspectral_server(shards, 2, 0)
             assert str(plus.value) == str(baseline.value) == str(expected.value)
+        # K = 0 is one ConfigError, raised before any shard is read
+        for shards in ([a, b], [a, c]):
+            with pytest.raises(ConfigError) as plus:
+                run_fedspectral_plus(iter(shards), 0, 0, iters=1, global_rounds=1)
+            with pytest.raises(ConfigError) as baseline:
+                fedspectral_server(iter(shards), 0, 0)
+            assert str(plus.value) == str(baseline.value) == "num_clusters must be >= 1, got 0"
 
     def test_shard_iterator_matches_list_and_keeps_no_shard(self, monkeypatch):
         g = planted_graph([10, 10], 0.8, 0.08, seed=35)

@@ -18,8 +18,8 @@ from fedspectral.graph import (
 from fedspectral.partition import (
     ClientShard,
     distribute_edges,
+    per_client,
     replication_count,
-    same_universe,
     write_shard,
 )
 
@@ -409,17 +409,59 @@ class TestClientShardInvariants:
             ClientShard(0, 3, np.empty((0, 2)), np.empty(0))
 
     def test_shard_universe(self):
-        # same_universe passes the shards through as it checks them
+        # per_client builds each shard as it comes, after checking it
         shards = list(distribute_edges(gnp_graph(12, 0.4, 14), 3, 0.5, seed=15))
-        checked = same_universe(iter(shards))
+        checked = per_client(iter(shards), lambda sh: sh)
         assert all(got is sh for got, sh in zip(checked, shards, strict=True))
         with pytest.raises(ContractError, match="at least one shard"):
-            list(same_universe([]))
+            per_client([], lambda sh: sh)
         other = ClientShard(13, np.empty((0, 2)), np.empty(0), client_id=3)
+        built = []
         with pytest.raises(ContractError, match="disagree on the node universe"):
-            list(same_universe([other, *shards]))
+            per_client([other, *shards], built.append)
+        assert built == [other]
         # a mismatch on a later shard is found when that shard comes
-        checked = same_universe([*shards, other])
-        assert all(next(checked) is sh for sh in shards)
+        built = []
         with pytest.raises(ContractError, match="disagree on the node universe"):
-            next(checked)
+            per_client([*shards, other], built.append)
+        assert built == shards
+
+    def test_per_client_returns_client_id_order(self):
+        shards = list(distribute_edges(gnp_graph(12, 0.4, 16), 4, 0.5, seed=17))
+        order = []
+
+        def build(shard):
+            order.append(shard.client_id)
+            return shard.client_id, shard.num_edges
+
+        got = per_client(reversed(shards), build)
+        assert order == [3, 2, 1, 0]
+        assert got == [(sh.client_id, sh.num_edges) for sh in shards]
+
+    def test_per_client_keeps_no_earlier_shard(self):
+        shards = distribute_edges(gnp_graph(12, 0.4, 18), 4, 0.5, seed=19)
+        refs = []
+
+        def fresh():
+            for c in range(len(shards)):
+                # the shard before is dead while this one is built
+                assert all(ref() is None for ref in refs)
+                shard = shards[c]
+                refs.append(weakref.ref(shard))
+                yield shard
+                del shard
+
+        def build(shard):
+            assert all(ref() is None for ref in refs[:-1])
+            return shard.num_edges
+
+        assert per_client(fresh(), build) == list(shards.edge_counts)
+        assert len(refs) == 4 and refs[-1]() is None
+
+    def test_per_client_lets_the_sequence_go_before_the_last_build(self):
+        shards = distribute_edges(gnp_graph(12, 0.4, 20), 4, 0.5, seed=21)
+        sequence = weakref.ref(shards)
+        it = iter(shards)
+        del shards
+        alive = per_client(it, lambda sh: sequence() is not None)
+        assert alive == [True, True, True, False]
