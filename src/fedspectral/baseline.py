@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from . import linalg
-from .errors import ContractError, check_counts
+from .errors import ContractError, check_cluster_count, check_counts
 from .graph import index_dtype
 # no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
 from .graph import normalized_laplacian_from_adjacency  # noqa: F401
@@ -178,7 +178,9 @@ def fedspectral_server(
     ``shards`` is any iterable, which partition.per_client turns into the
     labelings, each client's as its shard arrives, with per_client's
     errors and shard lifetimes. A num_clusters below 1 raises ConfigError
-    before any shard is read, as in run_fedspectral_plus.
+    before any shard is read, as in run_fedspectral_plus, and so does one
+    above the node count (errors.check_cluster_count) before the first
+    labeling.
 
     Everything runs under linalg.one_blas_thread, as run_fedspectral_plus
     does: the clients' and the server's BLAS calls are too small for a
@@ -188,6 +190,7 @@ def fedspectral_server(
     shape of run_fedspectral_plus's (labels, embedding).
     """
     def label(shard):
+        check_cluster_count(num_clusters, shard.num_nodes)
         return get_client_labels(shard, num_clusters, client_seed(seed, shard.client_id))
 
     check_counts(num_clusters=num_clusters)

@@ -10,7 +10,9 @@ supplies the default dataset directory. Output paths are checked before
 the dataset is read: --labels-out must be new or empty, and an --output
 or --summary file must lie in an existing directory, and be neither the
 dataset, the other output, nor inside --labels-out (compared as real
-paths). Errors and warnings print as one 'error:' or 'warning:' line.
+paths). Errors and warnings print as one 'error:' or 'warning:' line,
+and either names the run flag where the message starts with a config
+field.
 """
 
 from __future__ import annotations
@@ -156,40 +158,38 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--values", help="comma-separated values of --axis, one run each")
     run_p.add_argument("--summary",
                        help="per-point summary CSV of --axis (default <output>.summary.csv)")
-    run_p.set_defaults(func=_cmd_run)
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    flags = {a.dest: a.option_strings[0] for a in run_p._actions if a.dest in fields}
+    run_p.set_defaults(func=_cmd_run, flags=flags)
 
     metric_p = sub.add_parser("metric", help="score two label CSVs")
     metric_p.add_argument("global_labels")
     metric_p.add_argument("aggregated_labels")
-    metric_p.set_defaults(func=_cmd_metric)
+    metric_p.set_defaults(func=_cmd_metric, flags={})
 
     verify_p = sub.add_parser("verify", help="check dataset counts")
     verify_p.add_argument("--dataset", required=True)
     verify_p.add_argument("--directed", action="store_true")
     verify_p.add_argument("--expect-nodes", type=int, required=True)
     verify_p.add_argument("--expect-edges", type=int, required=True)
-    verify_p.set_defaults(func=_cmd_verify)
-
-    for command in sub.choices.values():
-        flags = {a.dest: a.option_strings[0] for a in command._actions if a.option_strings}
-        command.set_defaults(flags=flags)
+    verify_p.set_defaults(func=_cmd_verify, flags={})
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    def show_warning(message, *_):
-        # one 'warning:' line; a leading config field name becomes its flag
+    def report(kind, message):
+        # one line; a leading config field name of run becomes its flag
         field, sep, rest = str(message).partition(" ")
-        print(f"warning: {args.flags.get(field, field)}{sep}{rest}", file=sys.stderr)
+        print(f"{kind}: {args.flags.get(field, field)}{sep}{rest}", file=sys.stderr)
 
     with warnings.catch_warnings():
-        warnings.showwarning = show_warning
+        warnings.showwarning = lambda message, *_: report("warning", message)
         try:
             return args.func(args)
         except _USER_ERRORS as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            report("error", exc)
             return 1
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the one check of a count
-that must be at least 1, and the text-file reader that turns undecodable
-bytes into a ParseError."""
+that must be at least 1, the one check of a cluster count against the
+node count, and the text-file reader that turns undecodable bytes into a
+ParseError."""
 
 import re
 
@@ -31,6 +32,15 @@ def check_counts(**counts: int) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
+def check_cluster_count(num_clusters: int, num_nodes: int) -> None:
+    """Raise ConfigError "num_clusters must be <= the node count {num_nodes},
+    got {num_clusters}" when the clusters outnumber the nodes. Every entry
+    point that knows the node count calls it before any client work."""
+    if num_clusters <= num_nodes:
+        return
+    raise ConfigError(f"num_clusters must be <= the node count {num_nodes}, got {num_clusters}")
 
 
 def _read_text(fh) -> str:

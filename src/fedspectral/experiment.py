@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from .baseline import fedspectral_server
-from .errors import ConfigError, check_counts
+from .errors import ConfigError, check_cluster_count, check_counts
 from .fedplus import run_fedspectral_plus, settled
 from .graph import Graph, load_edge_list, read_arcs
 from .linalg import global_spectral_clustering
@@ -144,10 +144,8 @@ def compute_reference(graph: Graph, cfg: ExperimentConfig) -> np.ndarray:
     """The global (non-federated) labeling all trials are scored against;
     every run and sweep computes it before its first trial, so a
     num_clusters above the node count is a ConfigError here."""
-    k, n = cfg.num_clusters, graph.num_nodes
-    if k > n:
-        raise ConfigError(f"num_clusters must be <= the node count {n}, got {k}")
-    return global_spectral_clustering(graph, k, reference_seed(cfg.dataset_path))
+    check_cluster_count(cfg.num_clusters, graph.num_nodes)
+    return global_spectral_clustering(graph, cfg.num_clusters, reference_seed(cfg.dataset_path))
 
 
 @dataclass
@@ -205,17 +203,17 @@ def run_single_trial(
     baseline's, in client-id order, and empty for the other algorithms.
     The similarity depends only on (graph, cfg shape, seed), so replaying
     a record's trial_seed and trial returns that record apart from its
-    wallclock_ms. A baseline trial notes each edgeless client shard in
-    ``record.flags``. A FedSpectral+ trial records each round's subspace
-    drift, which the protocol's round observer receives, in
-    ``record.round_drift``, and sets ``record.converged`` to whether the
-    last round settled (fedplus.settled: its drift is at most
-    STOP_DRIFT) rather than merely reached the ``global_rounds`` cap;
-    it is None for the other algorithms. The trial hands either protocol
-    the iterator of distribute_edges' ShardSequence and keeps no name for
-    the sequence, so the shards live as partition.per_client describes. The
-    baseline's edgeless-shard flags come from the sequence's edge counts,
-    not from built shards.
+    wallclock_ms. A trial of either federated protocol notes each
+    edgeless client shard, in client-id order, in ``record.flags``; the
+    flags come from the partition's edge counts, not from built shards.
+    A FedSpectral+ trial records each round's subspace drift, which the
+    protocol's round observer receives, in ``record.round_drift``, and
+    sets ``record.converged`` to whether the last round settled
+    (fedplus.settled: its drift is at most STOP_DRIFT) rather than merely
+    reached the ``global_rounds`` cap; it is None for the other
+    algorithms. The trial hands either protocol the iterator of
+    distribute_edges' ShardSequence and keeps no name for the sequence,
+    so the shards live as partition.per_client describes.
     An algo outside ALGORITHMS raises validate_config's ConfigError.
     """
     flags, round_drift, client_labelings = [], [], []
@@ -223,15 +221,14 @@ def run_single_trial(
     start = time.perf_counter()
     if cfg.algo == "global":
         labels = reference
-    elif cfg.algo == "fedspectral":
+    elif cfg.algo not in ALGORITHMS:
+        raise _unknown_algo(cfg.algo)
+    else:
         shards, edge_counts = _trial_shards(graph, cfg, seed)
-        flags = [
-            f"degenerate shard {c}: no edges"
-            for c in np.flatnonzero(edge_counts == 0).tolist()
-        ]
+        flags = [f"degenerate shard {c}: no edges" for c in np.flatnonzero(edge_counts == 0)]
+    if cfg.algo == "fedspectral":
         labels, client_labelings = fedspectral_server(shards, cfg.num_clusters, seed)
     elif cfg.algo == "fedspectral_plus":
-        shards, _ = _trial_shards(graph, cfg, seed)
         labels, _ = run_fedspectral_plus(
             shards,
             cfg.num_clusters,
@@ -241,8 +238,6 @@ def run_single_trial(
             on_round=lambda _t, _previous, _basis, drift: round_drift.append(drift),
         )
         converged = settled(round_drift[-1])
-    else:
-        raise _unknown_algo(cfg.algo)
     wallclock_ms = (time.perf_counter() - start) * 1000.0
     similarity = cluster_similarity(reference, labels)
     record = ResultRecord(

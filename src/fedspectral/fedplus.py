@@ -61,14 +61,13 @@ import struct
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
 from . import linalg
-from .errors import ContractError, ConvergenceError, RankError, check_counts
+from .errors import ContractError, ConvergenceError, RankError, check_cluster_count, check_counts
 from .graph import laplacian_multiplier
 from .linalg import one_blas_thread, reduced_qr
 from .partition import ClientShard, per_client
@@ -138,8 +137,7 @@ class PowerIterationClient:
     """
 
     def __init__(self, shard: ClientShard, iters: int):
-        if iters < 1:
-            raise ContractError(f"iters must be >= 1, got {iters}")
+        check_counts(iters=iters)
         self._client_id = shard.client_id
         self._iters = iters
         self._multiplier = shard_multiplier(shard)
@@ -399,13 +397,17 @@ def run_fedspectral_plus(
 
     ``shards`` is any iterable, which partition.per_client turns into the
     clients, each shard into its client as it arrives, with per_client's
-    errors and shard lifetimes.
+    errors and shard lifetimes. A count below 1 raises ConfigError before
+    any shard is read, and so does a num_clusters above the node count
+    (errors.check_cluster_count) before the first multiplier is built.
     """
+    def build(shard):
+        check_cluster_count(num_clusters, shard.num_nodes)
+        return PowerIterationClient(shard, iters)
+
     check_counts(num_clusters=num_clusters, iters=iters, global_rounds=global_rounds)
-    transports = per_client(shards, partial(PowerIterationClient, iters=iters))
+    transports = per_client(shards, build)
     n = transports[0].num_nodes
-    if num_clusters > n:
-        raise ContractError(f"num_clusters {num_clusters} exceeds node count {n}")
     work = min(t.stored_entries for t in transports) * num_clusters * iters
     workers = _usable_cores() if work >= POOL_MIN_WORK else 1
 

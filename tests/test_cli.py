@@ -120,10 +120,33 @@ def test_more_clusters_than_nodes_errors_before_any_trial(tmp_path, monkeypatch,
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: num_clusters must be <= the node count 6, got 9"
-    ]
+    assert captured.err.splitlines() == ["error: --clusters must be <= the node count 6, got 9"]
     assert trials == []
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["run", "--clusters", "0"], "error: --clusters must be >= 1, got 0"),
+        (["run", "--iters", "0", "--algo", "fedspectral_plus"],
+         "error: --iters must be >= 1, got 0"),
+        (["run", "--overlap", "2"], "error: --overlap must be in (0, 1], got 2.0"),
+        (["run", "--trials", "0"], "error: --trials must be >= 1, got 0"),
+        # verify's --dataset is no config field: its line keeps its words
+        (["verify", "--expect-nodes", "6", "--expect-edges", "7"],
+         "error: dataset not found: missing.txt"),
+    ],
+    ids=["clusters", "iters", "overlap", "trials", "verify-missing"],
+)
+def test_error_line_names_the_flag(tmp_path, monkeypatch, capsys, argv, line):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(experiment.DATASET_ENV_VAR, raising=False)
+    (tmp_path / "six.txt").write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n")
+    dataset = "six.txt" if argv[0] == "run" else "missing.txt"
+    assert main([argv[0], "--dataset", dataset, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "metric-id", "metric-label"])

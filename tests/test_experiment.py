@@ -363,12 +363,13 @@ class TestRun:
         assert payload["algo"] == "fedspectral_plus"
         assert payload["similarity"] == records[0].similarity
 
-    def test_records_flag_empty_shards_in_client_order(self, tmp_path):
+    @pytest.mark.parametrize("algo", ["fedspectral", "fedspectral_plus"])
+    def test_records_flag_empty_shards_in_client_order(self, tmp_path, algo):
         path = tmp_path / "six_nodes.txt"
         path.write_text("0 1\n0 2\n1 2\n3 4\n3 5\n4 5\n2 3\n")
         cfg = ExperimentConfig(
             dataset_path=str(path),
-            algo="fedspectral",
+            algo=algo,
             num_clients=10,
             num_clusters=2,
             overlap=0.1,

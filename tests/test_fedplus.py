@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from fedspectral.baseline import fedspectral_server
+from fedspectral.baseline import fedspectral_server, get_client_labels
 from fedspectral.errors import ConfigError, ContractError, ConvergenceError, RankError
 from fedspectral import fedplus, linalg
 from fedspectral.experiment import ExperimentConfig, compute_reference, run_single_trial
@@ -210,7 +210,7 @@ class TestClientPowerIteration:
         assert np.array_equal(client_step(shard_from_graph(g), 2, v), twice)
 
     def test_contracts(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError, match=r"^iters must be >= 1, got 0$"):
             PowerIterationClient(path_shard(), 0)
         with pytest.raises(ContractError):
             client_step(path_shard(), 1, np.ones((3, 1)))
@@ -567,7 +567,8 @@ class TestProtocol:
     def test_more_clusters_than_nodes_rejected(self):
         shards = distribute_edges(planted_graph([4, 4], 0.9, 0.2, seed=36), 2, 0.5, seed=37)
         assert run_fedspectral_plus(shards, 8, 38, iters=1, global_rounds=1)[1].shape == (8, 8)
-        with pytest.raises(ContractError, match="^num_clusters 9 exceeds node count 8$"):
+        message = "^num_clusters must be <= the node count 8, got 9$"
+        with pytest.raises(ConfigError, match=message):
             run_fedspectral_plus(shards, 9, 38, iters=1, global_rounds=1)
 
     def test_deterministic(self, schedule):
@@ -668,6 +669,31 @@ class TestProtocol:
             with pytest.raises(ConfigError) as baseline:
                 fedspectral_server(iter(shards), 0, 0)
             assert str(plus.value) == str(baseline.value) == "num_clusters must be >= 1, got 0"
+
+    def test_more_clusters_than_nodes_is_one_error_before_any_client(self, monkeypatch):
+        # compute_reference and both protocols raise the same ConfigError,
+        # and neither protocol builds a client or computes a labeling first
+        g = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
+        cfg = ExperimentConfig(dataset_path="six.txt", num_clusters=9)
+        with pytest.raises(ConfigError) as reference:
+            compute_reference(g, cfg)
+        assert str(reference.value) == "num_clusters must be <= the node count 6, got 9"
+        built = []
+
+        def spy(real):
+            return lambda *args, **kwargs: built.append(args) or real(*args, **kwargs)
+
+        monkeypatch.setattr(fedplus, "PowerIterationClient", spy(PowerIterationClient))
+        monkeypatch.setattr("fedspectral.baseline.get_client_labels", spy(get_client_labels))
+        for make in (list, iter):
+            with pytest.raises(ConfigError) as plus:
+                run_fedspectral_plus(
+                    make(distribute_edges(g, 5, 0.4, 1)), 9, 0, iters=1, global_rounds=1
+                )
+            with pytest.raises(ConfigError) as server:
+                fedspectral_server(make(distribute_edges(g, 5, 0.4, 1)), 9, 0)
+            assert str(plus.value) == str(server.value) == str(reference.value)
+        assert built == []
 
     def test_shard_iterator_matches_list_and_keeps_no_shard(self, monkeypatch):
         g = planted_graph([10, 10], 0.8, 0.08, seed=35)
