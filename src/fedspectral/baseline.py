@@ -21,7 +21,7 @@ from scipy import sparse
 from . import linalg
 from .errors import ContractError, check_cluster_count, check_counts
 from .graph import index_dtype
-# no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item C)
+# no caller: kept as bench target baseline:normalized_laplacian_from_adjacency (item P)
 from .graph import normalized_laplacian_from_adjacency  # noqa: F401
 from .linalg import global_spectral_clustering, one_blas_thread
 from .partition import ClientShard, per_client
@@ -177,7 +177,10 @@ def fedspectral_server(
 
     ``shards`` is any iterable, which partition.per_client turns into the
     labelings, each client's as its shard arrives, with per_client's
-    errors and shard lifetimes. A num_clusters below 1 raises ConfigError
+    errors and shard lifetimes; a client's shard goes on to
+    global_spectral_clustering with no other reference here, so a shard
+    its producer lets go dies once its Laplacian exists, before the
+    client's eigensolve. A num_clusters below 1 raises ConfigError
     before any shard is read, as in run_fedspectral_plus, and so does one
     above the node count (errors.check_cluster_count) before the first
     labeling.
@@ -191,7 +194,10 @@ def fedspectral_server(
     """
     def label(shard):
         check_cluster_count(num_clusters, shard.num_nodes)
-        return get_client_labels(shard, num_clusters, client_seed(seed, shard.client_id))
+        own_seed = client_seed(seed, shard.client_id)
+        held = [shard]
+        del shard  # the pipeline gets the shard as a temporary and drops it
+        return get_client_labels(held.pop(), num_clusters, own_seed)
 
     check_counts(num_clusters=num_clusters)
     with one_blas_thread():

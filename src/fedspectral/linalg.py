@@ -382,8 +382,14 @@ def global_spectral_clustering(g: Graph, k: int, seed: int) -> np.ndarray:
     and makes every node its own component. The baseline server takes the
     same two steps, and the same seeds, on its twin-class quotient instead
     of a Graph. Both run under one_blas_thread, as the protocols do, so
-    the reference solve takes no second OpenBLAS thread either.
+    the reference solve takes no second OpenBLAS thread either. No name
+    here holds ``g`` past its Laplacian, nor the Laplacian past the solve,
+    so a graph its caller passes as a temporary (a baseline client's
+    shard) is dead by the eigensolve, and the Laplacian by the k-means.
     """
     with one_blas_thread():
-        embedding = bottom_k_eigenvectors(normalized_laplacian(g), k, embedding_seed(seed))
+        lap = normalized_laplacian(g)
+        del g
+        embedding = bottom_k_eigenvectors(lap, k, embedding_seed(seed))
+        del lap
         return kmeans(embedding, k, kmeans_seed(seed))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ContractError, check_counts
-from .graph import Graph, index_dtype, serialize_edge_list
+from .graph import Graph, serialize_edge_list
 
 __all__ = [
     "ClientShard",
@@ -46,22 +46,24 @@ def per_client(shards, build) -> list:
 
     Both protocols take their shards in here. Each shard goes to ``build``
     as it arrives, once its node universe agrees with the first shard's;
-    ContractError if one disagrees, or if there was none. No shard is kept
-    once ``build`` returns, so a shard its producer lets go dies before the
-    next is built: given a ShardSequence, which builds its items per access,
-    or its iterator, at most one shard exists at any moment, and a sequence
+    ContractError if one disagrees, or if there was none. No name here
+    holds a shard while ``build`` runs, so a shard its producer lets go
+    dies as soon as ``build`` drops it, and at the latest when ``build``
+    returns: given a ShardSequence, which builds its items per access, or
+    its iterator, at most one shard exists at any moment, and a sequence
     that only its iterator holds dies, with its drawn partition, before
     ``build`` runs on the last shard.
     """
-    ids, built = [], []
+    ids, built, held = [], [], []
     for shard in shards:
         if not ids:
             n = shard.num_nodes
         elif shard.num_nodes != n:
             raise ContractError("shards disagree on the node universe")
         ids.append(shard.client_id)
-        built.append(build(shard))
-        del shard  # held by no name here while the next shard is built
+        held.append(shard)
+        del shard  # build gets the shard as a temporary, its one reference here
+        built.append(build(held.pop()))
     if not ids:
         raise ContractError("need at least one shard")
     return [built[i] for i in sorted(range(len(ids)), key=ids.__getitem__)]
@@ -90,15 +92,17 @@ def distribute_edges(
     deterministic for a fixed seed.
 
     The clients are drawn at the call, where a bad overlap or client
-    count raises ConfigError; the returned ShardSequence builds shard c
-    each time item c is asked for, so ``shards[0] is shards[0]`` is False.
+    count raises ConfigError, and kept as each edge's r client ids, in
+    the narrowest unsigned type that holds C - 1; the returned
+    ShardSequence builds shard c from them each time item c is asked
+    for, so ``shards[0] is shards[0]`` is False.
     """
     r = replication_count(overlap, num_clients)
 
     rng = np.random.default_rng(seed)
     num_edges = g.num_edges
-    # edge e's j-th client is clients[e, j]
-    clients = np.zeros((num_edges, r), dtype=np.min_scalar_type(num_clients - 1))
+    # edge e's j-th client is ids[j, e]
+    ids = np.empty((r, num_edges), dtype=np.min_scalar_type(num_clients - 1))
     edge_counts = np.zeros(num_clients, dtype=np.int64)
     # the r smallest of C iid uniform keys form a uniform r-subset;
     # stable argsort keeps the draw reproducible across versions
@@ -109,36 +113,31 @@ def distribute_edges(
     for lo in range(0, num_edges, step):
         keys = rng.random((min(step, num_edges - lo), num_clients))
         order = np.argsort(keys, axis=1, kind="stable")
-        clients[lo : lo + len(order)] = order[:, :r]
+        ids[:, lo : lo + len(order)] = order[:, :r].T
         edge_counts += np.bincount(order[:, :r].reshape(-1), minlength=num_clients)
-    # a stable sort of the edge-major client ids lists each client's
-    # edges in global order, since an edge has r distinct clients
-    by_client = np.argsort(clients.reshape(-1), kind="stable")
-    by_client //= r
-    return ShardSequence(g, by_client.astype(index_dtype(num_edges)), edge_counts)
+    return ShardSequence(g, ids, edge_counts)
 
 
 class ShardSequence(Sequence):
     """The C client shards of one distribute_edges draw, built on demand.
 
-    It keeps the graph and each client's edge indices, grouped by client
-    (4 bytes an edge-copy below 2^31 edges), never a shard: item c gathers
-    client c's edges, in global order, each time it is asked for (negative
-    indices count from the end; IndexError past either end). Iteration
-    builds one shard per step and keeps none, so a consumer that lets each
-    go holds one shard at a time, and the iterator lets go of the sequence
-    before it hands over the last shard: a sequence that only its iterator
-    holds dies, with its edge indices, while the last shard is in use.
-    ``edge_counts`` is each client's edge count, known without building a
-    shard.
+    It keeps the graph and each edge's r client ids, rank-major (r x E, 1
+    byte an edge-copy below 257 clients), never a shard: item c gathers
+    client c's edges, in global order, each time it is asked for, with one
+    pass over the r x E ids (negative indices count from the end;
+    IndexError past either end). Iteration builds one shard per step and
+    keeps none, so a consumer that lets each go holds one shard at a time,
+    and the iterator lets go of the sequence before it hands over the last
+    shard: a sequence that only its iterator holds dies, with its client
+    ids, while the last shard is in use. ``edge_counts`` is each client's
+    edge count, known without building a shard.
     """
 
-    def __init__(self, g: Graph, by_client: np.ndarray, edge_counts: np.ndarray):
+    def __init__(self, g: Graph, ids: np.ndarray, edge_counts: np.ndarray):
         self._graph = g
-        self._by_client = by_client
-        self._ends = np.cumsum(edge_counts)
+        self._ids = ids
         self.edge_counts = edge_counts
-        by_client.flags.writeable = edge_counts.flags.writeable = False
+        ids.flags.writeable = edge_counts.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.edge_counts)
@@ -148,8 +147,12 @@ class ShardSequence(Sequence):
         if not -len(self) <= c < len(self):
             raise IndexError(f"client {c} out of range for {len(self)} clients")
         c %= len(self)
-        end = self._ends[c]
-        picked = self._by_client[end - self.edge_counts[c] : end]
+        # an edge's r clients are distinct, so an edge is client c's
+        # when any rank names c; ascending edge order is the global order
+        mine = self._ids[0] == c
+        for rank in self._ids[1:]:
+            mine |= rank == c
+        picked = np.flatnonzero(mine)
         # np.take gathers the rows several times faster than ``g.edges[picked]``
         g = self._graph
         return ClientShard(

@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import subspace_angles
 
-from fedspectral import baseline, linalg
+from fedspectral import baseline, linalg, partition
 from fedspectral.baseline import (
     TwinQuotient,
     build_similarity_graph,
@@ -317,6 +319,29 @@ class TestServer:
         assert np.array_equal(got, labels)
         assert len(got_clients) == len(clients)
         assert all(np.array_equal(a, b) for a, b in zip(got_clients, clients))
+
+    def test_each_shard_is_dead_when_its_client_solve_starts(self, monkeypatch):
+        g = planted_graph([10, 10], 0.8, 0.08, seed=68)
+        expected, _ = fedspectral_server(distribute_edges(g, 3, 0.5, 69), 2, seed=70)
+        refs, alive = [], []
+        build, solve = partition.ShardSequence.__getitem__, linalg.bottom_k_eigenvectors
+
+        def built(self, c):
+            shard = build(self, c)
+            refs.append(weakref.ref(shard))
+            return shard
+
+        def spy(*args, **kwargs):
+            alive.append([ref() is not None for ref in refs])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(partition.ShardSequence, "__getitem__", built)
+        monkeypatch.setattr(linalg, "bottom_k_eigenvectors", spy)
+        labels, _ = fedspectral_server(iter(distribute_edges(g, 3, 0.5, 69)), 2, seed=70)
+        # each client's solve starts once its Laplacian exists and its
+        # shard is gone; the server's solve comes after all three
+        assert alive == [[False], [False] * 2, [False] * 3, [False] * 3]
+        assert np.array_equal(labels, expected)
 
     def test_universe_mismatch_rejected(self):
         with pytest.raises(ContractError):

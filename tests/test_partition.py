@@ -278,9 +278,10 @@ class TestShardSequence:
         with pytest.raises(ValueError):
             shards.edge_counts[0] = 0
 
-    def test_holds_at_most_four_bytes_per_edge_copy(self):
+    def test_holds_one_byte_per_edge_copy(self):
         # at 50 clients and overlap 0.02 (r = 1) all shards hold 16 * E
-        # bytes and a C x E mask 50 * E; the sequence keeps 4 * r * E at most
+        # bytes and a C x E mask 50 * E; the sequence keeps r * E client
+        # ids of one byte each
         g = shaped_graph(4039, 88234, 10, 29)
         assert g.edges.dtype == np.int32
         num_clients, overlap = 50, 0.02
@@ -294,20 +295,42 @@ class TestShardSequence:
         finally:
             tracemalloc.stop()
         # 16 KiB more for the small buffers numpy caches after the draw frees them
-        assert held <= 4 * r * g.num_edges + 64 * num_clients + 16384
+        assert shards._ids.itemsize == 1
+        assert held <= r * g.num_edges * shards._ids.itemsize + 64 * num_clients + 16384
         assert sum(shards.edge_counts) == r * g.num_edges
+
+    def test_draw_peaks_at_its_ids_plus_one_row_block(self):
+        # at 50 clients and overlap 1.0 (r = 50) the ids are r * E bytes;
+        # the draw adds a row block's keys and order, SORT_BLOCK float64
+        # and int64 each, and no r * E array of another width
+        g = shaped_graph(4039, 88234, 10, 32)
+        num_clients, overlap = 50, 1.0
+        r = replication_count(overlap, num_clients)
+        assert r == num_clients
+        gc.collect()
+        tracemalloc.start()
+        try:
+            shards = distribute_edges(g, num_clients, overlap, seed=33)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ids = r * g.num_edges * shards._ids.itemsize
+        assert shards._ids.nbytes == ids
+        # 256 KiB more for the previous block's order, still bound while
+        # the next block is sorted, and numpy's small buffers
+        assert peak <= ids + 2 * partition.SORT_BLOCK * 8 + 2**18
 
     def test_iterator_lets_the_sequence_go_before_the_last_shard(self):
         shards = distribute_edges(self.weighted(), 5, 0.4, seed=31)
-        sequence, indices = weakref.ref(shards), weakref.ref(shards._by_client)
+        sequence, ids = weakref.ref(shards), weakref.ref(shards._ids)
         oracle = [shard_bytes(shard) for shard in shards]
         it = iter(shards)
         del shards
         alive, built = [], []
         for shard in it:
-            alive.append((sequence() is not None, indices() is not None))
+            alive.append((sequence() is not None, ids() is not None))
             built.append(shard_bytes(shard))
-        # held through shard C - 2, gone, edge indices too, at the last
+        # held through shard C - 2, gone, client ids too, at the last
         assert alive == [(True, True)] * 4 + [(False, False)]
         assert built == oracle
 
